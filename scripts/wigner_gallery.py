@@ -41,7 +41,6 @@ def main() -> None:
     ap.add_argument("--exact", action="store_true",
                     help="skip shot sampling (infinite-shot estimates)")
     ap.add_argument("--quick", action="store_true")
-    ap.add_argument("--workers", type=int, default=2)
     args = ap.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)
 
@@ -73,7 +72,7 @@ def main() -> None:
     }
     for name, state in gallery.items():
         scan = wigner_scan(state, grid, params.xi, space, schedule, model,
-                           exact=args.exact, sweep=sweep, workers=args.workers,
+                           exact=args.exact, sweep=sweep,
                            meta={"state": name})
         scan.to_csv(args.out / f"wigner_{name}.csv")
         print(f"  {name}: W(0) = {scan.wigner[np.argmin(np.abs(grid))]:+.4f}, "
@@ -81,7 +80,7 @@ def main() -> None:
 
     for n in (1, 2, 5):
         cut = radial_cut(fock_state(space.radial, n), radii, params.xi, space,
-                         schedule, model, sweep=sweep, workers=args.workers)
+                         schedule, model, sweep=sweep)
         closed = [fock_wigner_closed_form(n, r) for r in radii]
         write_csv(args.out / f"fock{n}_radial_cut.csv",
                   ["r", "wigner", "closed_form"],

@@ -258,6 +258,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigValueError("measurement.eta", "eta must lie in (0, 1]")
     if m.shots < 1:
         raise ConfigValueError("measurement.shots", "shots must be >= 1")
+    if m.seed < 0:
+        raise ConfigValueError("measurement.seed", "seed must be >= 0")
     parse_descriptor(cfg.state)
     if cfg.grid.extent <= 0 or cfg.grid.points < 2:
         raise ConfigValueError("grid", "need extent > 0 and points >= 2")

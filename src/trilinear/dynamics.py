@@ -20,7 +20,10 @@ Time-dependent detuning ramps are propagated as piecewise-constant
 Hamiltonians with the exact per-step exponential (eigendecomposition of the
 real-symmetric sector matrix, delta sampled at the step midpoint). Every
 step is exactly unitary; accuracy is certified by the step-halving
-convergence contract rather than by an adaptive integrator.
+convergence contract rather than by an adaptive integrator. One kernel,
+`_march`, does every piecewise-constant propagation: it diagonalizes a
+sector's step Hamiltonians a chunk of steps at a time with one batched
+eigh, so the Python-level cost per step is a single small matrix product.
 """
 
 from __future__ import annotations
@@ -42,8 +45,11 @@ from .fock import (
     mode_operator,
 )
 
-# eigendecomposition cache resolution for the detuning key, rad/s
-DELTA_CACHE_RESOLUTION = 1e-3
+# Memory for the per-chunk stacks of one sector (Hamiltonians,
+# eigenvectors, step propagators and their temporaries, about 64 s^2 bytes
+# per step for a sector of size s); the chunk length follows from it, so
+# memory stays bounded whatever the ramp length.
+CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -65,8 +71,15 @@ class SectorBlock:
         return self.indices.size
 
     def hamiltonian(self, xi: float, delta: float) -> np.ndarray:
-        h = xi * self.coupling.copy()
-        h[np.diag_indices(self.size)] += delta * self.n_c_diag
+        return self.hamiltonians(xi, [delta])[0]
+
+    def hamiltonians(self, xi: float, deltas) -> np.ndarray:
+        """Stack (len(deltas), s, s) of the sector matrix at each detuning."""
+        deltas = np.asarray(deltas, dtype=float)
+        h = np.empty((deltas.size, self.size, self.size))
+        h[:] = xi * self.coupling
+        diag = np.arange(self.size)
+        h[:, diag, diag] += deltas[:, None] * self.n_c_diag
         return h
 
 
@@ -208,30 +221,59 @@ def default_step(xi: float, schedule: RampSchedule) -> float:
 # propagation
 
 
-class _SectorEigh:
-    """Per-propagation cache of sector eigendecompositions, keyed by the
-    sector K and the detuning quantized to DELTA_CACHE_RESOLUTION.
+def _march(block: SectorBlock, xi: float, deltas, dts, cols,
+           branch: np.ndarray | None = None):
+    """Evolve the columns `cols` ((s,) or (s, m)) of one K sector through
+    the steps exp(-i H(deltas[k]) dts[k]), in order.
 
-    A miss diagonalizes the exact requested detuning, so single-detuning
-    runs carry no quantization bias; only genuine reuse across detunings
-    within one resolution step shares a decomposition.
+    The step Hamiltonians are diagonalized a chunk of steps at a time with
+    one batched eigh; the chunk length follows from the sector size so that
+    a chunk's stacks stay near CHUNK_BYTES.
+
+    With `branch`, a unit vector (an instantaneous eigenvector at the start),
+    the kernel also evolves it and follows, step by step, the eigenvector of
+    maximal overlap with the previous step's (continuity, not eigenvalue
+    order, so the branch is tracked through avoided crossings). It then
+    returns the fidelities |<branch_k|evolved_k>|^2 after every step along
+    with the evolved columns; otherwise the second result is None.
     """
-
-    def __init__(self, xi: float):
-        self.xi = xi
-        self._cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-    def get(self, block: SectorBlock, delta: float):
-        key = (block.k, int(round(delta / DELTA_CACHE_RESOLUTION)))
-        hit = self._cache.get(key)
-        if hit is None:
-            w, v = np.linalg.eigh(block.hamiltonian(self.xi, delta))
-            hit = self._cache[key] = (w, v)
-        return hit
-
-
-def _evolve_sector(amp_sec, w, v, dt):
-    return v @ (np.exp(-1j * w * dt) * (v.conj().T @ amp_sec))
+    deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
+    dts = np.atleast_1d(np.asarray(dts, dtype=float))
+    cols = np.asarray(cols, dtype=complex)
+    fids = None
+    if branch is not None:
+        cols = np.column_stack([cols, branch])
+        fids = np.empty(deltas.size)
+        followed = np.asarray(branch)
+    s = block.size
+    chunk = max(1, CHUNK_BYTES // (64 * s * s))
+    for lo in range(0, deltas.size, chunk):
+        w, v = np.linalg.eigh(block.hamiltonians(xi, deltas[lo:lo + chunk]))
+        n = w.shape[0]
+        vt = v.transpose(0, 2, 1)
+        arg = w * dts[lo:lo + chunk, None]
+        steps = ((v * np.cos(arg)[:, None, :]) @ vt
+                 - 1j * ((v * np.sin(arg)[:, None, :]) @ vt))
+        track = np.empty((n, s), dtype=complex) if fids is not None else None
+        for k in range(n):
+            cols = steps[k] @ cols
+            if track is not None:
+                track[k] = cols[:, -1]
+        if fids is None:
+            continue
+        # branch index after each step: row j of |V_{k-1}^T V_k| picks the
+        # successor of column j
+        first = int(np.argmax(np.abs(followed.conj() @ v[0])))
+        successor = np.abs(vt[:-1] @ v[1:]).argmax(axis=2).tolist()
+        picks = [first]
+        for row in successor:
+            picks.append(row[picks[-1]])
+        branches = v[np.arange(n), :, picks]
+        fids[lo:lo + n] = np.abs(np.einsum("ki,ki->k", branches, track)) ** 2
+        followed = branches[-1]
+    if fids is None:
+        return cols, None
+    return cols[:, :-1], fids
 
 
 def piecewise_deltas(schedule: RampSchedule, t0: float, t1: float,
@@ -244,24 +286,23 @@ def piecewise_deltas(schedule: RampSchedule, t0: float, t1: float,
     return np.asarray(schedule.delta_at(mids), dtype=float), dts
 
 
-def apply_piecewise(state: StateVector, xi: float, deltas, dts,
-                    cache: _SectorEigh | None = None) -> StateVector:
+def _populated_blocks(amp: np.ndarray, space: TwoModeSpace) -> list[SectorBlock]:
+    return [
+        b for b in block_decompose(space).blocks
+        if np.any(np.abs(amp[b.indices]) > 0.0)
+    ]
+
+
+def apply_piecewise(state: StateVector, xi: float, deltas, dts) -> StateVector:
     """Apply the exact piecewise-constant evolution exp(-i H(delta_k) dt_k),
     in sequence, to a two-mode state. Negative dt values evolve backwards
     (conjugated Hamiltonian sequence)."""
     space = state.basis
     if not isinstance(space, TwoModeSpace):
         raise ValueError("apply_piecewise needs a two-mode state")
-    cache = cache or _SectorEigh(xi)
     amp = state.amplitudes.copy()
-    populated = [
-        b for b in block_decompose(space).blocks
-        if np.any(np.abs(amp[b.indices]) > 0.0)
-    ]
-    for delta, dt in zip(np.atleast_1d(deltas), np.atleast_1d(dts)):
-        for b in populated:
-            w, v = cache.get(b, float(delta))
-            amp[b.indices] = _evolve_sector(amp[b.indices], w, v, float(dt))
+    for b in _populated_blocks(amp, space):
+        amp[b.indices], _ = _march(b, xi, deltas, dts, amp[b.indices])
     return StateVector(amp, space)
 
 
@@ -345,11 +386,7 @@ def propagate(state: StateVector, hamiltonian: RotatingFrameHamiltonian,
     ) or sample_times[0] < 0 or sample_times[-1] > t_final * (1 + 1e-12):
         raise ValueError("sample_times must be ascending within [0, t_final]")
 
-    cache = _SectorEigh(hamiltonian.xi)
-    blocks = [
-        b for b in block_decompose(space).blocks
-        if np.any(np.abs(state.amplitudes[b.indices]) > 0.0)
-    ]
+    blocks = _populated_blocks(state.amplitudes, space)
     k_vec = space.k_values().astype(float)
 
     amp = state.amplitudes.copy()
@@ -362,10 +399,9 @@ def propagate(state: StateVector, hamiltonian: RotatingFrameHamiltonian,
                 deltas, dts = np.array([hamiltonian.delta]), np.array([t_k - t_now])
             else:
                 deltas, dts = piecewise_deltas(schedule, t_now, t_k, step)
-            for delta, dt in zip(deltas, dts):
-                for b in blocks:
-                    w, v = cache.get(b, float(delta))
-                    amp[b.indices] = _evolve_sector(amp[b.indices], w, v, dt)
+            for b in blocks:
+                amp[b.indices], _ = _march(b, hamiltonian.xi, deltas, dts,
+                                           amp[b.indices])
             t_now = t_k
         out[i] = amp
         leak = guard_leak(amp, space)
@@ -474,29 +510,17 @@ def sweep_unitaries(space: TwoModeSpace, xi: float, schedule: RampSchedule,
     endpoint_bases: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     final_fid: dict[int, float] = {}
     min_fid: dict[int, float] = {}
+    ends = schedule.delta_at(np.array([0.0, schedule.duration]))
     for b in blocks:
-        s = b.size
-        u = np.eye(s, dtype=complex)
-        _, v_first = np.linalg.eigh(b.hamiltonian(xi, float(schedule.delta_at(0.0))))
-        _, v_last = np.linalg.eigh(
-            b.hamiltonian(xi, float(schedule.delta_at(schedule.duration)))
-        )
+        _, (v_first, v_last) = np.linalg.eigh(b.hamiltonians(xi, ends))
         # adiabaticity monitor: evolve the lowest-energy instantaneous
         # eigenstate and follow its branch by continuity
-        branch = v_first[:, 0].astype(complex)
-        evolved = branch.copy()
-        worst = 1.0
-        for delta, dt in zip(deltas, dts):
-            w, v = np.linalg.eigh(b.hamiltonian(xi, float(delta)))
-            phases = np.exp(-1j * w * dt)
-            u = (v * phases) @ (v.conj().T @ u)
-            evolved = v @ (phases * (v.conj().T @ evolved))
-            branch = v[:, int(np.argmax(np.abs(branch.conj() @ v)))].astype(complex)
-            worst = min(worst, abs(np.vdot(branch, evolved)) ** 2)
+        u, fids = _march(b, xi, deltas, dts, np.eye(b.size),
+                         branch=v_first[:, 0])
         unitaries[b.k] = u
         endpoint_bases[b.k] = (v_first, v_last)
-        final_fid[b.k] = abs(np.vdot(branch, evolved)) ** 2
-        min_fid[b.k] = worst
+        final_fid[b.k] = float(fids[-1])
+        min_fid[b.k] = min(1.0, float(fids.min()))
     return SweepResult(
         space=space,
         xi=xi,

@@ -21,13 +21,12 @@ occupation, a documented simplification.
 
 Randomness: every sampled quantity draws from a PCG64 generator seeded with
 (seed, *stream indices), so grid points are independent work items whose
-results do not depend on evaluation order or concurrency.
+results do not depend on evaluation order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +35,6 @@ from scipy.optimize import curve_fit
 from .dynamics import (
     RampSchedule,
     SweepResult,
-    _SectorEigh,
     block_decompose,
     rc_ramp,
     sweep_unitaries,
@@ -313,22 +311,19 @@ def oscillation_experiment(n_initial: int, hold_times, params: ModeParams,
 
     down = rc_ramp(parking, 0.0, tau_fast)
     up = rc_ramp(0.0, parking, tau_fast)
-    populated = [int(n_initial)]
-    u_down = sweep_unitaries(space, params.xi, down, step, sector_ks=populated)
-    u_up = sweep_unitaries(space, params.xi, up, step, sector_ks=populated)
+    u_down = sweep_unitaries(space, params.xi, down, step, sector_ks=[n_initial])
+    u_up = sweep_unitaries(space, params.xi, up, step, sector_ks=[n_initial])
 
     psi0 = normal_mode_embedding(fock_state(space.radial, n_initial), space, u_down)
-    cache = _SectorEigh(params.xi)
-    blocks = [block_decompose(space).by_k(k) for k in populated]
+    b = block_decompose(space).by_k(n_initial)
+    w, v = np.linalg.eigh(b.hamiltonian(params.xi, 0.0))
     after_down = u_down.apply(psi0)
 
     p_rad = np.empty(hold_times.size)
     p_ax = np.empty(hold_times.size)
     for i, tau in enumerate(hold_times):
         amp = after_down.amplitudes.copy()
-        for b in blocks:
-            w, v = cache.get(b, 0.0)
-            amp[b.indices] = v @ (np.exp(-1j * w * tau) * (v.conj().T @ amp[b.indices]))
+        amp[b.indices] = v @ (np.exp(-1j * w * tau) * (v.conj().T @ amp[b.indices]))
         final = u_up.apply(StateVector(amp, space))
         label_pops = normal_mode_populations(final, u_up)
         radial_labels, axial_labels = _label_marginals(label_pops, space)
@@ -536,14 +531,13 @@ def phase_space_grid(extent: float = 3.0, points: int = 41) -> np.ndarray:
 def wigner_scan(state_r: StateVector, alphas, xi: float, space: TwoModeSpace,
                 schedule: RampSchedule, model: MeasurementModel,
                 exact: bool = False, step: float | None = None,
-                sweep: SweepResult | None = None, workers: int = 1,
+                sweep: SweepResult | None = None,
                 meta: dict | None = None) -> WignerScan:
     """Displace, sweep, map, estimate: W(alpha) = (2/pi) <P>.
 
     The sweep unitary is computed once and shared across grid points (and
     across scans when passed in). Per-point randomness is drawn from the
-    stream (seed, point index), so the scan is deterministic and independent
-    of worker count.
+    stream (seed, point index), so the scan is deterministic.
     """
     alphas = np.asarray(alphas, complex).ravel()
     dim_r = state_r.basis
@@ -559,7 +553,7 @@ def wigner_scan(state_r: StateVector, alphas, xi: float, space: TwoModeSpace,
     stderr = np.empty(n)
     flags: list[str] = [""] * n
 
-    def point(i: int) -> None:
+    for i in range(n):
         disp = _displacement_matrix(-alphas[i], dim_r) @ state_r.amplitudes
         point_flags = []
         if guard_leak(disp, dim_r) >= GUARD_LEAK_THRESHOLD:
@@ -573,13 +567,6 @@ def wigner_scan(state_r: StateVector, alphas, xi: float, space: TwoModeSpace,
         stderr[i] = res.sampled.stderr
         point_flags.extend(f for f in res.flags if f not in point_flags)
         flags[i] = ";".join(point_flags)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(point, range(n)))
-    else:
-        for i in range(n):
-            point(i)
 
     p1 = p1_exact if exact else p1_sampled
     parity = 1.0 - 2.0 * p1 / model.eta
@@ -611,8 +598,7 @@ def wigner_scan(state_r: StateVector, alphas, xi: float, space: TwoModeSpace,
 def radial_cut(state_r: StateVector, radii, xi: float, space: TwoModeSpace,
                schedule: RampSchedule, model: MeasurementModel,
                n_phases: int = 8, step: float | None = None,
-               sweep: SweepResult | None = None,
-               workers: int = 1) -> np.ndarray:
+               sweep: SweepResult | None = None) -> np.ndarray:
     """Phase-averaged exact W(|alpha|) on the given radii (n_phases points
     per circle; states with rotation-symmetric W make this a consistency
     average rather than new information)."""
@@ -620,5 +606,5 @@ def radial_cut(state_r: StateVector, radii, xi: float, space: TwoModeSpace,
     phases = np.exp(2j * np.pi * np.arange(n_phases) / n_phases)
     alphas = (radii[:, None] * phases[None, :]).ravel()
     scan = wigner_scan(state_r, alphas, xi, space, schedule, model,
-                       exact=True, step=step, sweep=sweep, workers=workers)
+                       exact=True, step=step, sweep=sweep)
     return scan.wigner.reshape(radii.size, n_phases).mean(axis=1)

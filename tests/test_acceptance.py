@@ -47,7 +47,6 @@ from trilinear.report import read_data_rows
 TWO_PI = 2 * math.pi
 PARAMS = mode_params()
 PARKING = TWO_PI * 35e3
-WORKERS = 2
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -161,7 +160,7 @@ def test_criterion_5_wigner_oracle_equivalence(space80, sweep80):
     worst = 0.0
     for name, state in states.items():
         scan = wigner_scan(state, grid, PARAMS.xi, space80, schedule, model,
-                           exact=True, sweep=sweep80, workers=WORKERS)
+                           exact=True, sweep=sweep80)
         oracle = np.array([wigner_oracle(state, a) for a in grid])
         dev = float(np.abs(scan.wigner - oracle).max())
         details.append(f"{name}: {dev:.4f}")
@@ -170,7 +169,7 @@ def test_criterion_5_wigner_oracle_equivalence(space80, sweep80):
     radii = np.linspace(0, 3, 61)
     for n in (1, 2, 5):
         cut = radial_cut(fock_state(dim, n), radii, PARAMS.xi, space80,
-                         schedule, model, sweep=sweep80, workers=WORKERS)
+                         schedule, model, sweep=sweep80)
         closed = np.array([fock_wigner_closed_form(n, r) for r in radii])
         dev = float(np.abs(cut - closed).max())
         details.append(f"fock({n}) cut: {dev:.4f}")

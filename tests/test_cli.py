@@ -170,6 +170,20 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "config-error" in err
 
 
+@pytest.mark.parametrize("source", ["yaml", "flag"])
+def test_negative_seed_exit_code(tmp_path, capsys, source):
+    args = ["parity", "--dims", "8x4", "--out", str(tmp_path)]
+    if source == "yaml":
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("measurement:\n  seed: -5\n")
+        args += ["--config", str(cfg)]
+    else:
+        args += ["--seed", "-5"]
+    code, _, err = run(args, capsys)
+    assert code == 2
+    assert "path=measurement.seed" in err
+
+
 def test_unknown_key_exit_code(tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text("blasters: 3\n")

@@ -24,6 +24,7 @@ from trilinear import (
     rc_ramp,
     sweep_unitaries,
 )
+from trilinear import dynamics
 from trilinear.dynamics import apply_piecewise, piecewise_deltas
 from trilinear.errors import NumericalContractError, StepPolicyError
 from trilinear.trap import mode_params
@@ -155,18 +156,6 @@ def test_detuned_transfer_suppression():
     expect = (2 * math.sqrt(2) * XI) ** 2 / ((2 * math.sqrt(2) * XI) ** 2 + delta**2)
     assert traj.populations[-1, 0] == pytest.approx(expect, rel=1e-10)
     assert expect < 0.008  # effectively decoupled at the parking detuning
-
-
-def test_eigh_cache_reuses_within_resolution():
-    from trilinear.dynamics import _SectorEigh
-
-    block = block_decompose(small_space()).by_k(2)
-    cache = _SectorEigh(XI)
-    w1, v1 = cache.get(block, 100.0)
-    w2, v2 = cache.get(block, 100.0 + 4e-4)  # within 1 mHz: same entry
-    assert w1 is w2 and v1 is v2
-    w3, _ = cache.get(block, 100.0 + 2e-3)  # beyond resolution: fresh
-    assert w3 is not w1
 
 
 @given(st.integers(0, 1000))
@@ -399,3 +388,97 @@ def test_sweep_matches_propagate():
     via_prop = propagate(psi, ham, schedule=sched,
                          sample_times=[sched.duration]).final
     assert abs(1 - via_sweep.fidelity(via_prop)) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# propagation kernel: pinned to the dense exponential and to the per-step loop
+
+
+def reference_sweep(space, xi, schedule, step):
+    """Per-step sweep loop (one eigh per sector per step), kept as the
+    reference for the batched kernel: per-sector unitaries, final and
+    minimum branch fidelity."""
+    deltas, dts = piecewise_deltas(schedule, 0.0, schedule.duration, step)
+    out = {}
+    for b in block_decompose(space).blocks:
+        u = np.eye(b.size, dtype=complex)
+        _, v_first = np.linalg.eigh(b.hamiltonian(xi, float(schedule.delta_at(0.0))))
+        branch = v_first[:, 0].astype(complex)
+        evolved = branch.copy()
+        worst = 1.0
+        for delta, dt in zip(deltas, dts):
+            w, v = np.linalg.eigh(b.hamiltonian(xi, float(delta)))
+            phases = np.exp(-1j * w * dt)
+            u = (v * phases) @ (v.conj().T @ u)
+            evolved = v @ (phases * (v.conj().T @ evolved))
+            branch = v[:, int(np.argmax(np.abs(branch.conj() @ v)))].astype(complex)
+            worst = min(worst, abs(np.vdot(branch, evolved)) ** 2)
+        out[b.k] = (u, abs(np.vdot(branch, evolved)) ** 2, worst)
+    return out
+
+
+detunings = st.floats(-TWO_PI * 40e3, TWO_PI * 40e3)
+# per-sector chunk budgets from one step per chunk up to the default
+chunk_budgets = st.sampled_from([64, 64 * 16, dynamics.CHUNK_BYTES])
+
+
+@given(st.integers(4, 8), st.integers(3, 4), detunings, detunings,
+       st.floats(20e-6, 200e-6), st.integers(1, 40), st.integers(0, 1000),
+       chunk_budgets)
+@settings(max_examples=30, deadline=None)
+def test_kernel_matches_dense_expm_product(dr, da, d0, d1, tau, n_steps, seed,
+                                           budget):
+    space = small_space(dr, da)
+    sched = rc_ramp(d0, d1, tau)
+    deltas, dts = piecewise_deltas(sched, 0.0, n_steps * tau / 50, tau / 50)
+    psi = random_state(space, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "CHUNK_BYTES", budget)
+        out = apply_piecewise(psi, XI, deltas, dts).amplitudes
+    dense = psi.amplitudes
+    for delta, dt in zip(deltas, dts):
+        h = build_hamiltonian(XI, delta, space).matrix.matrix
+        dense = scipy.linalg.expm(-1j * h * dt) @ dense
+    assert np.abs(out - dense).max() < 1e-10
+    k_vec = space.k_values()
+    pops_in, pops_out = np.abs(psi.amplitudes) ** 2, np.abs(out) ** 2
+    assert abs(pops_out.sum() - 1.0) < 1e-12
+    assert abs(pops_out @ k_vec - pops_in @ k_vec) < 1e-12
+
+
+# a 1000x weaker coupling makes the crossings narrower than a step, so the
+# followed branch leaves eigenvalue order
+@given(st.integers(4, 8), st.integers(3, 4), detunings, detunings,
+       st.floats(10e-6, 40e-6), st.sampled_from([XI, XI / 1000]), chunk_budgets)
+@settings(max_examples=15, deadline=None)
+def test_sweep_matches_per_step_reference(dr, da, d0, d1, tau, xi, budget):
+    space = small_space(dr, da)
+    sched = rc_ramp(d0, d1, tau)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "CHUNK_BYTES", budget)
+        sweep = sweep_unitaries(space, xi, sched)
+    ref = reference_sweep(space, xi, sched, sweep.step)
+    assert sweep.unitaries.keys() == ref.keys()
+    for k, (u, final_fid, min_fid) in ref.items():
+        assert np.abs(sweep.unitaries[k] - u).max() < 1e-12
+        assert abs(sweep.branch_final_fid[k] - final_fid) < 1e-12
+        assert abs(sweep.branch_min_fid[k] - min_fid) < 1e-12
+
+
+def test_sweep_batches_eigh_in_bounded_chunks(monkeypatch):
+    space = small_space(8, 4)
+    sched = rc_ramp(PARKING, -PARKING, 2e-3)
+    eigh = np.linalg.eigh
+    stacks = []
+
+    def counted(a, *args, **kwargs):
+        stacks.append(np.asarray(a).nbytes)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    sweep = sweep_unitaries(space, XI, sched)
+    n_steps = piecewise_deltas(sched, 0.0, sched.duration, sweep.step)[0].size
+    n_sectors = len(sweep.unitaries)
+    assert n_steps == 7000
+    assert len(stacks) < n_sectors * n_steps / 100
+    assert max(stacks) <= dynamics.CHUNK_BYTES // 8
