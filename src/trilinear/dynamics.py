@@ -51,6 +51,10 @@ from .fock import (
 # memory stays bounded whatever the ramp length.
 CHUNK_BYTES = 1 << 20
 
+# sectors holding at most this population do not count towards a state's
+# worst branch fidelity
+BRANCH_POPULATION_FLOOR = 1e-6
+
 
 @dataclass(frozen=True)
 class SectorBlock:
@@ -475,7 +479,8 @@ class SweepResult:
         return StateVector(amp, space)
 
     def min_branch_fidelity(self, state: StateVector,
-                            population_floor: float = 1e-6) -> float:
+                            population_floor: float = BRANCH_POPULATION_FLOOR
+                            ) -> float:
         """Worst along-the-sweep branch fidelity over the sectors this state
         populates above population_floor."""
         pops = state.populations()

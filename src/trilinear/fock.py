@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import eval_laguerre
@@ -227,6 +228,31 @@ def _displacement_matrix(alpha: complex, dim: FockDim) -> np.ndarray:
     herm = 1j * gen  # (i gen) is Hermitian since gen is anti-Hermitian
     evals, vecs = np.linalg.eigh(herm)
     return (vecs * np.exp(-1j * evals)) @ vecs.conj().T
+
+
+@lru_cache(maxsize=8)
+def _displacement_generator(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (w, V) of the Hermitian i(a^dag - a) on d levels,
+    so that D(r) = V exp(-i r w) V^dag for real r."""
+    a = mode_operator(FockDim(d), "annihilate").matrix
+    w, v = np.linalg.eigh(1j * (a.conj().T - a))
+    return _readonly(w), _readonly(v)
+
+
+def displaced_amplitudes(amplitudes, alphas, dim: FockDim) -> np.ndarray:
+    """Rows D(alpha_m) psi, shape (len(alphas), dim.dim), for every alpha_m.
+
+    One eigendecomposition of i(a^dag - a) serves every alpha through
+    D(r e^{i theta}) = R(theta) D(r) R(theta)^dag with R(theta) = e^{i theta n},
+    which holds exactly on the truncated basis. Agrees with
+    _displacement_matrix(alpha) @ psi to rounding.
+    """
+    alphas = np.asarray(alphas, dtype=complex).ravel()
+    w, v = _displacement_generator(dim.dim)
+    rot = np.exp(1j * np.angle(alphas)[:, None] * np.arange(dim.dim))
+    x = (rot.conj() * np.asarray(amplitudes)) @ v.conj()
+    x *= np.exp(-1j * np.abs(alphas)[:, None] * w)
+    return rot * (x @ v.T)
 
 
 def displacement_operator(alpha: complex, dim: FockDim) -> Operator:

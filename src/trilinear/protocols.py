@@ -33,6 +33,8 @@ import numpy as np
 from scipy.optimize import curve_fit
 
 from .dynamics import (
+    BRANCH_POPULATION_FLOOR,
+    CHUNK_BYTES,
     RampSchedule,
     SweepResult,
     block_decompose,
@@ -43,9 +45,8 @@ from .fock import (
     FockDim,
     StateVector,
     TwoModeSpace,
-    _displacement_matrix,
+    displaced_amplitudes,
     fock_state,
-    guard_leak,
     GUARD_LEAK_THRESHOLD,
 )
 from .trap import ModeParams
@@ -82,6 +83,8 @@ class MeasurementModel:
             raise ValueError("eta must lie in (0, 1]")
         if self.shots < 1:
             raise ValueError("shots must be a positive integer")
+        if self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         if not 0 <= self.dark_bright_prob < 1:
             raise ValueError("dark_bright_prob must lie in [0, 1)")
 
@@ -209,6 +212,75 @@ def _label_marginals(pops: np.ndarray,
                      space: TwoModeSpace) -> tuple[np.ndarray, np.ndarray]:
     grid = pops.reshape(space.radial.dim, space.axial.dim)
     return grid.sum(axis=1), grid.sum(axis=0)
+
+
+@dataclass(frozen=True)
+class _SectorReadout:
+    """What one sweep and the label readout do to each K sector, indexed by
+    the radial level k whose label-0 state e_k opens sector K = k.
+
+    The readout acts on each sector separately, so a radial state psi
+    yields the incoherent sum over k of |psi_k|^2 times the per-sector
+    figures of f_k = U_k e_k: `radial0` is the final population of the
+    labels with radial label 0, `axial` the final axial-label marginal,
+    `guard` the radial and axial guard-band populations, and `min_fid` the
+    sweep's worst branch fidelity.
+    """
+
+    covered: np.ndarray  # (dr,) bool
+    radial0: np.ndarray  # (dr,)
+    axial: np.ndarray  # (dr, da)
+    guard: np.ndarray  # (dr, 2)
+    min_fid: np.ndarray  # (dr,)
+
+    @classmethod
+    def of(cls, sweep: SweepResult) -> "_SectorReadout":
+        space = sweep.space
+        dr = space.radial.dim
+        delta0 = float(sweep.schedule.delta_at(0.0))
+        delta1 = float(sweep.schedule.delta_at(sweep.schedule.duration))
+        occ = space.occupations()
+        tops = np.array([space.radial.top_physical, space.axial.top_physical])
+        blocks = block_decompose(space)
+        covered = np.zeros(dr, dtype=bool)
+        radial0 = np.zeros(dr)
+        axial = np.zeros((dr, space.axial.dim))
+        guard = np.zeros((dr, 2))
+        min_fid = np.ones(dr)
+        for k in range(dr):
+            bases = sweep.endpoint_bases.get(k)
+            if bases is None:
+                continue
+            block_occ = occ[blocks.by_k(k).indices]
+            f = sweep.unitaries[k] @ _label_basis(bases[0], delta0)[:, 0]
+            labels = np.abs(_label_basis(bases[1], delta1).conj().T @ f) ** 2
+            covered[k] = True
+            radial0[k] = labels[block_occ[:, 0] == 0].sum()
+            axial[k, block_occ[:, 1]] = labels
+            guard[k] = np.abs(f) ** 2 @ (block_occ > tops)
+            min_fid[k] = sweep.branch_min_fid[k]
+        return cls(covered, radial0, axial, guard, min_fid)
+
+    def read(self, amplitudes: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Readout of each row of radial amplitudes: (p_phonon, leak,
+        min_fid, axial distribution), one entry or row per input row.
+        Levels with |psi_k| <= AMPLITUDE_FLOOR count as unpopulated; a
+        populated level whose sector the sweep does not cover is an error."""
+        populated = np.abs(amplitudes) > AMPLITUDE_FLOOR
+        missing = populated & ~self.covered
+        if missing.any():
+            k = int(missing[missing.any(axis=1).argmax()].argmax())
+            raise ValueError(f"sweep does not cover the populated K = {k}")
+        w = np.where(populated, np.abs(amplitudes) ** 2, 0.0)
+        p_phonon = np.clip(1.0 - w @ self.radial0, 0.0, 1.0)
+        leak = (w @ self.guard).max(axis=1) >= GUARD_LEAK_THRESHOLD
+        min_fid = np.where(w > BRANCH_POPULATION_FLOOR, self.min_fid, 1.0).min(axis=1)
+        return p_phonon, leak, min_fid, w @ self.axial
+
+
+def _flags(leak: bool, min_fid: float) -> tuple[str, ...]:
+    return (("leak",) if leak else ()) + (
+        ("diabatic",) if min_fid < ADIABATIC_FIDELITY_FLOOR else ())
 
 
 # ---------------------------------------------------------------------------
@@ -437,25 +509,19 @@ def adiabatic_parity(state_r: StateVector, xi: float, space: TwoModeSpace,
     is returned as an extra diagnostic. A per-sector instantaneous-eigenstate
     fidelity below 0.99 raises the 'diabatic' flag; it is reported, not fatal.
     """
+    if not isinstance(state_r.basis, FockDim) or state_r.basis != space.radial:
+        raise ValueError("state must live on the radial mode of the space")
     if sweep is None:
         populated = sorted(
             int(k) for k in np.nonzero(np.abs(state_r.amplitudes) > AMPLITUDE_FLOOR)[0]
         )
         sweep = sweep_unitaries(space, xi, schedule, step, sector_ks=populated)
-    psi0 = normal_mode_embedding(state_r, space, sweep)
-    final = sweep.apply(psi0)
-
-    flags = []
-    if guard_leak(final.amplitudes, space) >= GUARD_LEAK_THRESHOLD:
-        flags.append("leak")
-    min_fid = sweep.min_branch_fidelity(psi0)
-    if min_fid < ADIABATIC_FIDELITY_FLOOR:
-        flags.append("diabatic")
-
-    label_pops = normal_mode_populations(final, sweep)
-    radial_labels, axial_labels = _label_marginals(label_pops, space)
-    p_phonon = float(1.0 - radial_labels[0])
-    p_phonon = min(max(p_phonon, 0.0), 1.0)
+    elif sweep.space != space:
+        raise ValueError("the sweep was built for another space")
+    p_phonon, leak, min_fid, axial = _SectorReadout.of(sweep).read(
+        state_r.amplitudes[None, :])
+    p_phonon = float(p_phonon[0])
+    min_fid = float(min_fid[0])
     p1, p1_hat, stderr = measurement_channel(p_phonon, model, stream=stream)
     exact = ParityResult(
         p1=p1, parity=parity_estimate(p1, model.eta), shots=0, stderr=0.0,
@@ -469,9 +535,9 @@ def adiabatic_parity(state_r: StateVector, xi: float, space: TwoModeSpace,
         exact=exact,
         sampled=sampled,
         p_phonon=p_phonon,
-        axial_distribution=axial_labels,
+        axial_distribution=axial[0],
         min_branch_fidelity=min_fid,
-        flags=tuple(flags),
+        flags=_flags(leak[0], min_fid),
     )
 
 
@@ -536,8 +602,12 @@ def wigner_scan(state_r: StateVector, alphas, xi: float, space: TwoModeSpace,
     """Displace, sweep, map, estimate: W(alpha) = (2/pi) <P>.
 
     The sweep unitary is computed once and shared across grid points (and
-    across scans when passed in). Per-point randomness is drawn from the
-    stream (seed, point index), so the scan is deterministic.
+    across scans when passed in). Because the readout acts on each K sector
+    separately, a point needs only its displaced radial populations: the
+    grid is displaced and read out in blocks of points, with the figures of
+    each sector computed once per sweep, and gives at each point what
+    adiabatic_parity gives for the displaced state. Per-point randomness is
+    drawn from the stream (seed, point index), so the scan is deterministic.
     """
     alphas = np.asarray(alphas, complex).ravel()
     dim_r = state_r.basis
@@ -546,27 +616,27 @@ def wigner_scan(state_r: StateVector, alphas, xi: float, space: TwoModeSpace,
     if sweep is None:
         sweep = sweep_unitaries(space, xi, schedule, step,
                                 sector_ks=range(space.radial.dim))
+    elif sweep.space != space:
+        raise ValueError("the sweep was built for another space")
+    readout = _SectorReadout.of(sweep)
 
     n = alphas.size
     p1_exact = np.empty(n)
     p1_sampled = np.empty(n)
     stderr = np.empty(n)
-    flags: list[str] = [""] * n
-
-    for i in range(n):
-        disp = _displacement_matrix(-alphas[i], dim_r) @ state_r.amplitudes
-        point_flags = []
-        if guard_leak(disp, dim_r) >= GUARD_LEAK_THRESHOLD:
-            point_flags.append("leak")
-        res = adiabatic_parity(
-            StateVector(disp, dim_r), xi, space, schedule, model,
-            sweep=sweep, stream=(i,),
-        )
-        p1_exact[i] = res.exact.p1
-        p1_sampled[i] = res.sampled.p1
-        stderr[i] = res.sampled.stderr
-        point_flags.extend(f for f in res.flags if f not in point_flags)
-        flags[i] = ";".join(point_flags)
+    flags: list[str] = []
+    block = max(1, CHUNK_BYTES // (64 * dim_r.dim))
+    for lo in range(0, n, block):
+        disp = displaced_amplitudes(state_r.amplitudes, -alphas[lo:lo + block], dim_r)
+        disp_leak = (np.abs(disp[:, dim_r.top_physical + 1:]) ** 2).sum(axis=1)
+        p_phonon, leak, min_fid, _ = readout.read(disp)
+        leak |= disp_leak >= GUARD_LEAK_THRESHOLD
+        for i, (p, lk, fid) in enumerate(
+            zip(p_phonon.tolist(), leak.tolist(), min_fid.tolist()), start=lo
+        ):
+            p1_exact[i], p1_sampled[i], stderr[i] = measurement_channel(
+                p, model, stream=(i,))
+            flags.append(";".join(_flags(lk, fid)))
 
     p1 = p1_exact if exact else p1_sampled
     parity = 1.0 - 2.0 * p1 / model.eta

@@ -29,7 +29,13 @@ from trilinear import (
     product_state,
     wigner_oracle,
 )
-from trilinear.fock import guard_leak, radial_marginal, axial_marginal
+from trilinear.fock import (
+    _displacement_matrix,
+    axial_marginal,
+    displaced_amplitudes,
+    guard_leak,
+    radial_marginal,
+)
 
 TWO_OVER_PI = 2 / math.pi
 
@@ -196,6 +202,20 @@ def test_displacement_is_tagged_unitary():
 def test_displacement_warns_on_truncation_leak():
     with pytest.warns(TruncationLeakWarning):
         displacement_operator(3.5, FockDim(10))
+
+
+@given(st.integers(2, 14), st.integers(0, 1000),
+       st.lists(st.complex_numbers(max_magnitude=4.0, allow_nan=False,
+                                   allow_infinity=False), min_size=1, max_size=12))
+@settings(max_examples=40)
+def test_batched_displacement_matches_per_point_matrix(d, seed, alphas):
+    dim = FockDim(d)
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    psi /= np.linalg.norm(psi)
+    rows = displaced_amplitudes(psi, -np.array(alphas), dim)
+    for row, alpha in zip(rows, alphas):
+        assert np.abs(row - _displacement_matrix(-alpha, dim) @ psi).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------

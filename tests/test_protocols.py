@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trilinear import (
     FockDim,
     MeasurementModel,
+    StateVector,
     TwoModeSpace,
     adiabatic_parity,
     avoided_crossing_spectrum,
@@ -29,7 +30,10 @@ from trilinear import (
     wigner_oracle,
     wigner_scan,
 )
+from trilinear import protocols
+from trilinear.fock import GUARD_LEAK_THRESHOLD, _displacement_matrix, guard_leak
 from trilinear.protocols import (
+    ADIABATIC_FIDELITY_FLOOR,
     ParityResult,
     binomial_stderr,
     normal_mode_embedding,
@@ -132,6 +136,8 @@ def test_model_validation():
         MeasurementModel(shots=0)
     with pytest.raises(ValueError):
         MeasurementModel(dark_bright_prob=1.0)
+    with pytest.raises(ValueError, match="seed"):
+        MeasurementModel(seed=-5)
 
 
 def test_dark_counts_default_off_but_available():
@@ -415,6 +421,106 @@ def test_sampled_wigner_stderr_matches_binomial(space, schedule, sweep):
     empirical = float(np.std(values, ddof=1))
     predicted = TWO_OVER_PI * 2 * binomial_stderr(p1, shots) / 0.86
     assert empirical == pytest.approx(predicted, rel=0.15)
+
+
+def test_scan_stderr_column_is_the_wigner_error(space, schedule, sweep):
+    # W = (2/pi) (1 - 2 p1 / eta), so its error is (2/pi) 2 sigma(p1) / eta
+    model = MeasurementModel(eta=0.86, shots=500, seed=7)
+    scan = wigner_scan(fock_state(space.radial, 1), [0.0, 0.5, 1.0j], PARAMS.xi,
+                       space, schedule, model, sweep=sweep)
+    predicted = [TWO_OVER_PI * 2 * binomial_stderr(p, 500) / 0.86
+                 for p in scan.p1_sampled]
+    assert np.abs(scan.stderr - predicted).max() < 1e-15
+    assert scan.stderr.min() > 0
+
+
+def test_adiabatic_parity_equals_first_scan_point(space, schedule, sweep):
+    model = MeasurementModel(eta=0.86, shots=500, seed=11)
+    state = coherent_state(space.radial, 0.9)
+    res = adiabatic_parity(state, PARAMS.xi, space, schedule, model,
+                           sweep=sweep, stream=(0,))
+    scan = wigner_scan(state, [0.0, 0.7], PARAMS.xi, space, schedule, model,
+                       sweep=sweep)
+    assert res.exact.p1 == pytest.approx(scan.p1_exact[0], abs=1e-14)
+    assert res.sampled.p1 == scan.p1_sampled[0]
+    assert TWO_OVER_PI * res.sampled.stderr == pytest.approx(scan.stderr[0],
+                                                             abs=1e-15)
+    assert ";".join(res.flags) == scan.flags[0]
+
+
+def test_partial_sweep_rejects_uncovered_sectors():
+    small = TwoModeSpace(FockDim(10), FockDim(5))
+    sched = rc_ramp(PARKING, -PARKING, 20e-6)
+    partial = sweep_unitaries(small, PARAMS.xi, sched, sector_ks=[0, 1, 2])
+    model = MeasurementModel()
+    state = fock_state(small.radial, 1)
+    # the undisplaced point is covered; the displaced one populates K = 3
+    wigner_scan(state, [0.0], PARAMS.xi, small, sched, model, sweep=partial)
+    with pytest.raises(ValueError, match="does not cover the populated K = 3"):
+        wigner_scan(state, [0.0, 1.0], PARAMS.xi, small, sched, model,
+                    sweep=partial)
+    with pytest.raises(ValueError, match="does not cover the populated K = 4"):
+        adiabatic_parity(fock_state(small.radial, 4), PARAMS.xi, small, sched,
+                         model, sweep=partial)
+
+
+def per_point_reference(state, alphas, space, sweep, model):
+    """The scan composed point by point from the protocol's pieces:
+    displace, embed, sweep, read the labels, sample."""
+    dim = state.basis
+    p1_exact, p1_sampled, flags = [], [], []
+    for i, alpha in enumerate(alphas):
+        disp = _displacement_matrix(-alpha, dim) @ state.amplitudes
+        psi0 = normal_mode_embedding(StateVector(disp, dim), space, sweep)
+        final = sweep.apply(psi0)
+        pops = normal_mode_populations(final, sweep)
+        radial0 = pops.reshape(space.radial.dim, space.axial.dim)[0].sum()
+        p_phonon = min(max(1.0 - radial0, 0.0), 1.0)
+        p1, p1_hat, _ = measurement_channel(p_phonon, model, stream=(i,))
+        leak = (guard_leak(disp, dim) >= GUARD_LEAK_THRESHOLD
+                or guard_leak(final.amplitudes, space) >= GUARD_LEAK_THRESHOLD)
+        diabatic = sweep.min_branch_fidelity(psi0) < ADIABATIC_FIDELITY_FLOOR
+        p1_exact.append(p1)
+        p1_sampled.append(p1_hat)
+        flags.append(";".join(name for name, on in
+                              (("leak", leak), ("diabatic", diabatic)) if on))
+    return np.array(p1_exact), np.array(p1_sampled), flags
+
+
+# fast ramps leave more sectors diabatic than slow ones; extents up to 3
+# push the displaced states of a 6..10-level radial mode into its guard band.
+# The examples pin two edges: on 6x5 a displaced state can reach the radial
+# guard band while its swept image stays clear of both, and near the
+# vacuum the diabatic K = 2 sector holds less than the population floor.
+# The small block budget splits the 25-point grid into blocks of 4 to 7.
+@given(st.integers(6, 10), st.integers(3, 5), st.integers(0, 1000),
+       st.integers(1, 5), st.floats(0.01, 3.0), st.floats(15e-6, 500e-6),
+       st.sampled_from([64 * 6 * 7, protocols.CHUNK_BYTES]))
+@example(dr=6, da=5, seed=0, n_levels=1, extent=0.4, tau=500e-6,
+         budget=protocols.CHUNK_BYTES)
+@example(dr=10, da=5, seed=0, n_levels=1, extent=0.01, tau=15e-6,
+         budget=64 * 6 * 7)
+@settings(max_examples=20, deadline=None)
+def test_scan_matches_per_point_composition(dr, da, seed, n_levels, extent, tau,
+                                            budget):
+    space = TwoModeSpace(FockDim(dr), FockDim(da))
+    rng = np.random.default_rng(seed)
+    amp = np.zeros(dr, dtype=complex)
+    amp[:n_levels] = rng.normal(size=n_levels) + 1j * rng.normal(size=n_levels)
+    state = StateVector(amp / np.linalg.norm(amp), space.radial)
+    sched = rc_ramp(PARKING, -PARKING, tau)
+    sweep = sweep_unitaries(space, PARAMS.xi, sched, sector_ks=range(dr))
+    model = MeasurementModel(eta=0.86, shots=200, seed=seed)
+    alphas = phase_space_grid(extent, 5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocols, "CHUNK_BYTES", budget)
+        scan = wigner_scan(state, alphas, PARAMS.xi, space, sched, model,
+                           sweep=sweep)
+    p1_exact, p1_sampled, flags = per_point_reference(state, alphas, space,
+                                                      sweep, model)
+    assert np.abs(scan.p1_exact - p1_exact).max() < 1e-12
+    assert np.array_equal(scan.p1_sampled, p1_sampled)
+    assert list(scan.flags) == flags
 
 
 def test_scan_csv_schema(space, schedule, sweep, tmp_path):
