@@ -170,6 +170,9 @@ def run_wigner(cfg: RunConfig, out: Path) -> None:
     origin = int(np.argmin(np.abs(scan.alphas)))
     print(f"wigner_at_origin = {scan.wigner[origin]:.6g}")
     print(f"negative_points = {int(np.sum(scan.wigner < 0))} / {scan.wigner.size}")
+    flags = [set(f.split(";")) for f in scan.flags]
+    print(f"flagged_points = leak {sum('leak' in f for f in flags)}, "
+          f"diabatic {sum('diabatic' in f for f in flags)} of {len(flags)}")
 
 
 def run_converge(cfg: RunConfig, out: Path) -> None:

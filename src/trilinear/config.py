@@ -349,7 +349,7 @@ def _parse_angle(token: str, path: str) -> float:
 
 
 def parse_descriptor(text: str) -> StateSpec:
-    """fock:n | coherent:alpha | cat:alpha:phi:sign | product:n_a:n_c."""
+    """fock:n | coherent:alpha | cat:alpha:phi:sign."""
     parts = [p for p in str(text).split(":")]
     kind = parts[0].strip().lower()
     path = "state"
@@ -374,11 +374,6 @@ def parse_descriptor(text: str) -> StateSpec:
         else:
             raise ConfigValueError(path, f"cat sign must be plus or minus, got {parts[3]!r}")
         return StateSpec("cat", (alpha, phi, sign))
-    if kind == "product" and len(parts) == 3:
-        try:
-            return StateSpec("product", (int(parts[1]), int(parts[2])))
-        except ValueError:
-            raise ConfigValueError(path, f"bad occupations in {text!r}") from None
     raise ConfigValueError(path, f"unrecognized state descriptor {text!r}")
 
 

@@ -21,9 +21,10 @@ Hamiltonians with the exact per-step exponential (eigendecomposition of the
 real-symmetric sector matrix, delta sampled at the step midpoint). Every
 step is exactly unitary; accuracy is certified by the step-halving
 convergence contract rather than by an adaptive integrator. One kernel,
-`_march`, does every piecewise-constant propagation: it diagonalizes a
-sector's step Hamiltonians a chunk of steps at a time with one batched
-eigh, so the Python-level cost per step is a single small matrix product.
+`_march`, does every piecewise-constant propagation: it diagonalizes the
+step Hamiltonians a chunk of steps at a time with batched eighs and
+advances the given columns of all its sectors together, so the
+Python-level cost per step is a single small matrix product.
 """
 
 from __future__ import annotations
@@ -45,10 +46,10 @@ from .fock import (
     mode_operator,
 )
 
-# Memory for the per-chunk stacks of one sector (Hamiltonians,
-# eigenvectors, step propagators and their temporaries, about 64 s^2 bytes
-# per step for a sector of size s); the chunk length follows from it, so
-# memory stays bounded whatever the ramp length.
+# Memory for the per-chunk stacks of the propagation kernel (the step
+# overlaps of all its sectors, and each batched eigh with its temporaries);
+# the chunk length follows from it, so memory stays bounded whatever the
+# ramp length. Wigner scans size their blocks of grid points by it too.
 CHUNK_BYTES = 1 << 20
 
 # sectors holding at most this population do not count towards a state's
@@ -79,12 +80,8 @@ class SectorBlock:
 
     def hamiltonians(self, xi: float, deltas) -> np.ndarray:
         """Stack (len(deltas), s, s) of the sector matrix at each detuning."""
-        deltas = np.asarray(deltas, dtype=float)
-        h = np.empty((deltas.size, self.size, self.size))
-        h[:] = xi * self.coupling
-        diag = np.arange(self.size)
-        h[:, diag, diag] += deltas[:, None] * self.n_c_diag
-        return h
+        return _hamiltonian_stack(self.coupling[None], self.n_c_diag[None], xi,
+                                  np.asarray(deltas, dtype=float))[0]
 
 
 @dataclass(frozen=True)
@@ -225,59 +222,135 @@ def default_step(xi: float, schedule: RampSchedule) -> float:
 # propagation
 
 
-def _march(block: SectorBlock, xi: float, deltas, dts, cols,
-           branch: np.ndarray | None = None):
-    """Evolve the columns `cols` ((s,) or (s, m)) of one K sector through
-    the steps exp(-i H(deltas[k]) dts[k]), in order.
+def _hamiltonian_stack(coupling: np.ndarray, n_c: np.ndarray, xi: float,
+                       deltas: np.ndarray) -> np.ndarray:
+    """Stack (g, len(deltas), s, s) of the matrices of g sectors of equal
+    size s (couplings (g, s, s), n_c diagonals (g, s)) at each detuning."""
+    g, s, _ = coupling.shape
+    h = np.empty((g, deltas.size, s, s))
+    h[:] = xi * coupling[:, None]
+    h.reshape(g, deltas.size, s * s)[..., ::s + 1] += (
+        n_c[:, None, :] * deltas[None, :, None])
+    return h
 
-    The step Hamiltonians are diagonalized a chunk of steps at a time with
-    one batched eigh; the chunk length follows from the sector size so that
-    a chunk's stacks stay near CHUNK_BYTES.
 
-    With `branch`, a unit vector (an instantaneous eigenvector at the start),
-    the kernel also evolves it and follows, step by step, the eigenvector of
-    maximal overlap with the previous step's (continuity, not eigenvalue
-    order, so the branch is tracked through avoided crossings). It then
-    returns the fidelities |<branch_k|evolved_k>|^2 after every step along
-    with the evolved columns; otherwise the second result is None.
+def _march(blocks, xi: float, deltas, dts, cols, follow: bool = False):
+    """Evolve, in lockstep, columns of several K sectors through the steps
+    exp(-i H(deltas[t]) dts[t]), in order.
+
+    `cols[j]` ((s_j,) or (s_j, m_j)) holds the start columns of `blocks[j]`;
+    the evolved columns come back in the same shapes. The step Hamiltonians
+    are diagonalized a chunk of steps at a time, with one batched eigh per
+    sector size. The columns are carried in the step eigenbases: with V_t
+    the eigenvectors of step t, a step is the basis change V_t^T V_{t-1}
+    followed by one phase per eigenvalue. The sectors are packed, largest
+    first, into bins of the largest sector's size, whose overlap matrices
+    are block diagonal, so one real matmul on the (bins, size, .) stack
+    steps every sector at once. The chunk length keeps the stack of
+    overlaps, and each eigh stack, within CHUNK_BYTES, so memory stays
+    bounded whatever the ramp length.
+
+    With `follow`, column 0 of every sector must be an instantaneous
+    eigenvector at the start. The kernel then follows, step by step, the
+    eigenvector of maximal overlap with the previous step's (continuity, not
+    eigenvalue order, so the branch is tracked through avoided crossings),
+    and returns the fidelities |<branch|evolved column 0>|^2 after the last
+    step and their minimum over all steps, one entry per sector; otherwise
+    the second result is None.
     """
+    n = len(blocks)
+    if n == 0:
+        return [], ((np.empty(0), np.empty(0)) if follow else None)
     deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
     dts = np.atleast_1d(np.asarray(dts, dtype=float))
-    cols = np.asarray(cols, dtype=complex)
-    fids = None
-    if branch is not None:
-        cols = np.column_stack([cols, branch])
-        fids = np.empty(deltas.size)
-        followed = np.asarray(branch)
-    s = block.size
-    chunk = max(1, CHUNK_BYTES // (64 * s * s))
+    sizes = np.array([b.size for b in blocks])
+    width = sizes.max()
+    # first-fit packing: sector j occupies rows offset[j]:offset[j] + s_j
+    # of bin bin_of[j]
+    free: list[int] = []
+    bin_of, offset = np.empty(n, dtype=int), np.empty(n, dtype=int)
+    for j in sorted(range(n), key=lambda j: -sizes[j]):
+        b = next((b for b, f in enumerate(free) if f >= sizes[j]), len(free))
+        if b == len(free):
+            free.append(width)
+        bin_of[j], offset[j] = b, width - free[b]
+        free[b] -= sizes[j]
+    # sectors of one size share an eigh call; `at` indexes their rows and
+    # columns in the bin stack
+    groups = []
+    for s in np.unique(sizes):
+        members = np.flatnonzero(sizes == s)
+        own = offset[members, None] + np.arange(s)
+        at = (bin_of[members, None, None], own[:, :, None], own[:, None, :])
+        groups.append((s, at, np.stack([blocks[j].coupling for j in members]),
+                       np.stack([blocks[j].n_c_diag for j in members])))
+    widest = max(len(coupling) * s * s for s, _, coupling, _ in groups)
+    n_bins = len(free)
+    chunk = max(1, min(CHUNK_BYTES // (8 * n_bins * width * (width + 5)),
+                       CHUNK_BYTES // (64 * widest), deltas.size))
+
+    cols = [np.asarray(col, dtype=complex) for col in cols]
+    n_cols = [1 if col.ndim == 1 else col.shape[1] for col in cols]
+    # the columns in the current step's eigenbasis (the bare basis at first)
+    y = np.zeros((n_bins, width, max(n_cols)), dtype=complex)
+    for j, col in enumerate(cols):
+        y[bin_of[j], offset[j]:offset[j] + sizes[j], :n_cols[j]] = (
+            col.reshape(sizes[j], -1))
+    spare = np.empty_like(y)
+    prev = [np.broadcast_to(np.eye(s), coupling.shape) for s, _, coupling, _ in groups]
+    overlap = np.zeros((chunk, n_bins, width, width))
+    angle = np.zeros((chunk, n_bins, width))
+    slot = np.arange(width)
+    pick = final = worst = None
     for lo in range(0, deltas.size, chunk):
-        w, v = np.linalg.eigh(block.hamiltonians(xi, deltas[lo:lo + chunk]))
-        n = w.shape[0]
-        vt = v.transpose(0, 2, 1)
-        arg = w * dts[lo:lo + chunk, None]
-        steps = ((v * np.cos(arg)[:, None, :]) @ vt
-                 - 1j * ((v * np.sin(arg)[:, None, :]) @ vt))
-        track = np.empty((n, s), dtype=complex) if fids is not None else None
-        for k in range(n):
-            cols = steps[k] @ cols
-            if track is not None:
-                track[k] = cols[:, -1]
-        if fids is None:
+        c = min(chunk, deltas.size - lo)
+        for i, (s, at, coupling, n_c) in enumerate(groups):
+            w, v = np.linalg.eigh(_hamiltonian_stack(coupling, n_c, xi,
+                                                     deltas[lo:lo + c]))
+            angle[:c, at[0][..., 0], at[1][..., 0]] = w.transpose(1, 0, 2)
+            before = np.concatenate([prev[i][:, None], v[:, :-1]], axis=1)
+            step_overlap = v.transpose(0, 1, 3, 2) @ before
+            overlap[(slice(c), *at)] = step_overlap.transpose(1, 0, 2, 3)
+            prev[i] = v[:, -1]
+        arg = angle[:c] * dts[lo:lo + c, None, None]
+        phases = np.empty((c, n_bins, width, 1), dtype=complex)
+        phases.real[..., 0], phases.imag[..., 0] = np.cos(arg), -np.sin(arg)
+        track = np.empty((c, n_bins, width), dtype=complex) if follow else None
+        for t in range(c):
+            np.matmul(overlap[t], y.view(float), out=spare.view(float))
+            np.multiply(spare, phases[t], out=y)
+            if follow:
+                track[t] = y[:, :, 0]
+        if not follow:
             continue
-        # branch index after each step: row j of |V_{k-1}^T V_k| picks the
-        # successor of column j
-        first = int(np.argmax(np.abs(followed.conj() @ v[0])))
-        successor = np.abs(vt[:-1] @ v[1:]).argmax(axis=2).tolist()
-        picks = [first]
-        for row in successor:
-            picks.append(row[picks[-1]])
-        branches = v[np.arange(n), :, picks]
-        fids[lo:lo + n] = np.abs(np.einsum("ki,ki->k", branches, track)) ** 2
-        followed = branches[-1]
-    if fids is None:
-        return cols, None
-    return cols[:, :-1], fids
+        # the branch's successor at step t: the step eigenvector of largest
+        # overlap with the followed one, read from column `pick` of
+        # V_t^T V_{t-1} (at the very first step, from the start vector,
+        # within the sector's own rows)
+        picks = np.empty((c, n), dtype=int)
+        for t in range(c):
+            if pick is None:
+                lead = np.abs(track[0][bin_of])
+                outside = (slot < offset[:, None]) | (slot >= (offset + sizes)[:, None])
+                lead[outside] = -1
+                pick = lead.argmax(axis=1)
+            else:
+                pick = np.abs(overlap[t, bin_of, :, pick]).argmax(axis=1)
+            picks[t] = pick
+        fids = np.abs(track[np.arange(c)[:, None], bin_of, picks]) ** 2
+        worst = fids.min(axis=0) if worst is None else np.minimum(
+            worst, fids.min(axis=0))
+        final = fids[-1]
+    # back to the bare basis with the last step's eigenvectors
+    last = np.zeros((n_bins, width, width))
+    for (s, at, _, _), v in zip(groups, prev):
+        last[at] = v
+    x = (last @ y.view(float)).view(complex)
+    out = [x[bin_of[j], offset[j]:offset[j] + sizes[j], :n_cols[j]].reshape(col.shape)
+           for j, col in enumerate(cols)]
+    if not follow:
+        return out, None
+    return out, (final, np.minimum(worst, 1.0))
 
 
 def piecewise_deltas(schedule: RampSchedule, t0: float, t1: float,
@@ -297,6 +370,13 @@ def _populated_blocks(amp: np.ndarray, space: TwoModeSpace) -> list[SectorBlock]
     ]
 
 
+def _march_state(amp: np.ndarray, blocks, xi: float, deltas, dts) -> None:
+    """Evolve the full-space amplitudes `amp` in place on `blocks`."""
+    evolved, _ = _march(blocks, xi, deltas, dts, [amp[b.indices] for b in blocks])
+    for b, sub in zip(blocks, evolved):
+        amp[b.indices] = sub
+
+
 def apply_piecewise(state: StateVector, xi: float, deltas, dts) -> StateVector:
     """Apply the exact piecewise-constant evolution exp(-i H(delta_k) dt_k),
     in sequence, to a two-mode state. Negative dt values evolve backwards
@@ -305,8 +385,7 @@ def apply_piecewise(state: StateVector, xi: float, deltas, dts) -> StateVector:
     if not isinstance(space, TwoModeSpace):
         raise ValueError("apply_piecewise needs a two-mode state")
     amp = state.amplitudes.copy()
-    for b in _populated_blocks(amp, space):
-        amp[b.indices], _ = _march(b, xi, deltas, dts, amp[b.indices])
+    _march_state(amp, _populated_blocks(amp, space), xi, deltas, dts)
     return StateVector(amp, space)
 
 
@@ -403,9 +482,7 @@ def propagate(state: StateVector, hamiltonian: RotatingFrameHamiltonian,
                 deltas, dts = np.array([hamiltonian.delta]), np.array([t_k - t_now])
             else:
                 deltas, dts = piecewise_deltas(schedule, t_now, t_k, step)
-            for b in blocks:
-                amp[b.indices], _ = _march(b, hamiltonian.xi, deltas, dts,
-                                           amp[b.indices])
+            _march_state(amp, blocks, hamiltonian.xi, deltas, dts)
             t_now = t_k
         out[i] = amp
         leak = guard_leak(amp, space)
@@ -439,27 +516,44 @@ def propagate(state: StateVector, hamiltonian: RotatingFrameHamiltonian,
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Per-sector unitaries of one detuning sweep, reusable across states.
+    """One detuning sweep over a set of K sectors, reusable across states.
 
     endpoint_bases holds the sector eigenvector matrices (columns ascending
     in eigenvalue) at the schedule's first and last instant; protocols use
     them as the normal-mode bases for state preparation and readout.
 
+    evolved holds, per sector, the sweep unitary U_k applied to the start
+    eigenvectors the readout needs: column 0 is U_k times the lowest one;
+    unless the schedule starts above zero detuning, column 1 is U_k times
+    the highest one (the label-0 state below zero). The full unitaries are built
+    only on demand, by `unitaries` (and so by `apply`).
+
     branch_final_fid / branch_min_fid monitor the sweep's own adiabaticity:
     the instantaneous eigenstate anchored at the start (followed through the
     crossing by maximal-overlap continuity, not eigenvalue order) is evolved
-    with the sweep unitary, and its fidelity to the tracked branch is
-    recorded along the way. An ideal adiabatic sweep keeps it at 1.
+    with the sweep, and its fidelity to the tracked branch is recorded along
+    the way. An ideal adiabatic sweep keeps it at 1.
     """
 
     space: TwoModeSpace
     xi: float
     schedule: RampSchedule
     step: float
-    unitaries: dict[int, np.ndarray]
+    evolved: dict[int, np.ndarray]
     endpoint_bases: dict[int, tuple[np.ndarray, np.ndarray]]
     branch_final_fid: dict[int, float]
     branch_min_fid: dict[int, float]
+
+    @cached_property
+    def unitaries(self) -> dict[int, np.ndarray]:
+        """Per-sector sweep unitaries, marched from identity columns."""
+        blocks = block_decompose(self.space)
+        blocks = [blocks.by_k(k) for k in self.endpoint_bases]
+        deltas, dts = piecewise_deltas(self.schedule, 0.0,
+                                       self.schedule.duration, self.step)
+        u, _ = _march(blocks, self.xi, deltas, dts,
+                      [np.eye(b.size) for b in blocks])
+        return {b.k: uk for b, uk in zip(blocks, u)}
 
     def apply(self, state: StateVector) -> StateVector:
         space = state.basis
@@ -494,10 +588,13 @@ class SweepResult:
 def sweep_unitaries(space: TwoModeSpace, xi: float, schedule: RampSchedule,
                     step: float | None = None,
                     sector_ks=None) -> SweepResult:
-    """Build the piecewise-exact unitary of a detuning sweep, per K sector.
+    """March a detuning sweep over the K sectors `sector_ks` (default all).
 
     The result is state-independent: one call serves a whole grid of initial
-    states (the expensive part of Wigner scans is paid once here).
+    states (the expensive part of Wigner scans is paid once here). All
+    sectors advance together through one lockstep kernel that evolves only
+    the start eigenvectors the readout and the adiabaticity monitor need;
+    the full unitaries are built on demand (`SweepResult.unitaries`).
     """
     if step is None:
         step = default_step(xi, schedule)
@@ -510,29 +607,24 @@ def sweep_unitaries(space: TwoModeSpace, xi: float, schedule: RampSchedule,
         wanted = set(int(k) for k in sector_ks)
         blocks = tuple(b for b in blocks if b.k in wanted)
     deltas, dts = piecewise_deltas(schedule, 0.0, schedule.duration, step)
-
-    unitaries: dict[int, np.ndarray] = {}
-    endpoint_bases: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    final_fid: dict[int, float] = {}
-    min_fid: dict[int, float] = {}
     ends = schedule.delta_at(np.array([0.0, schedule.duration]))
+    endpoint_bases = {}
     for b in blocks:
         _, (v_first, v_last) = np.linalg.eigh(b.hamiltonians(xi, ends))
-        # adiabaticity monitor: evolve the lowest-energy instantaneous
-        # eigenstate and follow its branch by continuity
-        u, fids = _march(b, xi, deltas, dts, np.eye(b.size),
-                         branch=v_first[:, 0])
-        unitaries[b.k] = u
         endpoint_bases[b.k] = (v_first, v_last)
-        final_fid[b.k] = float(fids[-1])
-        min_fid[b.k] = min(1.0, float(fids.min()))
+    # column 0, the lowest start eigenvector, doubles as the adiabaticity
+    # monitor's branch; below zero detuning the label-0 state is the highest
+    starts = [0] if ends[0] > 0 else [0, -1]
+    evolved, (final_fid, min_fid) = _march(
+        blocks, xi, deltas, dts,
+        [endpoint_bases[b.k][0][:, starts] for b in blocks], follow=True)
     return SweepResult(
         space=space,
         xi=xi,
         schedule=schedule,
         step=step,
-        unitaries=unitaries,
+        evolved={b.k: f for b, f in zip(blocks, evolved)},
         endpoint_bases=endpoint_bases,
-        branch_final_fid=final_fid,
-        branch_min_fid=min_fid,
+        branch_final_fid={b.k: float(f) for b, f in zip(blocks, final_fid)},
+        branch_min_fid={b.k: float(f) for b, f in zip(blocks, min_fid)},
     )

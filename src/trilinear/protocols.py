@@ -252,7 +252,12 @@ class _SectorReadout:
             if bases is None:
                 continue
             block_occ = occ[blocks.by_k(k).indices]
-            f = sweep.unitaries[k] @ _label_basis(bases[0], delta0)[:, 0]
+            # the label-0 start state is the sweep's evolved start
+            # eigenvector (the lowest for delta0 > 0, the highest below
+            # zero) up to the phase _label_basis fixes
+            start = 0 if delta0 > 0 else -1
+            label0 = _label_basis(bases[0], delta0)[:, 0]
+            f = sweep.evolved[k][:, start] * np.vdot(bases[0][:, start], label0)
             labels = np.abs(_label_basis(bases[1], delta1).conj().T @ f) ** 2
             covered[k] = True
             radial0[k] = labels[block_occ[:, 0] == 0].sum()
@@ -594,6 +599,16 @@ def phase_space_grid(extent: float = 3.0, points: int = 41) -> np.ndarray:
     return (re + 1j * im).ravel()
 
 
+def _displaced_blocks(state_r: StateVector, alphas: np.ndarray):
+    """Yield (first point index, rows D(-alpha) psi) over the grid, a block
+    of points at a time; a block's arrays stay near CHUNK_BYTES."""
+    dim_r = state_r.basis
+    block = max(1, CHUNK_BYTES // (64 * dim_r.dim))
+    for lo in range(0, alphas.size, block):
+        yield lo, displaced_amplitudes(state_r.amplitudes,
+                                       -alphas[lo:lo + block], dim_r)
+
+
 def wigner_scan(state_r: StateVector, alphas, xi: float, space: TwoModeSpace,
                 schedule: RampSchedule, model: MeasurementModel,
                 exact: bool = False, step: float | None = None,
@@ -601,12 +616,14 @@ def wigner_scan(state_r: StateVector, alphas, xi: float, space: TwoModeSpace,
                 meta: dict | None = None) -> WignerScan:
     """Displace, sweep, map, estimate: W(alpha) = (2/pi) <P>.
 
-    The sweep unitary is computed once and shared across grid points (and
-    across scans when passed in). Because the readout acts on each K sector
-    separately, a point needs only its displaced radial populations: the
-    grid is displaced and read out in blocks of points, with the figures of
-    each sector computed once per sweep, and gives at each point what
-    adiabatic_parity gives for the displaced state. Per-point randomness is
+    The sweep is computed once and shared across grid points (and across
+    scans when passed in); without one, only the K sectors that some
+    displaced grid state populates above AMPLITUDE_FLOOR are swept. Because
+    the readout acts on each K sector separately, a point needs only its
+    displaced radial populations: the grid is displaced and read out in
+    blocks of points, with the figures of each sector computed once per
+    sweep, and gives at each point what adiabatic_parity gives for the
+    displaced state. Per-point randomness is
     drawn from the stream (seed, point index), so the scan is deterministic.
     """
     alphas = np.asarray(alphas, complex).ravel()
@@ -614,8 +631,12 @@ def wigner_scan(state_r: StateVector, alphas, xi: float, space: TwoModeSpace,
     if not isinstance(dim_r, FockDim) or dim_r != space.radial:
         raise ValueError("state must live on the radial mode of the space")
     if sweep is None:
+        # sweep only the sectors that some displaced grid state populates
+        populated = np.zeros(dim_r.dim, dtype=bool)
+        for _, disp in _displaced_blocks(state_r, alphas):
+            populated |= (np.abs(disp) > AMPLITUDE_FLOOR).any(axis=0)
         sweep = sweep_unitaries(space, xi, schedule, step,
-                                sector_ks=range(space.radial.dim))
+                                sector_ks=np.flatnonzero(populated))
     elif sweep.space != space:
         raise ValueError("the sweep was built for another space")
     readout = _SectorReadout.of(sweep)
@@ -625,9 +646,7 @@ def wigner_scan(state_r: StateVector, alphas, xi: float, space: TwoModeSpace,
     p1_sampled = np.empty(n)
     stderr = np.empty(n)
     flags: list[str] = []
-    block = max(1, CHUNK_BYTES // (64 * dim_r.dim))
-    for lo in range(0, n, block):
-        disp = displaced_amplitudes(state_r.amplitudes, -alphas[lo:lo + block], dim_r)
+    for lo, disp in _displaced_blocks(state_r, alphas):
         disp_leak = (np.abs(disp[:, dim_r.top_physical + 1:]) ** 2).sum(axis=1)
         p_phonon, leak, min_fid, _ = readout.read(disp)
         leak |= disp_leak >= GUARD_LEAK_THRESHOLD

@@ -105,6 +105,31 @@ def test_wigner_deterministic_rerun(tmp_path, capsys):
     assert sha_a == sha_b
 
 
+def test_wigner_reports_flagged_points(tmp_path, capsys):
+    # 8x4 is far too small for the default grid: every row is flagged, and
+    # stdout has to say so
+    code, out, _ = run(["wigner", "--dims", "8x4", "--exact", "--out",
+                        str(tmp_path)], capsys)
+    assert code == 0
+    rows = read_data_rows(tmp_path / "wigner.csv")
+    flags = [set(r.split(",")[-1].split(";")) - {""} for r in rows[1:]]
+    assert all(flags)
+    leak = sum("leak" in f for f in flags)
+    diabatic = sum("diabatic" in f for f in flags)
+    assert (leak, diabatic) == (1680, 1681)
+    summary = f"flagged_points = leak {leak}, diabatic {diabatic} of 1681"
+    assert summary in out.splitlines()
+
+
+def test_product_descriptor_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("state: product:1:0\n")
+    code, _, err = run(["parity", "--dims", "8x4", "--config", str(cfg),
+                        "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert "path=state" in err
+
+
 def test_header_hash_matches_config(tmp_path, capsys):
     import dataclasses
 

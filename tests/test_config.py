@@ -10,6 +10,7 @@ from trilinear.config import (
     ConfigParseError,
     ConfigValueError,
     RunConfig,
+    StateSpec,
     UnknownKeyError,
     build_radial_state,
     config_hash,
@@ -142,7 +143,10 @@ def test_descriptor_cat_variants():
 
 
 def test_descriptor_product():
-    assert parse_descriptor("product:2:0").params == (2, 0)
+    # no subcommand prepares a two-mode product state, so the descriptor is
+    # rejected at parse time rather than by every run
+    with pytest.raises(ConfigValueError, match="unrecognized state descriptor"):
+        parse_descriptor("product:2:0")
 
 
 @pytest.mark.parametrize("bad", [
@@ -162,4 +166,4 @@ def test_build_radial_state_kinds():
     cat = build_radial_state(parse_descriptor("cat:1.0:pi:minus"), dim)
     assert abs(cat.amplitudes[0]) < 1e-12
     with pytest.raises(ConfigValueError):
-        build_radial_state(parse_descriptor("product:1:0"), dim)
+        build_radial_state(StateSpec("product", (1, 0)), dim)

@@ -465,6 +465,34 @@ def test_sweep_matches_per_step_reference(dr, da, d0, d1, tau, xi, budget):
         assert abs(sweep.branch_min_fid[k] - min_fid) < 1e-12
 
 
+# sector sets of mixed sizes, both signs of the start detuning (which
+# decides the evolved columns), and chunks down to a single step
+@given(st.integers(4, 8), st.integers(3, 4), st.data(),
+       st.sampled_from([1.0, -1.0]), st.floats(TWO_PI * 5e3, TWO_PI * 40e3),
+       detunings, st.floats(10e-6, 40e-6), st.sampled_from([XI, XI / 1000]),
+       chunk_budgets)
+@settings(max_examples=20, deadline=None)
+def test_lockstep_columns_match_per_step_reference(dr, da, data, sign, d0, d1,
+                                                    tau, xi, budget):
+    space = small_space(dr, da)
+    all_ks = block_decompose(space).k_values
+    ks = data.draw(st.lists(st.sampled_from(all_ks), min_size=1, unique=True))
+    sched = rc_ramp(sign * d0, d1, tau)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "CHUNK_BYTES", budget)
+        sweep = sweep_unitaries(space, xi, sched, sector_ks=ks)
+    ref = reference_sweep(space, xi, sched, sweep.step)
+    assert sorted(sweep.evolved) == sorted(ks)
+    starts = [0] if sign > 0 else [0, -1]
+    for k in ks:
+        u, final_fid, min_fid = ref[k]
+        expected = u @ sweep.endpoint_bases[k][0][:, starts]
+        assert np.abs(sweep.evolved[k] - expected).max() < 1e-12
+        assert abs(sweep.branch_final_fid[k] - final_fid) < 1e-12
+        assert abs(sweep.branch_min_fid[k] - min_fid) < 1e-12
+    assert "unitaries" not in vars(sweep)
+
+
 def test_sweep_batches_eigh_in_bounded_chunks(monkeypatch):
     space = small_space(8, 4)
     sched = rc_ramp(PARKING, -PARKING, 2e-3)
@@ -478,7 +506,8 @@ def test_sweep_batches_eigh_in_bounded_chunks(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted)
     sweep = sweep_unitaries(space, XI, sched)
     n_steps = piecewise_deltas(sched, 0.0, sched.duration, sweep.step)[0].size
-    n_sectors = len(sweep.unitaries)
+    # endpoint_bases, not unitaries: reading those would march them now
+    n_sectors = len(sweep.endpoint_bases)
     assert n_steps == 7000
     assert len(stacks) < n_sectors * n_steps / 100
     assert max(stacks) <= dynamics.CHUNK_BYTES // 8

@@ -31,7 +31,12 @@ from trilinear import (
     wigner_scan,
 )
 from trilinear import protocols
-from trilinear.fock import GUARD_LEAK_THRESHOLD, _displacement_matrix, guard_leak
+from trilinear.fock import (
+    GUARD_LEAK_THRESHOLD,
+    _displacement_matrix,
+    displaced_amplitudes,
+    guard_leak,
+)
 from trilinear.protocols import (
     ADIABATIC_FIDELITY_FLOOR,
     ParityResult,
@@ -446,6 +451,43 @@ def test_adiabatic_parity_equals_first_scan_point(space, schedule, sweep):
     assert TWO_OVER_PI * res.sampled.stderr == pytest.approx(scan.stderr[0],
                                                              abs=1e-15)
     assert ";".join(res.flags) == scan.flags[0]
+
+
+def test_scan_reads_evolved_columns_without_unitaries():
+    small = TwoModeSpace(FockDim(10), FockDim(5))
+    sched = slow_sweep()
+    sweep = sweep_unitaries(small, PARAMS.xi, sched, sector_ks=range(10))
+    model = MeasurementModel(seed=3)
+    wigner_scan(coherent_state(small.radial, 0.5), phase_space_grid(1.0, 5),
+                PARAMS.xi, small, sched, model, sweep=sweep)
+    adiabatic_parity(fock_state(small.radial, 2), PARAMS.xi, small, sched,
+                     model, sweep=sweep)
+    assert "unitaries" not in vars(sweep)
+
+
+def test_scan_without_sweep_covers_only_populated_sectors(monkeypatch):
+    small = TwoModeSpace(FockDim(16), FockDim(8))
+    sched = rc_ramp(PARKING, -PARKING, 200e-6)
+    model = MeasurementModel(seed=3)
+    state = fock_state(small.radial, 1)
+    grid = np.array([0.0, 0.3, 0.2j])
+    swept = []
+
+    def recording(*args, **kwargs):
+        swept.append(sorted(int(k) for k in kwargs["sector_ks"]))
+        return sweep_unitaries(*args, **kwargs)
+
+    monkeypatch.setattr(protocols, "sweep_unitaries", recording)
+    scan = wigner_scan(state, grid, PARAMS.xi, small, sched, model, exact=True)
+    disp = displaced_amplitudes(state.amplitudes, -grid, small.radial)
+    populated = np.flatnonzero((np.abs(disp) > protocols.AMPLITUDE_FLOOR).any(axis=0))
+    assert swept == [populated.tolist()]
+    assert len(populated) < small.radial.dim
+    full = sweep_unitaries(small, PARAMS.xi, sched, sector_ks=range(16))
+    ref = wigner_scan(state, grid, PARAMS.xi, small, sched, model, exact=True,
+                      sweep=full)
+    assert np.abs(scan.p1_exact - ref.p1_exact).max() < 1e-12
+    assert scan.flags == ref.flags
 
 
 def test_partial_sweep_rejects_uncovered_sectors():
