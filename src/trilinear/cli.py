@@ -187,6 +187,26 @@ def run_converge(cfg: RunConfig, out: Path) -> None:
         print(",".join(str(v) for v in row))
 
 
+# relative size, against max(1, |finest value|), of a rise in the deviation
+# from the finest setting that counts as rounding rather than divergence
+CONVERGENCE_ROUNDING_FLOOR = 1e-12
+
+
+def convergence_rows(kind: str, observable: str, settings, values) -> list[tuple]:
+    """Rows of one convergence group, ordered coarse to fine: each value, its
+    deviation from the finest (last) one, and a `non-monotone` flag where
+    that deviation rises above the previous setting's by more than rounding."""
+    finest = values[-1]
+    floor = CONVERGENCE_ROUNDING_FLOOR * max(1.0, abs(finest))
+    deltas = [abs(v - finest) for v in values]
+    rows = []
+    for i, (setting, value) in enumerate(zip(settings, values)):
+        rising = 0 < i < len(deltas) - 1 and deltas[i] - deltas[i - 1] > floor
+        rows.append((kind, setting, observable, value, deltas[i],
+                     "non-monotone" if rising else ""))
+    return rows
+
+
 def convergence_report(cfg: RunConfig) -> list[tuple]:
     """Truncation and step sweeps for the configured state.
 
@@ -200,12 +220,6 @@ def convergence_report(cfg: RunConfig) -> list[tuple]:
     spec = parse_descriptor(cfg.state)
     schedule = _slow_schedule(cfg)
     rows: list[tuple] = []
-
-    def add_group(kind: str, observable: str, settings, values) -> None:
-        deltas = [abs(v - values[-1]) for v in values]
-        for i, (setting, value) in enumerate(zip(settings, values)):
-            flag = "non-monotone" if 0 < i < len(deltas) - 1 and deltas[i] > deltas[i - 1] else ""
-            rows.append((kind, setting, observable, value, deltas[i], flag))
 
     # truncation sweep: Wigner at the origin through the full protocol
     dims = [int(d) for d in cfg.converge.radial_dims]
@@ -221,16 +235,16 @@ def convergence_report(cfg: RunConfig) -> list[tuple]:
             step=cfg.simulation.step_s,
         )
         w0.append(float(scan.wigner[0]))
-    add_group("truncation", "wigner_origin",
-              [f"{d}x{max(3, d // 2)}" for d in dims], w0)
+    rows += convergence_rows("truncation", "wigner_origin",
+                             [f"{d}x{max(3, d // 2)}" for d in dims], w0)
 
     # truncation sweep: the two-phonon gap (exactly dimension-independent,
     # the sector closes at two basis states)
     gap_hz = avoided_crossing_spectrum(
         np.array([-p.xi, 0.0, p.xi]), p.xi
     ).min_gap / TWO_PI
-    add_group("truncation", "gap_hz", [str(d) for d in dims],
-              [gap_hz for _ in dims])
+    rows += convergence_rows("truncation", "gap_hz", [str(d) for d in dims],
+                             [gap_hz for _ in dims])
 
     # step sweep: sweep-propagation fidelity and oscillation frequency
     space = cfg.to_space()
@@ -251,9 +265,9 @@ def convergence_report(cfg: RunConfig) -> list[tuple]:
         )
         freqs.append(osc.fit_frequency / TWO_PI)
     settings = [f"{base_step * fr:.3e}" for fr in fractions]
-    add_group("step", "sweep_infidelity", settings,
-              [1.0 - f.fidelity(finals[-1]) for f in finals])
-    add_group("step", "oscillation_freq_hz", settings, freqs)
+    rows += convergence_rows("step", "sweep_infidelity", settings,
+                             [1.0 - f.fidelity(finals[-1]) for f in finals])
+    rows += convergence_rows("step", "oscillation_freq_hz", settings, freqs)
     return rows
 
 

@@ -21,15 +21,21 @@ Hamiltonians with the exact per-step exponential (eigendecomposition of the
 real-symmetric sector matrix, delta sampled at the step midpoint). Every
 step is exactly unitary; accuracy is certified by the step-halving
 convergence contract rather than by an adaptive integrator. One kernel,
-`_march`, does every piecewise-constant propagation: it diagonalizes the
-step Hamiltonians a chunk of steps at a time with batched eighs and
-advances the given columns of all its sectors together, so the
-Python-level cost per step is a single small matrix product.
+`_march`, does every piecewise-constant propagation: worker threads, one
+per usable core, diagonalize the step Hamiltonians a batch of steps at a
+time with batched eighs, while the calling thread advances the given
+columns of all its sectors together, so the Python-level cost per step is
+a single small matrix product.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -46,11 +52,21 @@ from .fock import (
     mode_operator,
 )
 
-# Memory for the per-chunk stacks of the propagation kernel (the step
-# overlaps of all its sectors, and each batched eigh with its temporaries);
-# the chunk length follows from it, so memory stays bounded whatever the
-# ramp length. Wigner scans size their blocks of grid points by it too.
-CHUNK_BYTES = 1 << 20
+# Memory for the propagation kernel's per-batch stacks: the decomposed
+# batches in flight between its workers and the march (eigenvalues and step
+# overlaps of every sector), the march's overlap stack, and each batched
+# eigh. The batch length follows from it, so memory stays bounded whatever
+# the ramp length.
+CHUNK_BYTES = 32 << 20
+
+# decomposed batches each worker of the propagation kernel may hold ready
+# ahead of the march
+PREFETCH = 1
+
+# eigh work, in s^3 per s x s matrix (about 7 ns each on one core of a
+# 2.1 GHz Xeon), that one batch must give each worker thread: a hand-over
+# between threads costs up to a millisecond on a 2-vCPU VM
+SHARE_WORK = 1 << 20
 
 # sectors holding at most this population do not count towards a state's
 # worst branch fidelity
@@ -234,21 +250,139 @@ def _hamiltonian_stack(coupling: np.ndarray, n_c: np.ndarray, xi: float,
     return h
 
 
+def _worker_count() -> int:
+    """Decomposition workers of `_march`: one per core this process may use."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@lru_cache(maxsize=None)
+def _pool(workers: int, pid: int) -> tuple[ThreadPoolExecutor, threading.Lock]:
+    """The decomposition threads of process `pid` (a forked child has none
+    of its parent's), created on first use, and the lock a march holds
+    while it uses them: a march waits on all of its workers, so two marches
+    sharing the threads could each hold some of them and wait forever for
+    the rest."""
+    return (ThreadPoolExecutor(workers, thread_name_prefix="trilinear-eigh"),
+            threading.Lock())
+
+
+def _split(costs, n: int) -> list[list[int]]:
+    """Indices of `costs` in n shares of nearly equal sum (largest first,
+    each to the lightest share)."""
+    shares: list[list[int]] = [[] for _ in range(n)]
+    loads = [0] * n
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        k = loads.index(min(loads))
+        shares[k].append(i)
+        loads[k] += costs[i]
+    return [sorted(share) for share in shares]
+
+
+def _decompose(groups, xi: float, deltas, batch: int):
+    """Diagonalize the step Hamiltonians of the sector-size `groups`
+    ((couplings, n_c diagonals) pairs) a batch of steps at a time, with one
+    batched eigh per group. Yields, per batch in order, the eigenvalues, the
+    step overlaps V_t^T V_{t-1} and the last eigenvectors of every group;
+    the last eigenvectors of a batch, which the next one's first overlap
+    needs, stay in the generator."""
+    prev = [np.broadcast_to(np.eye(coupling.shape[1]), coupling.shape)
+            for coupling, _ in groups]
+    for lo in range(0, deltas.size, batch):
+        part = []
+        for i, (coupling, n_c) in enumerate(groups):
+            w, v = np.linalg.eigh(_hamiltonian_stack(coupling, n_c, xi,
+                                                     deltas[lo:lo + batch]))
+            before = np.concatenate([prev[i][:, None], v[:, :-1]], axis=1)
+            prev[i] = v[:, -1].copy()
+            part.append((w, v.transpose(0, 1, 3, 2) @ before, prev[i]))
+        yield part
+
+
+def _feed(batches, ready: queue.Queue, stop: threading.Event) -> None:
+    """Worker thread: put each batch of the generator `batches` on `ready`,
+    or in its place the exception it raised; end early once `stop` is set."""
+
+    def hand_over(item) -> bool:
+        while not stop.is_set():
+            try:
+                ready.put(item, timeout=0.1)
+                return True
+            except queue.Full:
+                pass
+        return False
+
+    try:
+        for part in batches:
+            if not hand_over(part):
+                return
+    except BaseException as exc:  # raised again by the marching thread
+        hand_over(exc)
+
+
+@contextmanager
+def _decomposition(groups, xi: float, deltas, batch: int):
+    """Run `_decompose` over the sector-size `groups`, in shares balanced by
+    the eigh cost g s^3, one per usable core, each on one worker thread for
+    the whole ramp and up to PREFETCH batches ahead of the march. A batch
+    with less than SHARE_WORK of eigh work per share would spend more on
+    handing batches between threads than it gains, so it gets fewer shares;
+    a single share runs in the calling thread. Yields an iterator that
+    gives, per batch of steps in order, the pairs (group index, (eigenvalues,
+    step overlaps, last eigenvectors)) of every group."""
+    costs = [coupling.size * coupling.shape[1] for coupling, _ in groups]
+    workers = _worker_count()
+    shares = _split(costs, max(1, min(workers, len(groups),
+                                      batch * sum(costs) // SHARE_WORK)))
+    gens = [_decompose([groups[i] for i in share], xi, deltas, batch)
+            for share in shares]
+    if len(shares) == 1:
+        yield (list(enumerate(part)) for part in gens[0])
+        return
+    pool, lock = _pool(workers, os.getpid())
+    with lock:
+        stop = threading.Event()
+        ready = [queue.Queue(PREFETCH) for _ in shares]
+        jobs = [pool.submit(_feed, gen, q, stop) for gen, q in zip(gens, ready)]
+
+        def batches():
+            for _ in range(0, deltas.size, batch):
+                parts = []
+                for share, q in zip(shares, ready):
+                    item = q.get()
+                    if isinstance(item, BaseException):
+                        raise item
+                    parts += zip(share, item)
+                yield parts
+
+        try:
+            yield batches()
+        finally:
+            stop.set()
+            for job in jobs:
+                job.result()
+
+
 def _march(blocks, xi: float, deltas, dts, cols, follow: bool = False):
     """Evolve, in lockstep, columns of several K sectors through the steps
     exp(-i H(deltas[t]) dts[t]), in order.
 
     `cols[j]` ((s_j,) or (s_j, m_j)) holds the start columns of `blocks[j]`;
     the evolved columns come back in the same shapes. The step Hamiltonians
-    are diagonalized a chunk of steps at a time, with one batched eigh per
-    sector size. The columns are carried in the step eigenbases: with V_t
-    the eigenvectors of step t, a step is the basis change V_t^T V_{t-1}
-    followed by one phase per eigenvalue. The sectors are packed, largest
-    first, into bins of the largest sector's size, whose overlap matrices
-    are block diagonal, so one real matmul on the (bins, size, .) stack
-    steps every sector at once. The chunk length keeps the stack of
-    overlaps, and each eigh stack, within CHUNK_BYTES, so memory stays
-    bounded whatever the ramp length.
+    are diagonalized a batch of steps at a time, with one batched eigh per
+    sector size, in worker threads, one per usable core, that run ahead of
+    the march (`_decomposition`). The columns are carried in the step
+    eigenbases: with V_t the eigenvectors of step t, a step is the basis
+    change V_t^T V_{t-1} followed by one phase per eigenvalue. The sectors
+    are packed, largest first, into bins of the largest sector's size, whose
+    overlap matrices are block diagonal, so one real matmul on the (bins,
+    size, .) stack steps every sector at once. The batch length keeps the
+    batches in flight, the march's stacks and each eigh stack within
+    CHUNK_BYTES, so memory stays bounded whatever the ramp length. Every
+    matrix is decomposed and multiplied alone, so the result does not
+    depend on the number of workers.
 
     With `follow`, column 0 of every sector must be an instantaneous
     eigenvector at the start. The kernel then follows, step by step, the
@@ -275,18 +409,21 @@ def _march(blocks, xi: float, deltas, dts, cols, follow: bool = False):
             free.append(width)
         bin_of[j], offset[j] = b, width - free[b]
         free[b] -= sizes[j]
-    # sectors of one size share an eigh call; `at` indexes their rows and
-    # columns in the bin stack
-    groups = []
-    for s in np.unique(sizes):
-        members = np.flatnonzero(sizes == s)
-        own = offset[members, None] + np.arange(s)
-        at = (bin_of[members, None, None], own[:, :, None], own[:, None, :])
-        groups.append((s, at, np.stack([blocks[j].coupling for j in members]),
-                       np.stack([blocks[j].n_c_diag for j in members])))
-    widest = max(len(coupling) * s * s for s, _, coupling, _ in groups)
+    rows = [slice(offset[j], offset[j] + sizes[j]) for j in range(n)]
+    # sectors of one size share an eigh call
+    members = [np.flatnonzero(sizes == s) for s in np.unique(sizes)]
+    groups = [(np.stack([blocks[j].coupling for j in m]),
+               np.stack([blocks[j].n_c_diag for j in m])) for m in members]
+    widest = max(coupling.size for coupling, _ in groups)
     n_bins = len(free)
-    chunk = max(1, min(CHUNK_BYTES // (8 * n_bins * width * (width + 5)),
+    # bytes per step: decomposed, the eigenvalues and overlaps of every
+    # sector, of which the workers may hold PREFETCH batches queued and one
+    # in work, with two more stacks of temporaries, while the march holds
+    # one; and marched, the march's stacks of overlaps, eigenvalues, phases
+    # and followed columns
+    decomposed = 8 * int(np.sum(sizes * (sizes + 1)))
+    marched = 8 * n_bins * width * (width + 8)
+    batch = max(1, min(CHUNK_BYTES // ((PREFETCH + 4) * decomposed + marched),
                        CHUNK_BYTES // (64 * widest), deltas.size))
 
     cols = [np.asarray(col, dtype=complex) for col in cols]
@@ -294,59 +431,61 @@ def _march(blocks, xi: float, deltas, dts, cols, follow: bool = False):
     # the columns in the current step's eigenbasis (the bare basis at first)
     y = np.zeros((n_bins, width, max(n_cols)), dtype=complex)
     for j, col in enumerate(cols):
-        y[bin_of[j], offset[j]:offset[j] + sizes[j], :n_cols[j]] = (
-            col.reshape(sizes[j], -1))
+        y[bin_of[j], rows[j], :n_cols[j]] = col.reshape(sizes[j], -1)
     spare = np.empty_like(y)
-    prev = [np.broadcast_to(np.eye(s), coupling.shape) for s, _, coupling, _ in groups]
-    overlap = np.zeros((chunk, n_bins, width, width))
-    angle = np.zeros((chunk, n_bins, width))
+    # per group, the last step's eigenvectors, to return to the bare basis
+    last = [np.broadcast_to(np.eye(coupling.shape[1]), coupling.shape)
+            for coupling, _ in groups]
+    overlap = np.zeros((batch, n_bins, width, width))
+    angle = np.zeros((batch, n_bins, width))
     slot = np.arange(width)
     pick = final = worst = None
-    for lo in range(0, deltas.size, chunk):
-        c = min(chunk, deltas.size - lo)
-        for i, (s, at, coupling, n_c) in enumerate(groups):
-            w, v = np.linalg.eigh(_hamiltonian_stack(coupling, n_c, xi,
-                                                     deltas[lo:lo + c]))
-            angle[:c, at[0][..., 0], at[1][..., 0]] = w.transpose(1, 0, 2)
-            before = np.concatenate([prev[i][:, None], v[:, :-1]], axis=1)
-            step_overlap = v.transpose(0, 1, 3, 2) @ before
-            overlap[(slice(c), *at)] = step_overlap.transpose(1, 0, 2, 3)
-            prev[i] = v[:, -1]
-        arg = angle[:c] * dts[lo:lo + c, None, None]
-        phases = np.empty((c, n_bins, width, 1), dtype=complex)
-        phases.real[..., 0], phases.imag[..., 0] = np.cos(arg), -np.sin(arg)
-        track = np.empty((c, n_bins, width), dtype=complex) if follow else None
-        for t in range(c):
-            np.matmul(overlap[t], y.view(float), out=spare.view(float))
-            np.multiply(spare, phases[t], out=y)
-            if follow:
-                track[t] = y[:, :, 0]
-        if not follow:
-            continue
-        # the branch's successor at step t: the step eigenvector of largest
-        # overlap with the followed one, read from column `pick` of
-        # V_t^T V_{t-1} (at the very first step, from the start vector,
-        # within the sector's own rows)
-        picks = np.empty((c, n), dtype=int)
-        for t in range(c):
-            if pick is None:
-                lead = np.abs(track[0][bin_of])
-                outside = (slot < offset[:, None]) | (slot >= (offset + sizes)[:, None])
-                lead[outside] = -1
-                pick = lead.argmax(axis=1)
-            else:
-                pick = np.abs(overlap[t, bin_of, :, pick]).argmax(axis=1)
-            picks[t] = pick
-        fids = np.abs(track[np.arange(c)[:, None], bin_of, picks]) ** 2
-        worst = fids.min(axis=0) if worst is None else np.minimum(
-            worst, fids.min(axis=0))
-        final = fids[-1]
+
+    with _decomposition(groups, xi, deltas, batch) as batches:
+        for lo, parts in zip(range(0, deltas.size, batch), batches):
+            c = min(batch, deltas.size - lo)
+            for i, (w, step_overlap, v_last) in parts:
+                last[i] = v_last
+                for k, j in enumerate(members[i]):
+                    b, r = bin_of[j], rows[j]
+                    angle[:c, b, r] = w[k]
+                    overlap[:c, b, r, r] = step_overlap[k]
+            arg = angle[:c] * dts[lo:lo + c, None, None]
+            phases = np.empty((c, n_bins, width, 1), dtype=complex)
+            phases.real[..., 0], phases.imag[..., 0] = np.cos(arg), -np.sin(arg)
+            track = np.empty((c, n_bins, width), dtype=complex) if follow else None
+            for t in range(c):
+                np.matmul(overlap[t], y.view(float), out=spare.view(float))
+                np.multiply(spare, phases[t], out=y)
+                if follow:
+                    track[t] = y[:, :, 0]
+            if not follow:
+                continue
+            # the branch's successor at step t: the step eigenvector of largest
+            # overlap with the followed one, read from column `pick` of
+            # V_t^T V_{t-1} (at the very first step, from the start vector,
+            # within the sector's own rows)
+            picks = np.empty((c, n), dtype=int)
+            for t in range(c):
+                if pick is None:
+                    lead = np.abs(track[0][bin_of])
+                    outside = (slot < offset[:, None]) | (slot >= (offset + sizes)[:, None])
+                    lead[outside] = -1
+                    pick = lead.argmax(axis=1)
+                else:
+                    pick = np.abs(overlap[t, bin_of, :, pick]).argmax(axis=1)
+                picks[t] = pick
+            fids = np.abs(track[np.arange(c)[:, None], bin_of, picks]) ** 2
+            worst = fids.min(axis=0) if worst is None else np.minimum(
+                worst, fids.min(axis=0))
+            final = fids[-1]
     # back to the bare basis with the last step's eigenvectors
-    last = np.zeros((n_bins, width, width))
-    for (s, at, _, _), v in zip(groups, prev):
-        last[at] = v
-    x = (last @ y.view(float)).view(complex)
-    out = [x[bin_of[j], offset[j]:offset[j] + sizes[j], :n_cols[j]].reshape(col.shape)
+    basis = np.zeros((n_bins, width, width))
+    for m, v in zip(members, last):
+        for k, j in enumerate(m):
+            basis[bin_of[j], rows[j], rows[j]] = v[k]
+    x = (basis @ y.view(float)).view(complex)
+    out = [x[bin_of[j], rows[j], :n_cols[j]].reshape(col.shape)
            for j, col in enumerate(cols)]
     if not follow:
         return out, None

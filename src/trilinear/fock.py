@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import eval_laguerre
 
 from .errors import TruncationLeakWarning
 
@@ -415,6 +414,10 @@ def fock_wigner_closed_form(n: int, r: float) -> float:
     """Closed-form Wigner value of |n> at radius r = |alpha|:
     2 (-1)^n exp(-2 r^2) L_n(4 r^2) / pi.
     """
+    # imported here: scipy costs start-up time and memory, and only this
+    # oracle needs it
+    from scipy.special import eval_laguerre
+
     if n < 0:
         raise ValueError("fock occupation must be >= 0")
     x = 4.0 * r * r

@@ -30,11 +30,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .dynamics import (
     BRANCH_POPULATION_FLOOR,
-    CHUNK_BYTES,
     RampSchedule,
     SweepResult,
     block_decompose,
@@ -55,6 +53,9 @@ PARKING_DETUNING = 2 * math.pi * 35e3  # rad/s, mode-decoupling point
 TAU_SLOW = 2e-3  # s, adiabatic RC constant
 TAU_FAST = 20e-6  # s, diabatic RC constant
 DISPLACEMENT_RATE = math.sqrt(3.0e-4)  # |alpha| per microsecond of drive
+# memory for a Wigner scan's arrays of one block of grid points; the block
+# length follows from it
+BLOCK_BYTES = 1 << 20
 
 ADIABATIC_FIDELITY_FLOOR = 0.99
 
@@ -324,6 +325,10 @@ class OscillationResult:
 
 def _fit_tone(t, y, decay: bool):
     """Least-squares cosine fit; returns (omega, omega_err, ok)."""
+    # imported here: scipy costs start-up time and memory, and only the fit
+    # needs it
+    from scipy.optimize import curve_fit
+
     t = np.asarray(t, float)
     y = np.asarray(y, float)
     yc = y - y.mean()
@@ -601,9 +606,9 @@ def phase_space_grid(extent: float = 3.0, points: int = 41) -> np.ndarray:
 
 def _displaced_blocks(state_r: StateVector, alphas: np.ndarray):
     """Yield (first point index, rows D(-alpha) psi) over the grid, a block
-    of points at a time; a block's arrays stay near CHUNK_BYTES."""
+    of points at a time; a block's arrays stay near BLOCK_BYTES."""
     dim_r = state_r.basis
-    block = max(1, CHUNK_BYTES // (64 * dim_r.dim))
+    block = max(1, BLOCK_BYTES // (64 * dim_r.dim))
     for lo in range(0, alphas.size, block):
         yield lo, displaced_amplitudes(state_r.amplitudes,
                                        -alphas[lo:lo + block], dim_r)

@@ -1,9 +1,15 @@
 """CLI integration: exit codes, provenance headers, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from trilinear.cli import main
+import trilinear
+from trilinear.cli import convergence_rows, main
 from trilinear.report import read_data_rows
 
 SMALL_WIGNER = """
@@ -264,3 +270,32 @@ def test_converge_report(tmp_path, capsys):
     # step-halving infidelity stays inside the convergence contract
     inf_rows = [r for r in table if r[2] == "sweep_infidelity"]
     assert all(float(r[3]) < 1e-8 for r in inf_rows)
+
+
+def test_convergence_flags_divergence_not_rounding():
+    settings = ["coarse", "mid", "fine", "finest"]
+    # a 1e-13 Hz wobble on a kHz observable is rounding, not divergence
+    wobble = [2960.0 + 1e-9, 2960.0 + 2e-13, 2960.0 + 3e-13, 2960.0]
+    rows = convergence_rows("step", "freq", settings, wobble)
+    assert [r[5] for r in rows] == ["", "", "", ""]
+    # a deviation that grows as the setting gets finer is flagged
+    rows = convergence_rows("step", "freq", settings, [1.3, 1.1, 1.2, 1.0])
+    assert [r[5] for r in rows] == ["", "", "non-monotone", ""]
+
+
+def test_wigner_run_loads_no_scipy(tmp_path):
+    # scipy serves only the oscillation fit and the closed-form oracle; a
+    # Wigner run must not pay its import time and memory
+    script = (
+        "import sys\n"
+        "import trilinear.cli\n"
+        "code = trilinear.cli.main(['wigner', '--dims', '8x4', '--exact', "
+        f"'--out', {str(tmp_path)!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = Path(trilinear.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=300, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "wigner.csv").exists()

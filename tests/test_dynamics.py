@@ -1,6 +1,13 @@
 """Block-diagonal evolution: sectors, propagation, ramps, sweep unitaries."""
 
 import math
+import multiprocessing
+import os
+import sys
+import threading
+import time
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -491,6 +498,170 @@ def test_lockstep_columns_match_per_step_reference(dr, da, data, sign, d0, d1,
         assert abs(sweep.branch_final_fid[k] - final_fid) < 1e-12
         assert abs(sweep.branch_min_fid[k] - min_fid) < 1e-12
     assert "unitaries" not in vars(sweep)
+
+
+# the decomposition runs in worker threads, each on a share of the sector
+# sizes; the share must not change a single bit of the result. A short
+# switch interval interleaves the threads as finely as the interpreter can.
+@given(st.integers(4, 8), st.integers(3, 4), st.data(),
+       st.sampled_from([1.0, -1.0]), st.floats(TWO_PI * 5e3, TWO_PI * 40e3),
+       detunings, st.floats(10e-6, 40e-6), st.sampled_from([XI, XI / 1000]),
+       chunk_budgets)
+@settings(max_examples=15, deadline=None)
+def test_sweep_does_not_depend_on_worker_count(dr, da, data, sign, d0, d1, tau,
+                                               xi, budget):
+    space = small_space(dr, da)
+    all_ks = block_decompose(space).k_values
+    ks = data.draw(st.lists(st.sampled_from(all_ks), min_size=1, unique=True))
+    sched = rc_ramp(sign * d0, d1, tau)
+    sweeps = []
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for workers in (1, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dynamics, "CHUNK_BYTES", budget)
+                mp.setattr(dynamics, "SHARE_WORK", 1)
+                mp.setattr(dynamics, "_worker_count", lambda: workers)
+                sweeps.append(sweep_unitaries(space, xi, sched, sector_ks=ks))
+    finally:
+        sys.setswitchinterval(interval)
+    one, three = sweeps
+    for k in ks:
+        assert np.array_equal(one.evolved[k], three.evolved[k])
+        assert one.branch_final_fid[k] == three.branch_final_fid[k]
+        assert one.branch_min_fid[k] == three.branch_min_fid[k]
+
+
+class SlowSubmit(ThreadPoolExecutor):
+    """Lets another march submit its tasks between two of this one's."""
+
+    def submit(self, *args, **kwargs):
+        future = super().submit(*args, **kwargs)
+        time.sleep(1e-3)
+        return future
+
+
+def test_concurrent_sweeps_share_the_workers(monkeypatch, request):
+    # more marches than worker threads, started together and switching as
+    # often as the interpreter allows, a few batches each (so a worker
+    # outlives its first hand-over): each must finish and give the result
+    # of a march run alone
+    monkeypatch.setattr(dynamics, "CHUNK_BYTES", 1 << 19)
+    monkeypatch.setattr(dynamics, "SHARE_WORK", 1)
+    monkeypatch.setattr(dynamics, "_worker_count", lambda: 2)
+    monkeypatch.setattr(dynamics, "ThreadPoolExecutor", SlowSubmit)
+    dynamics._pool.cache_clear()
+    request.addfinalizer(dynamics._pool.cache_clear)
+    space = small_space(8, 4)
+    sched = rc_ramp(PARKING, -PARKING, 40e-6)
+    alone = sweep_unitaries(space, XI, sched)
+    results = [[] for _ in range(8)]
+
+    def run(i):
+        for _ in range(10):
+            results[i].append(sweep_unitaries(space, XI, sched))
+
+    interval = sys.getswitchinterval()
+    threads = [threading.Thread(target=run, args=(i,), daemon=True)
+               for i in range(len(results))]
+    try:
+        sys.setswitchinterval(1e-6)
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 60
+        for t in threads:
+            t.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for sweeps in results:
+        assert len(sweeps) == 10
+        for sweep in sweeps:
+            for k, col in alone.evolved.items():
+                assert np.array_equal(sweep.evolved[k], col)
+
+
+def _sweep_matches(space, sched, expected):
+    sweep = sweep_unitaries(space, XI, sched)
+    same = all(np.array_equal(sweep.evolved[k], col) for k, col in expected.items())
+    sys.exit(0 if same else 1)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_starts_its_own_workers(monkeypatch):
+    # the child inherits the parent's pool object but none of its threads
+    monkeypatch.setattr(dynamics, "CHUNK_BYTES", 64 * 16)
+    monkeypatch.setattr(dynamics, "SHARE_WORK", 1)
+    monkeypatch.setattr(dynamics, "_worker_count", lambda: 2)
+    space = small_space(8, 4)
+    sched = rc_ramp(PARKING, -PARKING, 40e-6)
+    expected = sweep_unitaries(space, XI, sched).evolved
+    child = multiprocessing.get_context("fork").Process(
+        target=_sweep_matches, args=(space, sched, expected))
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
+
+
+def test_worker_error_reaches_the_caller(monkeypatch):
+    space = small_space(8, 4)
+    sched = rc_ramp(PARKING, -PARKING, 40e-6)
+    monkeypatch.setattr(dynamics, "CHUNK_BYTES", 64 * 16)
+    monkeypatch.setattr(dynamics, "SHARE_WORK", 1)
+    monkeypatch.setattr(dynamics, "_worker_count", lambda: 2)
+    eigh = np.linalg.eigh
+    calls = []
+
+    def failing(a, *args, **kwargs):
+        calls.append(None)
+        if len(calls) == 20:
+            raise np.linalg.LinAlgError("injected")
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    raised = []
+
+    def run():
+        try:
+            sweep_unitaries(space, XI, sched)
+        except np.linalg.LinAlgError as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert [str(exc) for exc in raised] == ["injected"]
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    # the workers are free again
+    assert sweep_unitaries(space, XI, sched).branch_min_fid
+
+
+def test_kernel_memory_stays_within_the_budget(monkeypatch):
+    # the workers run at most PREFETCH batches ahead of the march, so a ramp
+    # four times longer needs no more memory
+    monkeypatch.setattr(dynamics, "CHUNK_BYTES", 1 << 20)
+    monkeypatch.setattr(dynamics, "SHARE_WORK", 1)
+    monkeypatch.setattr(dynamics, "_worker_count", lambda: 2)
+    blocks = block_decompose(small_space(8, 4)).blocks
+    cols = [np.eye(b.size) for b in blocks]
+    dynamics._march(blocks, XI, [PARKING], [1e-7], cols)  # start the workers
+    peaks = []
+    for n_steps in (1000, 4000):
+        deltas = np.linspace(PARKING, -PARKING, n_steps)
+        dts = np.full(n_steps, 1e-7)
+        tracemalloc.start()
+        try:
+            dynamics._march(blocks, XI, deltas, dts, cols, follow=True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0]
+    assert peaks[1] < 1.5 * dynamics.CHUNK_BYTES
 
 
 def test_sweep_batches_eigh_in_bounded_chunks(monkeypatch):

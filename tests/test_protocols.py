@@ -537,9 +537,9 @@ def per_point_reference(state, alphas, space, sweep, model):
 # The small block budget splits the 25-point grid into blocks of 4 to 7.
 @given(st.integers(6, 10), st.integers(3, 5), st.integers(0, 1000),
        st.integers(1, 5), st.floats(0.01, 3.0), st.floats(15e-6, 500e-6),
-       st.sampled_from([64 * 6 * 7, protocols.CHUNK_BYTES]))
+       st.sampled_from([64 * 6 * 7, protocols.BLOCK_BYTES]))
 @example(dr=6, da=5, seed=0, n_levels=1, extent=0.4, tau=500e-6,
-         budget=protocols.CHUNK_BYTES)
+         budget=protocols.BLOCK_BYTES)
 @example(dr=10, da=5, seed=0, n_levels=1, extent=0.01, tau=15e-6,
          budget=64 * 6 * 7)
 @settings(max_examples=20, deadline=None)
@@ -555,7 +555,7 @@ def test_scan_matches_per_point_composition(dr, da, seed, n_levels, extent, tau,
     model = MeasurementModel(eta=0.86, shots=200, seed=seed)
     alphas = phase_space_grid(extent, 5)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(protocols, "CHUNK_BYTES", budget)
+        mp.setattr(protocols, "BLOCK_BYTES", budget)
         scan = wigner_scan(state, alphas, PARAMS.xi, space, sched, model,
                            sweep=sweep)
     p1_exact, p1_sampled, flags = per_point_reference(state, alphas, space,
