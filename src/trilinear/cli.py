@@ -74,6 +74,12 @@ def _slow_schedule(cfg: RunConfig):
     return rc_ramp(cfg.parking, -cfg.parking, cfg.simulation.tau_slow_s)
 
 
+def _print_sweep_steps(dts: np.ndarray) -> None:
+    """The sweep's step count and its shortest and longest step."""
+    print(f"sweep_steps = {dts.size} "
+          f"({dts.min() * 1e6:.3g}..{dts.max() * 1e6:.3g} us)")
+
+
 def run_modes(cfg: RunConfig, out: Path) -> None:
     p = mode_params(YB171, cfg.to_trap())
     report = {
@@ -115,6 +121,7 @@ def run_oscillate(cfg: RunConfig, out: Path) -> None:
         print(f"fitted_frequency_hz = {result.fit_frequency / TWO_PI:.6g}")
     else:
         print("fitted_frequency_hz = nan (fit did not converge)")
+    print(f"fitted_frequency_err_hz = {result.fit_frequency_err / TWO_PI:.3g}")
     print(f"predicted_frequency_hz = {p.conversion_rate / TWO_PI:.6g}")
 
 
@@ -154,6 +161,7 @@ def run_parity(cfg: RunConfig, out: Path) -> None:
     parity = res.exact.parity if cfg.exact else res.sampled.parity
     print(f"parity = {parity:.6g}")
     print(f"min_branch_fidelity = {res.min_branch_fidelity:.6g}")
+    _print_sweep_steps(res.sweep_dts)
 
 
 def run_wigner(cfg: RunConfig, out: Path) -> None:
@@ -173,6 +181,7 @@ def run_wigner(cfg: RunConfig, out: Path) -> None:
     flags = [set(f.split(";")) for f in scan.flags]
     print(f"flagged_points = leak {sum('leak' in f for f in flags)}, "
           f"diabatic {sum('diabatic' in f for f in flags)} of {len(flags)}")
+    _print_sweep_steps(scan.sweep_dts)
 
 
 def run_converge(cfg: RunConfig, out: Path) -> None:

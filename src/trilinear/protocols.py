@@ -498,6 +498,7 @@ class AdiabaticParityResult:
     axial_distribution: np.ndarray
     min_branch_fidelity: float
     flags: tuple[str, ...]
+    sweep_dts: np.ndarray  # the step durations of the sweep's grid
 
 
 def slow_sweep(parking: float = PARKING_DETUNING,
@@ -548,6 +549,7 @@ def adiabatic_parity(state_r: StateVector, xi: float, space: TwoModeSpace,
         axial_distribution=axial[0],
         min_branch_fidelity=min_fid,
         flags=_flags(leak[0], min_fid),
+        sweep_dts=sweep.dts,
     )
 
 
@@ -567,6 +569,8 @@ class WignerScan:
     stderr: np.ndarray
     flags: tuple[str, ...]
     meta: dict = field(compare=False)
+    # the step durations of the sweep's grid
+    sweep_dts: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         eta = self.meta.get("eta", 1.0)
@@ -686,6 +690,7 @@ def wigner_scan(state_r: StateVector, alphas, xi: float, space: TwoModeSpace,
         stderr=2.0 / math.pi * 2.0 * stderr / model.eta,
         flags=tuple(flags),
         meta=scan_meta,
+        sweep_dts=sweep.dts,
     )
 
 

@@ -1,5 +1,6 @@
 """CLI integration: exit codes, provenance headers, determinism."""
 
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,8 @@ import pytest
 
 import trilinear
 from trilinear.cli import convergence_rows, main
+from trilinear.dynamics import default_step, piecewise_deltas, rc_ramp
+from trilinear.trap import mode_params
 from trilinear.report import read_data_rows
 
 SMALL_WIGNER = """
@@ -24,6 +27,8 @@ grid:
   extent: 1.0
   points: 3
 """
+
+TWO_PI = 2 * math.pi
 
 
 def run(args, capsys):
@@ -71,6 +76,10 @@ def test_oscillate_runs_and_reports_fit(tmp_path, capsys):
     fitted = float(next(l for l in out.splitlines()
                         if l.startswith("fitted_frequency_hz")).split("=")[1])
     assert fitted == pytest.approx(2962.8, rel=0.005)
+    # the fit's uncertainty; the hold at delta = 0 is exact, so it is tiny
+    err = float(next(l for l in out.splitlines()
+                     if l.startswith("fitted_frequency_err_hz = ")).split("=")[1])
+    assert 0 <= err < 1e-3 * fitted
     rows = read_data_rows(tmp_path / "oscillation.csv")
     assert rows[0] == "t_ms,p_radial,p_axial,p_radial_sampled,p_axial_sampled"
     assert len(rows) == 1 + 33
@@ -89,6 +98,23 @@ def test_parity_runs(tmp_path, capsys):
     assert rows[0] == "key,value"
     keys = {r.split(",")[0] for r in rows[1:]}
     assert {"p_phonon", "parity_exact", "min_branch_fidelity"} <= keys
+
+
+@pytest.mark.parametrize("command", ["wigner", "parity"])
+def test_sweep_steps_reported(tmp_path, capsys, command):
+    # stdout gives the grid the sweep marched: its size and extreme steps
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(SMALL_WIGNER)
+    code, out, _ = run([command, "--config", str(cfg), "--out", str(tmp_path)],
+                       capsys)
+    assert code == 0
+    sched = rc_ramp(TWO_PI * 35e3, -TWO_PI * 35e3, 2e-3)
+    _, dts = piecewise_deltas(sched, 0.0, sched.duration,
+                              default_step(mode_params().xi, sched))
+    expected = (f"sweep_steps = {dts.size} "
+                f"({dts.min() * 1e6:.3g}..{dts.max() * 1e6:.3g} us)")
+    assert expected in out.splitlines()
+    assert 3000 < dts.size < 4000
 
 
 def test_wigner_deterministic_rerun(tmp_path, capsys):

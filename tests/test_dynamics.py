@@ -12,24 +12,29 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from trilinear import (
     FockDim,
+    MeasurementModel,
     RampSchedule,
     StateVector,
     TruncationLeakError,
     TwoModeSpace,
     block_decompose,
     build_hamiltonian,
+    cat_state,
     coherent_state,
     default_step,
     embed_radial,
     fock_state,
+    phase_space_grid,
     product_state,
     propagate,
     rc_ramp,
+    slow_sweep,
     sweep_unitaries,
+    wigner_scan,
 )
 from trilinear import dynamics
 from trilinear.dynamics import apply_piecewise, piecewise_deltas
@@ -39,6 +44,7 @@ from trilinear.trap import mode_params
 TWO_PI = 2 * math.pi
 XI = mode_params().xi
 PARKING = TWO_PI * 35e3
+detunings = st.floats(-TWO_PI * 40e3, TWO_PI * 40e3)
 
 
 def small_space(dr=8, da=5):
@@ -261,6 +267,107 @@ def test_default_step_respects_both_bounds():
     assert step <= TWO_PI / (20 * PARKING) * (1 + 1e-12)
 
 
+def uniform_deltas(schedule, t0, t1, step):
+    """The uniform grid of equal steps of at most `step`, which the graded
+    grid replaced."""
+    span = t1 - t0
+    n = max(1, int(math.ceil(span / step - 1e-12)))
+    mids = t0 + (np.arange(n) + 0.5) * (span / n)
+    return np.asarray(schedule.delta_at(mids), dtype=float), np.full(n, span / n)
+
+
+@given(detunings, detunings, st.floats(10e-6, 5e-3), st.floats(0, 1),
+       st.floats(0, 1), st.floats(0.01, 1))
+@settings(max_examples=200, deadline=None)
+def test_graded_grid_properties(d0, d1, tau, a, b, fraction):
+    sched = rc_ramp(d0, d1, tau)
+    t0, t1 = sorted((a * sched.duration, b * sched.duration))
+    assume(t1 - t0 > 1e-9 * tau)
+    coarsest = tau / 50
+    step = coarsest * fraction
+    deltas, dts = piecewise_deltas(sched, t0, t1, step)
+    n = dts.size
+    assert deltas.shape == (n,)
+    assert np.all(dts > 0)
+    assert dts.sum() == pytest.approx(t1 - t0, rel=1e-12)
+    assert dts.max() <= coarsest * (1 + 1e-12)
+    # rounding the step count up shortens every step by at most n / (n - 1)
+    assert dts.min() >= step * (n - 1) / n * (1 - 1e-12)
+    nodes = t0 + np.concatenate([[0.0], np.cumsum(dts)])
+    mids = 0.5 * (nodes[:-1] + nodes[1:])
+    assert np.allclose(deltas, sched.delta_at(mids), rtol=1e-9,
+                       atol=1e-9 * max(abs(d0), abs(d1), 1.0))
+    # each step spans the same share of the capped density, so dt * rho is
+    # constant up to rho's change within a step (at most 1% at tau / 50)
+    rho = np.sqrt((np.exp(-mids / tau) + dynamics.GRID_FLOOR)
+                  / (1 + dynamics.GRID_FLOOR))
+    work = dts * np.maximum(rho, step / coarsest)
+    assert work.max() <= work.min() * 1.02
+    if fraction == 1:
+        uniform = uniform_deltas(sched, t0, t1, step)
+        assert np.array_equal(deltas, uniform[0])
+        assert np.array_equal(dts, uniform[1])
+
+
+@given(detunings, st.floats(10e-6, 5e-3), st.floats(0.01, 1))
+@settings(max_examples=50, deadline=None)
+def test_graded_grid_is_the_uniform_one_at_the_coarsest_step(d0, tau, fraction):
+    # tau / 50 makes the cap bind everywhere, and so does a step whose cap
+    # binds from t0 on
+    sched = rc_ramp(d0, -d0, tau)
+    for t0, step in ((0.0, tau / 50), (sched.duration * fraction, None)):
+        if step is None:
+            # rho(t0) below step / (tau / 50)
+            rho = math.sqrt((math.exp(-t0 / tau) + dynamics.GRID_FLOOR)
+                            / (1 + dynamics.GRID_FLOOR))
+            step = min(tau / 50, 1.01 * rho * tau / 50)
+        got = piecewise_deltas(sched, t0, sched.duration, step)
+        expected = uniform_deltas(sched, t0, sched.duration, tau / 50)
+        assert np.array_equal(got[0], expected[0])
+        assert np.array_equal(got[1], expected[1])
+
+
+def test_flat_ramp_gets_the_grid_of_its_tau():
+    # the grid depends on the ramp only through tau_rc
+    tau = 2e-3
+    flat = RampSchedule(PARKING, PARKING, tau, 5 * tau)
+    sloped = rc_ramp(PARKING, -PARKING, tau)
+    step = default_step(XI, sloped)
+    deltas, dts = piecewise_deltas(flat, 0.0, flat.duration, step)
+    assert flat.direction == "flat"
+    assert np.array_equal(dts, piecewise_deltas(sloped, 0.0, tau * 5, step)[1])
+    assert np.all(deltas == PARKING)
+    assert 0 < dts.min() <= dts.max() <= tau / 50
+
+
+def test_graded_grid_halves_the_uniform_steps_at_lower_error():
+    # the reference sweep's ramp on 16x8: about half the steps of the old
+    # uniform grid of 20 steps per parking period, and a step-halving change
+    # of W no larger than that grid's
+    space = TwoModeSpace(FockDim(16), FockDim(8))
+    sched = slow_sweep()
+    model = MeasurementModel(eta=0.86, shots=1, seed=0)
+    state = cat_state(space.radial, 1.0)
+    alphas = phase_space_grid(1.5, 11)
+    uniform_step = TWO_PI / (20 * PARKING)
+
+    def halving(step):
+        w = []
+        for s in (step, step / 2):
+            sweep = sweep_unitaries(space, XI, sched, s)
+            w.append(wigner_scan(state, alphas, XI, space, sched, model,
+                                 exact=True, sweep=sweep).wigner)
+        return np.abs(w[0] - w[1]).max(), sweep.dts.size
+
+    graded, graded_steps = halving(default_step(XI, sched))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "piecewise_deltas", uniform_deltas)
+        uniform, uniform_steps = halving(uniform_step)
+    assert uniform_steps == 14000
+    assert graded_steps < 0.55 * uniform_steps
+    assert graded <= uniform
+
+
 def test_step_halving_convergence():
     space = TwoModeSpace(FockDim(16), FockDim(8))
     sched = rc_ramp(PARKING, -PARKING, 2e-3)
@@ -424,7 +531,6 @@ def reference_sweep(space, xi, schedule, step):
     return out
 
 
-detunings = st.floats(-TWO_PI * 40e3, TWO_PI * 40e3)
 # per-sector chunk budgets from one step per chunk up to the default
 chunk_budgets = st.sampled_from([64, 64 * 16, dynamics.CHUNK_BYTES])
 
@@ -676,9 +782,11 @@ def test_sweep_batches_eigh_in_bounded_chunks(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     sweep = sweep_unitaries(space, XI, sched)
-    n_steps = piecewise_deltas(sched, 0.0, sched.duration, sweep.step)[0].size
+    deltas, dts = piecewise_deltas(sched, 0.0, sched.duration, sweep.step)
+    assert np.array_equal(sweep.deltas, deltas) and np.array_equal(sweep.dts, dts)
+    n_steps = dts.size
     # endpoint_bases, not unitaries: reading those would march them now
     n_sectors = len(sweep.endpoint_bases)
-    assert n_steps == 7000
+    assert n_steps > 1000
     assert len(stacks) < n_sectors * n_steps / 100
     assert max(stacks) <= dynamics.CHUNK_BYTES // 8
