@@ -233,7 +233,21 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
+def _check_finite(cfg: RunConfig) -> None:
+    """ConfigValueError for a NaN or infinite number in any field or list."""
+    for top in fields(cfg):
+        value = getattr(cfg, top.name)
+        items = ([(f"{top.name}.{f.name}", getattr(value, f.name))
+                  for f in fields(value)] if top.name in _SECTION_TYPES
+                 else [(top.name, value)])
+        for path, item in items:
+            for x in item if isinstance(item, tuple) else (item,):
+                if isinstance(x, float) and not math.isfinite(x):
+                    raise ConfigValueError(path, f"must be a finite number, got {x}")
+
+
 def validate_config(cfg: RunConfig) -> None:
+    _check_finite(cfg)
     if cfg.experiment is not None and cfg.experiment not in EXPERIMENTS:
         raise ConfigValueError(
             "experiment", f"must be one of {', '.join(EXPERIMENTS)}"

@@ -16,16 +16,18 @@ are unchanged, while step sizes are set by kHz scales.
 H commutes exactly with K = a^dag a + 2 c^dag c, so evolution is computed
 per K sector: dense full-space cost O(D^3) becomes a sum of small cubes.
 
-Time-dependent detuning ramps are propagated as piecewise-constant
-Hamiltonians with the exact per-step exponential (eigendecomposition of the
-real-symmetric sector matrix, delta sampled at the step midpoint). Every
-step is exactly unitary; accuracy is certified by the step-halving
-convergence contract rather than by an adaptive integrator. One kernel,
-`_march`, does every piecewise-constant propagation: worker threads, one
-per usable core, diagonalize the step Hamiltonians a batch of steps at a
-time with batched eighs, while the calling thread advances the given
-columns of all its sectors together, so the Python-level cost per step is
-a single small matrix product.
+Time-dependent detuning ramps are propagated step by step with the
+fourth-order Magnus exponent of two Gauss points (Blanes et al., Phys. Rep.
+470, 151 (2009)). H(t) is linear in delta(t), so that exponent is a real
+symmetric sector matrix conjugated by a diagonal phase (`piecewise_deltas`),
+and each step is the exact exponential of it, computed from one
+eigendecomposition of the real matrix. Every step is exactly unitary;
+accuracy is certified by the step-halving convergence contract rather than
+by an adaptive integrator. One kernel, `_march`, does every step-by-step
+propagation: worker threads, one per usable core, diagonalize the step
+matrices a batch of steps at a time with batched eighs, while the calling
+thread advances the given columns of all its sectors together, so the
+Python-level cost per step is a few small array operations.
 """
 
 from __future__ import annotations
@@ -53,10 +55,10 @@ from .fock import (
 )
 
 # Memory for the propagation kernel's per-batch stacks: the decomposed
-# batches in flight between its workers and the march (eigenvalues and step
-# overlaps of every sector), the march's overlap stack, and each batched
-# eigh. The batch length follows from it, so memory stays bounded whatever
-# the ramp length.
+# batches in flight between its workers and the march (eigenvalues and
+# eigenvectors of every sector), the march's eigenvector stack, and each
+# batched eigh. The batch length follows from it, so memory stays bounded
+# whatever the ramp length.
 CHUNK_BYTES = 32 << 20
 
 # decomposed batches each worker of the propagation kernel may hold ready
@@ -233,28 +235,41 @@ def rc_ramp(delta_start: float, delta_end: float, tau_rc: float,
 def default_step(xi: float, schedule: RampSchedule) -> float:
     """Conservative finest step of the graded grid (`piecewise_deltas`), taken
     where the ramp is steepest: it resolves both the ramp (tau_rc / 50) and
-    the fastest relevant phase evolution, 25 steps per period of
-    max(|delta endpoints|, 2 sqrt(2) xi). On the reference sweep the graded
-    grid takes half the steps of the uniform grid at 20 steps per period it
-    replaced, with a smaller step-halving change.
+    the fastest relevant phase evolution, 12.5 fourth-order Magnus steps per
+    period of max(|delta endpoints|, 2 sqrt(2) xi). On the reference sweep
+    that is 1754 steps, a quarter of the uniform midpoint grid at 20 steps
+    per period that the graded grid replaced, with a step-halving change of
+    W about 8 times below that of the midpoint steps at 25 per period.
     """
     omega_ref = max(abs(schedule.delta_start), abs(schedule.delta_end),
                     2 * math.sqrt(2) * abs(xi))
-    bound = 2 * math.pi / (25 * omega_ref) if omega_ref > 0 else math.inf
+    bound = 2 * math.pi / (12.5 * omega_ref) if omega_ref > 0 else math.inf
     return min(schedule.tau_rc / 50, bound)
+
+
+def _check_step(step: float, schedule: RampSchedule | None = None) -> None:
+    """StepPolicyError unless `step` is finite and positive and, given a
+    schedule, at most its tau_rc / 50."""
+    if not (math.isfinite(step) and step > 0):
+        raise StepPolicyError(f"step {step} is not a finite positive duration")
+    if schedule is not None and step > schedule.tau_rc / 50 * (1 + 1e-12):
+        raise StepPolicyError(
+            f"step {step} exceeds tau_rc / 50 = {schedule.tau_rc / 50}"
+        )
 
 
 # ---------------------------------------------------------------------------
 # propagation
 
 
-def _hamiltonian_stack(coupling: np.ndarray, n_c: np.ndarray, xi: float,
-                       deltas: np.ndarray) -> np.ndarray:
+def _hamiltonian_stack(coupling: np.ndarray, n_c: np.ndarray,
+                       xi: float | np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """Stack (g, len(deltas), s, s) of the matrices of g sectors of equal
-    size s (couplings (g, s, s), n_c diagonals (g, s)) at each detuning."""
+    size s (couplings (g, s, s), n_c diagonals (g, s)) at each detuning,
+    with the coupling strength `xi`, one for all or one per detuning."""
     g, s, _ = coupling.shape
     h = np.empty((g, deltas.size, s, s))
-    h[:] = xi * coupling[:, None]
+    h[:] = coupling[:, None] * np.broadcast_to(xi, deltas.shape)[:, None, None]
     h.reshape(g, deltas.size, s * s)[..., ::s + 1] += (
         n_c[:, None, :] * deltas[None, :, None])
     return h
@@ -291,24 +306,16 @@ def _split(costs, n: int) -> list[list[int]]:
     return [sorted(share) for share in shares]
 
 
-def _decompose(groups, xi: float, deltas, batch: int):
-    """Diagonalize the step Hamiltonians of the sector-size `groups`
-    ((couplings, n_c diagonals) pairs) a batch of steps at a time, with one
-    batched eigh per group. Yields, per batch in order, the eigenvalues, the
-    step overlaps V_t^T V_{t-1} and the last eigenvectors of every group;
-    the last eigenvectors of a batch, which the next one's first overlap
-    needs, stay in the generator."""
-    prev = [np.broadcast_to(np.eye(coupling.shape[1]), coupling.shape)
-            for coupling, _ in groups]
+def _decompose(groups, xis, deltas, batch: int):
+    """Diagonalize the step matrices of the sector-size `groups` ((couplings,
+    n_c diagonals) pairs), with coupling strength xis[t] and detuning
+    deltas[t] at step t, a batch of steps at a time, with one batched eigh
+    per group. Yields, per batch in order, the eigenvalues and eigenvectors
+    of every group."""
     for lo in range(0, deltas.size, batch):
-        part = []
-        for i, (coupling, n_c) in enumerate(groups):
-            w, v = np.linalg.eigh(_hamiltonian_stack(coupling, n_c, xi,
-                                                     deltas[lo:lo + batch]))
-            before = np.concatenate([prev[i][:, None], v[:, :-1]], axis=1)
-            prev[i] = v[:, -1].copy()
-            part.append((w, v.transpose(0, 1, 3, 2) @ before, prev[i]))
-        yield part
+        yield [np.linalg.eigh(_hamiltonian_stack(coupling, n_c, xis[lo:lo + batch],
+                                                 deltas[lo:lo + batch]))
+               for coupling, n_c in groups]
 
 
 def _feed(batches, ready: queue.Queue, stop: threading.Event) -> None:
@@ -333,7 +340,7 @@ def _feed(batches, ready: queue.Queue, stop: threading.Event) -> None:
 
 
 @contextmanager
-def _decomposition(groups, xi: float, deltas, batch: int):
+def _decomposition(groups, xis, deltas, batch: int):
     """Run `_decompose` over the sector-size `groups`, in shares balanced by
     the eigh cost g s^3, one per usable core, each on one worker thread for
     the whole ramp and up to PREFETCH batches ahead of the march. A batch
@@ -341,12 +348,12 @@ def _decomposition(groups, xi: float, deltas, batch: int):
     handing batches between threads than it gains, so it gets fewer shares;
     a single share runs in the calling thread. Yields an iterator that
     gives, per batch of steps in order, the pairs (group index, (eigenvalues,
-    step overlaps, last eigenvectors)) of every group."""
+    eigenvectors)) of every group."""
     costs = [coupling.size * coupling.shape[1] for coupling, _ in groups]
     workers = _worker_count()
     shares = _split(costs, max(1, min(workers, len(groups),
                                       batch * sum(costs) // SHARE_WORK)))
-    gens = [_decompose([groups[i] for i in share], xi, deltas, batch)
+    gens = [_decompose([groups[i] for i in share], xis, deltas, batch)
             for share in shares]
     if len(shares) == 1:
         yield (list(enumerate(part)) for part in gens[0])
@@ -375,38 +382,50 @@ def _decomposition(groups, xi: float, deltas, batch: int):
                 job.result()
 
 
-def _march(blocks, xi: float, deltas, dts, cols, follow: bool = False):
+def _march(blocks, xi: float, deltas, dts, cols, gammas=None,
+           follow: bool = False):
     """Evolve, in lockstep, columns of several K sectors through the steps
-    exp(-i H(deltas[t]) dts[t]), in order.
+    P_t^dag exp(-i dts[t] H_t) P_t, in order, with
+    H_t = deltas[t] N + xi sqrt(1 + gammas[t]^2) C (N the n_c diagonal, C
+    the coupling) and the twist P_t = diag(exp(i n_c atan gammas[t])):
+    the fourth-order Magnus step of `piecewise_deltas`. Without `gammas`
+    every twist is the identity and a step is exp(-i H(deltas[t]) dts[t]).
 
     `cols[j]` ((s_j,) or (s_j, m_j)) holds the start columns of `blocks[j]`;
-    the evolved columns come back in the same shapes. The step Hamiltonians
-    are diagonalized a batch of steps at a time, with one batched eigh per
+    the evolved columns come back in the same shapes. The step matrices are
+    diagonalized a batch of steps at a time, with one batched eigh per
     sector size, in worker threads, one per usable core, that run ahead of
-    the march (`_decomposition`). The columns are carried in the step
-    eigenbases: with V_t the eigenvectors of step t, a step is the basis
-    change V_t^T V_{t-1} followed by one phase per eigenvalue. The sectors
-    are packed, largest first, into bins of the largest sector's size, whose
-    overlap matrices are block diagonal, so one real matmul on the (bins,
-    size, .) stack steps every sector at once. The batch length keeps the
-    batches in flight, the march's stacks and each eigh stack within
-    CHUNK_BYTES, so memory stays bounded whatever the ramp length. Every
-    matrix is decomposed and multiplied alone, so the result does not
-    depend on the number of workers.
+    the march (`_decomposition`). The march carries P_t times the columns:
+    with V_t the eigenvectors of H_t, a step multiplies by the diagonal
+    P_t P_{t-1}^dag, changes to the eigenbasis with V_t^T, applies one phase
+    per eigenvalue and changes back with V_t; P_T^dag ends the march. The
+    sectors are packed, largest first, into bins of the largest sector's
+    size, whose eigenvector matrices are block diagonal, so two real
+    matmuls on the (bins, size, .) stack step every sector at once. The
+    batch length keeps the batches in flight, the march's stacks and each
+    eigh stack within CHUNK_BYTES, so memory stays bounded whatever the
+    ramp length. Every matrix is decomposed and multiplied alone, so the
+    result does not depend on the number of workers.
 
-    With `follow`, column 0 of every sector must be an instantaneous
-    eigenvector at the start. The kernel then follows, step by step, the
-    eigenvector of maximal overlap with the previous step's (continuity, not
-    eigenvalue order, so the branch is tracked through avoided crossings),
-    and returns the fidelities |<branch|evolved column 0>|^2 after the last
-    step and their minimum over all steps, one entry per sector; otherwise
-    the second result is None.
+    With `follow`, column 0 of every sector must be an eigenvector of the
+    sector matrix at the start. The kernel then follows, step by step, the
+    eigenvector P_t^dag V_t e_k of maximal overlap with the previous step's
+    (continuity, not eigenvalue order, so the branch is tracked through
+    avoided crossings), carried as one more column, and returns the
+    fidelities |<branch|evolved column 0>|^2 after the last step and their
+    minimum over all steps, one entry per sector; otherwise the second
+    result is None.
     """
     n = len(blocks)
     if n == 0:
         return [], ((np.empty(0), np.empty(0)) if follow else None)
     deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
     dts = np.atleast_1d(np.asarray(dts, dtype=float))
+    gammas = (np.zeros(deltas.size) if gammas is None
+              else np.atleast_1d(np.asarray(gammas, dtype=float)))
+    # the twist angles, and their changes from step to step
+    thetas = np.arctan(gammas)
+    turns = np.diff(thetas, prepend=0.0)
     sizes = np.array([b.size for b in blocks])
     width = sizes.max()
     # first-fit packing: sector j occupies rows offset[j]:offset[j] + s_j
@@ -420,17 +439,22 @@ def _march(blocks, xi: float, deltas, dts, cols, follow: bool = False):
         bin_of[j], offset[j] = b, width - free[b]
         free[b] -= sizes[j]
     rows = [slice(offset[j], offset[j] + sizes[j]) for j in range(n)]
+    n_bins = len(free)
+    # n_c of every row, which the twists act on (0 in unused rows)
+    n_c = np.zeros((n_bins, width, 1), dtype=int)
+    for j, b in enumerate(blocks):
+        n_c[bin_of[j], rows[j], 0] = b.n_c_diag
     # sectors of one size share an eigh call
     members = [np.flatnonzero(sizes == s) for s in np.unique(sizes)]
     groups = [(np.stack([blocks[j].coupling for j in m]),
                np.stack([blocks[j].n_c_diag for j in m])) for m in members]
     widest = max(coupling.size for coupling, _ in groups)
-    n_bins = len(free)
-    # bytes per step: decomposed, the eigenvalues and overlaps of every
+    # bytes per step: decomposed, the eigenvalues and eigenvectors of every
     # sector, of which the workers may hold PREFETCH batches queued and one
-    # in work, with two more stacks of temporaries, while the march holds
-    # one; and marched, the march's stacks of overlaps, eigenvalues, phases
-    # and followed columns
+    # in work, with its stack of step matrices, while the march holds one,
+    # plus one batch of headroom; and marched, the march's stacks of
+    # eigenvectors, eigenvalues and phases, with the phases' arguments and
+    # their sines and cosines
     decomposed = 8 * int(np.sum(sizes * (sizes + 1)))
     marched = 8 * n_bins * width * (width + 8)
     batch = max(1, min(CHUNK_BYTES // ((PREFETCH + 4) * decomposed + marched),
@@ -438,65 +462,61 @@ def _march(blocks, xi: float, deltas, dts, cols, follow: bool = False):
 
     cols = [np.asarray(col, dtype=complex) for col in cols]
     n_cols = [1 if col.ndim == 1 else col.shape[1] for col in cols]
-    # the columns in the current step's eigenbasis (the bare basis at first)
-    y = np.zeros((n_bins, width, max(n_cols)), dtype=complex)
+    # P_t times the columns, and with `follow` the followed branch last
+    z = np.zeros((n_bins, width, max(n_cols) + follow), dtype=complex)
     for j, col in enumerate(cols):
-        y[bin_of[j], rows[j], :n_cols[j]] = col.reshape(sizes[j], -1)
-    spare = np.empty_like(y)
-    # per group, the last step's eigenvectors, to return to the bare basis
-    last = [np.broadcast_to(np.eye(coupling.shape[1]), coupling.shape)
-            for coupling, _ in groups]
-    overlap = np.zeros((batch, n_bins, width, width))
+        z[bin_of[j], rows[j], :n_cols[j]] = col.reshape(sizes[j], -1)
+        if follow:
+            z[bin_of[j], rows[j], -1] = z[bin_of[j], rows[j], 0]
+    # the same in the step's eigenbasis
+    y = np.empty_like(z)
+    basis = np.zeros((batch, n_bins, width, width))
+    basis_t = basis.transpose(0, 1, 3, 2)
     angle = np.zeros((batch, n_bins, width))
-    slot = np.arange(width)
-    pick = final = worst = None
+    # a branch's successor lies in its sector's rows of its bin
+    inside = np.zeros((n, width))
+    for j in range(n):
+        inside[j, rows[j]] = 1.0
+    final = worst = None
 
-    with _decomposition(groups, xi, deltas, batch) as batches:
+    with _decomposition(groups, xi * np.sqrt(1 + gammas ** 2), deltas,
+                        batch) as batches:
         for lo, parts in zip(range(0, deltas.size, batch), batches):
             c = min(batch, deltas.size - lo)
-            for i, (w, step_overlap, v_last) in parts:
-                last[i] = v_last
+            for i, (w, v) in parts:
                 for k, j in enumerate(members[i]):
                     b, r = bin_of[j], rows[j]
                     angle[:c, b, r] = w[k]
-                    overlap[:c, b, r, r] = step_overlap[k]
+                    basis[:c, b, r, r] = v[k]
             arg = angle[:c] * dts[lo:lo + c, None, None]
             phases = np.empty((c, n_bins, width, 1), dtype=complex)
             phases.real[..., 0], phases.imag[..., 0] = np.cos(arg), -np.sin(arg)
-            track = np.empty((c, n_bins, width), dtype=complex) if follow else None
+            # the twist P_t P_{t-1}^dag of row n_c is twists[t, n_c]
+            twists = np.exp(1j * turns[lo:lo + c, None] * np.arange(n_c.max() + 1))
+            if follow:
+                track = np.empty((c, n), dtype=complex)
             for t in range(c):
-                np.matmul(overlap[t], y.view(float), out=spare.view(float))
-                np.multiply(spare, phases[t], out=y)
+                np.multiply(z, twists[t, n_c], out=z)
+                np.matmul(basis_t[t], z.view(float), out=y.view(float))
                 if follow:
-                    track[t] = y[:, :, 0]
+                    # the successor: the eigenvector of largest overlap
+                    # with the branch, which the last column holds
+                    pick = (np.abs(y[bin_of, :, -1]) * inside).argmax(axis=1)
+                    track[t] = y[bin_of, pick, 0]
+                    y[:, :, -1] = 0.0
+                    y[bin_of, pick, -1] = 1.0
+                np.multiply(y, phases[t], out=y)
+                np.matmul(basis[t], y.view(float), out=z.view(float))
             if not follow:
                 continue
-            # the branch's successor at step t: the step eigenvector of largest
-            # overlap with the followed one, read from column `pick` of
-            # V_t^T V_{t-1} (at the very first step, from the start vector,
-            # within the sector's own rows)
-            picks = np.empty((c, n), dtype=int)
-            for t in range(c):
-                if pick is None:
-                    lead = np.abs(track[0][bin_of])
-                    outside = (slot < offset[:, None]) | (slot >= (offset + sizes)[:, None])
-                    lead[outside] = -1
-                    pick = lead.argmax(axis=1)
-                else:
-                    pick = np.abs(overlap[t, bin_of, :, pick]).argmax(axis=1)
-                picks[t] = pick
-            fids = np.abs(track[np.arange(c)[:, None], bin_of, picks]) ** 2
+            fids = np.abs(track) ** 2
             worst = fids.min(axis=0) if worst is None else np.minimum(
                 worst, fids.min(axis=0))
             final = fids[-1]
-    # back to the bare basis with the last step's eigenvectors
-    basis = np.zeros((n_bins, width, width))
-    for m, v in zip(members, last):
-        for k, j in enumerate(m):
-            basis[bin_of[j], rows[j], rows[j]] = v[k]
-    x = (basis @ y.view(float)).view(complex)
-    out = [x[bin_of[j], rows[j], :n_cols[j]].reshape(col.shape)
-           for j, col in enumerate(cols)]
+    # undo the last step's twist
+    untwist = np.exp(-1j * (thetas[-1] if thetas.size else 0.0) * n_c)
+    out = [(z[bin_of[j], rows[j], :n_cols[j]] * untwist[bin_of[j], rows[j]]
+            ).reshape(col.shape) for j, col in enumerate(cols)]
     if not follow:
         return out, None
     return out, (final, np.minimum(worst, 1.0))
@@ -538,12 +558,26 @@ def _grid_nodes(u0: float, targets: np.ndarray) -> np.ndarray:
 
 
 def piecewise_deltas(schedule: RampSchedule, t0: float, t1: float,
-                     step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint detunings and durations of the steps that march [t0, t1].
+                     step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Detunings, durations and twists (deltas, dts, gammas) of the steps
+    that march [t0, t1], for the fourth-order Magnus step of `_march`.
 
-    The grid follows the RC ramp. The midpoint exponential's local error
-    scales as dt^3 |delta'(t)|, and |delta'| falls as exp(-t / tau_rc), so a
-    step at time t (from the ramp start) lasts step / rho(t), with
+    Step k of duration h has the Gauss points t_m +- h sqrt(3) / 6 about
+    its midpoint t_m, with detunings delta_+- there. With
+    H(t) = delta(t) N + xi C (N the n_c diagonal, C the coupling), the
+    two-point Magnus exponent is -i h (H(delta_+) + H(delta_-)) / 2 -
+    (sqrt(3) h^2 / 12) [H(delta_+), H(delta_-)], and the commutator is
+    xi (delta_+ - delta_-) [N, C]. n_c rises by one along each sector, so
+    [C, N] is C with its lower half negated, and the exponent is
+    -i h P^dag (delta N + xi sqrt(1 + gamma^2) C) P with
+    delta = (delta_+ + delta_-) / 2, gamma = (sqrt(3) / 12) h (delta_+ -
+    delta_-) and P = diag(exp(i n_c atan gamma)): a real symmetric matrix
+    twisted by a diagonal phase. gamma = 0 is the midpoint exponential's
+    step at the mean detuning.
+
+    The grid follows the RC ramp. A step's local error grows with the
+    ramp's rate of change, which falls as exp(-t / tau_rc), so a step at
+    time t (from the ramp start) lasts step / rho(t), with
     rho(t) = sqrt((exp(-t / tau_rc) + GRID_FLOOR) / (1 + GRID_FLOOR)): `step`
     is the finest step, taken where the ramp is steepest. No step lasts
     longer than tau_rc / 50. The step count is the integral of rho / step
@@ -555,8 +589,10 @@ def piecewise_deltas(schedule: RampSchedule, t0: float, t1: float,
     step >= tau_rc / 50 -- the grid is uniform: ceil(span / h) equal steps
     with h = max(step, tau_rc / 50). The grid depends on the ramp only
     through tau_rc, so a flat ramp (delta_start == delta_end) gets the grid
-    of a sloped one with the same tau_rc.
+    of a sloped one with the same tau_rc. A step that is not finite and
+    positive is a StepPolicyError.
     """
+    _check_step(step)
     span = t1 - t0
     tau = schedule.tau_rc
     coarsest = max(step, tau / 50)
@@ -567,21 +603,27 @@ def piecewise_deltas(schedule: RampSchedule, t0: float, t1: float,
         n = max(1, int(math.ceil(span / coarsest - 1e-12)))
         dts = np.full(n, span / n)
         mids = t0 + (np.arange(n) + 0.5) * (span / n)
-        return np.asarray(schedule.delta_at(mids), dtype=float), dts
-    # the cap binds from u_cap on (never when rho_cap is below rho(infinity))
-    tail = rho_cap ** 2 * (1 + GRID_FLOOR) - GRID_FLOOR
-    u_cap = -math.log(tail) if tail > 0 else math.inf
-    counted = _grid_count(min(u1, u_cap)) - _grid_count(u0)
-    total = counted + rho_cap * max(0.0, u1 - u_cap)
-    n = max(1, int(math.ceil(total * tau / step - 1e-12)))
-    targets = total * np.arange(1, n) / n
-    graded = targets < counted
-    u = np.empty(n - 1)
-    u[graded] = _grid_nodes(u0, _grid_count(u0) + targets[graded])
-    u[~graded] = u_cap + (targets[~graded] - counted) / rho_cap
-    nodes = np.concatenate([[t0], tau * u, [t1]])
-    mids = 0.5 * (nodes[:-1] + nodes[1:])
-    return np.asarray(schedule.delta_at(mids), dtype=float), np.diff(nodes)
+    else:
+        # the cap binds from u_cap on (never when rho_cap is below
+        # rho(infinity))
+        tail = rho_cap ** 2 * (1 + GRID_FLOOR) - GRID_FLOOR
+        u_cap = -math.log(tail) if tail > 0 else math.inf
+        counted = _grid_count(min(u1, u_cap)) - _grid_count(u0)
+        total = counted + rho_cap * max(0.0, u1 - u_cap)
+        n = max(1, int(math.ceil(total * tau / step - 1e-12)))
+        targets = total * np.arange(1, n) / n
+        graded = targets < counted
+        u = np.empty(n - 1)
+        u[graded] = _grid_nodes(u0, _grid_count(u0) + targets[graded])
+        u[~graded] = u_cap + (targets[~graded] - counted) / rho_cap
+        nodes = np.concatenate([[t0], tau * u, [t1]])
+        dts = np.diff(nodes)
+        mids = 0.5 * (nodes[:-1] + nodes[1:])
+    half = dts * (math.sqrt(3) / 6)
+    later = np.asarray(schedule.delta_at(mids + half), dtype=float)
+    earlier = np.asarray(schedule.delta_at(mids - half), dtype=float)
+    return (0.5 * (later + earlier), dts,
+            (math.sqrt(3) / 12) * dts * (later - earlier))
 
 
 def _populated_blocks(amp: np.ndarray, space: TwoModeSpace) -> list[SectorBlock]:
@@ -591,22 +633,27 @@ def _populated_blocks(amp: np.ndarray, space: TwoModeSpace) -> list[SectorBlock]
     ]
 
 
-def _march_state(amp: np.ndarray, blocks, xi: float, deltas, dts) -> None:
+def _march_state(amp: np.ndarray, blocks, xi: float, deltas, dts,
+                 gammas=None) -> None:
     """Evolve the full-space amplitudes `amp` in place on `blocks`."""
-    evolved, _ = _march(blocks, xi, deltas, dts, [amp[b.indices] for b in blocks])
+    evolved, _ = _march(blocks, xi, deltas, dts, [amp[b.indices] for b in blocks],
+                        gammas)
     for b, sub in zip(blocks, evolved):
         amp[b.indices] = sub
 
 
-def apply_piecewise(state: StateVector, xi: float, deltas, dts) -> StateVector:
-    """Apply the exact piecewise-constant evolution exp(-i H(delta_k) dt_k),
-    in sequence, to a two-mode state. Negative dt values evolve backwards
-    (conjugated Hamiltonian sequence)."""
+def apply_piecewise(state: StateVector, xi: float, deltas, dts,
+                    gammas=None) -> StateVector:
+    """Apply, in sequence, the steps of `_march` with detunings `deltas`,
+    durations `dts` and twists `gammas` (as `piecewise_deltas` gives them)
+    to a two-mode state. Without `gammas` the steps are the exact
+    piecewise-constant evolution exp(-i H(delta_k) dt_k). The steps in
+    reverse order with negated dt values and the same gammas undo them."""
     space = state.basis
     if not isinstance(space, TwoModeSpace):
         raise ValueError("apply_piecewise needs a two-mode state")
     amp = state.amplitudes.copy()
-    _march_state(amp, _populated_blocks(amp, space), xi, deltas, dts)
+    _march_state(amp, _populated_blocks(amp, space), xi, deltas, dts, gammas)
     return StateVector(amp, space)
 
 
@@ -664,8 +711,10 @@ def propagate(state: StateVector, hamiltonian: RotatingFrameHamiltonian,
     Constant mode (schedule None): evolve under `hamiltonian` for t_final;
     the evolution between samples is a single exact exponential.
     Ramp mode: delta(t) follows the schedule (hamiltonian supplies xi and the
-    space); piecewise-constant steps of at most `step`, which must satisfy
-    step <= tau_rc / 50. t_final defaults to the schedule duration.
+    space); fourth-order Magnus steps on the graded grid of
+    `piecewise_deltas` with finest step `step`, which must be finite,
+    positive and at most tau_rc / 50. t_final defaults to the schedule
+    duration.
     """
     space = hamiltonian.space
     if state.basis != space:
@@ -678,10 +727,7 @@ def propagate(state: StateVector, hamiltonian: RotatingFrameHamiltonian,
             t_final = schedule.duration
         if step is None:
             step = default_step(hamiltonian.xi, schedule)
-        if step > schedule.tau_rc / 50 * (1 + 1e-12):
-            raise StepPolicyError(
-                f"step {step} exceeds tau_rc / 50 = {schedule.tau_rc / 50}"
-            )
+        _check_step(step, schedule)
     if sample_times is None:
         sample_times = np.linspace(0.0, t_final, 101)
     sample_times = np.asarray(sample_times, dtype=float)
@@ -700,10 +746,10 @@ def propagate(state: StateVector, hamiltonian: RotatingFrameHamiltonian,
     for i, t_k in enumerate(sample_times):
         if t_k > t_now:
             if schedule is None:
-                deltas, dts = np.array([hamiltonian.delta]), np.array([t_k - t_now])
+                steps = np.array([hamiltonian.delta]), np.array([t_k - t_now])
             else:
-                deltas, dts = piecewise_deltas(schedule, t_now, t_k, step)
-            _march_state(amp, blocks, hamiltonian.xi, deltas, dts)
+                steps = piecewise_deltas(schedule, t_now, t_k, step)
+            _march_state(amp, blocks, hamiltonian.xi, *steps)
             t_now = t_k
         out[i] = amp
         leak = guard_leak(amp, space)
@@ -750,14 +796,17 @@ class SweepResult:
     only on demand, by `unitaries` (and so by `apply`).
 
     step is the finest step of the graded grid, which `piecewise_deltas`
-    lays once for the sweep; deltas and dts hold that grid's midpoint
-    detunings and step durations, and `unitaries` marches the same grid.
+    lays once for the sweep; deltas, dts and gammas hold that grid's
+    fourth-order Magnus steps: the mean detuning of each step's two Gauss
+    points, the step durations and the twists. `unitaries` marches the same
+    steps.
 
     branch_final_fid / branch_min_fid monitor the sweep's own adiabaticity:
     the instantaneous eigenstate anchored at the start (followed through the
-    crossing by maximal-overlap continuity, not eigenvalue order) is evolved
-    with the sweep, and its fidelity to the tracked branch is recorded along
-    the way. An ideal adiabatic sweep keeps it at 1.
+    crossing by maximal-overlap continuity, not eigenvalue order, among the
+    eigenvectors of each step's Magnus exponent) is evolved with the sweep,
+    and its fidelity to the tracked branch is recorded along the way. An
+    ideal adiabatic sweep keeps it at 1.
     """
 
     space: TwoModeSpace
@@ -766,6 +815,7 @@ class SweepResult:
     step: float
     deltas: np.ndarray
     dts: np.ndarray
+    gammas: np.ndarray
     evolved: dict[int, np.ndarray]
     endpoint_bases: dict[int, tuple[np.ndarray, np.ndarray]]
     branch_final_fid: dict[int, float]
@@ -777,7 +827,7 @@ class SweepResult:
         blocks = block_decompose(self.space)
         blocks = [blocks.by_k(k) for k in self.endpoint_bases]
         u, _ = _march(blocks, self.xi, self.deltas, self.dts,
-                      [np.eye(b.size) for b in blocks])
+                      [np.eye(b.size) for b in blocks], self.gammas)
         return {b.k: uk for b, uk in zip(blocks, u)}
 
     def apply(self, state: StateVector) -> StateVector:
@@ -823,15 +873,12 @@ def sweep_unitaries(space: TwoModeSpace, xi: float, schedule: RampSchedule,
     """
     if step is None:
         step = default_step(xi, schedule)
-    if step > schedule.tau_rc / 50 * (1 + 1e-12):
-        raise StepPolicyError(
-            f"step {step} exceeds tau_rc / 50 = {schedule.tau_rc / 50}"
-        )
+    _check_step(step, schedule)
     blocks = block_decompose(space).blocks
     if sector_ks is not None:
         wanted = set(int(k) for k in sector_ks)
         blocks = tuple(b for b in blocks if b.k in wanted)
-    deltas, dts = piecewise_deltas(schedule, 0.0, schedule.duration, step)
+    deltas, dts, gammas = piecewise_deltas(schedule, 0.0, schedule.duration, step)
     ends = schedule.delta_at(np.array([0.0, schedule.duration]))
     endpoint_bases = {}
     for b in blocks:
@@ -842,7 +889,7 @@ def sweep_unitaries(space: TwoModeSpace, xi: float, schedule: RampSchedule,
     starts = [0] if ends[0] > 0 else [0, -1]
     evolved, (final_fid, min_fid) = _march(
         blocks, xi, deltas, dts,
-        [endpoint_bases[b.k][0][:, starts] for b in blocks], follow=True)
+        [endpoint_bases[b.k][0][:, starts] for b in blocks], gammas, follow=True)
     return SweepResult(
         space=space,
         xi=xi,
@@ -850,6 +897,7 @@ def sweep_unitaries(space: TwoModeSpace, xi: float, schedule: RampSchedule,
         step=step,
         deltas=deltas,
         dts=dts,
+        gammas=gammas,
         evolved={b.k: f for b, f in zip(blocks, evolved)},
         endpoint_bases=endpoint_bases,
         branch_final_fid={b.k: float(f) for b, f in zip(blocks, final_fid)},

@@ -243,8 +243,8 @@ def test_criterion_8_property_suite(tmp_path):
     step = default_step(PARAMS.xi, schedule)
     finals = []
     for s in (step, step / 2):
-        deltas, dts = piecewise_deltas(schedule, 0.0, schedule.duration, s)
-        finals.append(apply_piecewise(psi, PARAMS.xi, deltas, dts))
+        finals.append(apply_piecewise(
+            psi, PARAMS.xi, *piecewise_deltas(schedule, 0.0, schedule.duration, s)))
     halving = abs(1 - finals[0].fidelity(finals[1]))
     checks.append(("step-halving fidelity change", halving, 1e-8))
 

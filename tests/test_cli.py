@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import trilinear
 from trilinear.cli import convergence_rows, main
@@ -109,12 +110,12 @@ def test_sweep_steps_reported(tmp_path, capsys, command):
                        capsys)
     assert code == 0
     sched = rc_ramp(TWO_PI * 35e3, -TWO_PI * 35e3, 2e-3)
-    _, dts = piecewise_deltas(sched, 0.0, sched.duration,
-                              default_step(mode_params().xi, sched))
+    _, dts, _ = piecewise_deltas(sched, 0.0, sched.duration,
+                                 default_step(mode_params().xi, sched))
     expected = (f"sweep_steps = {dts.size} "
                 f"({dts.min() * 1e6:.3g}..{dts.max() * 1e6:.3g} us)")
     assert expected in out.splitlines()
-    assert 3000 < dts.size < 4000
+    assert 1500 < dts.size < 2000
 
 
 def test_wigner_deterministic_rerun(tmp_path, capsys):
@@ -225,6 +226,32 @@ def test_config_error_exit_code(tmp_path, capsys):
                        capsys)
     assert code == 2
     assert "config-error" in err
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("wigner", "grid", "extent", math.nan),
+    ("wigner", "trap", "omega_x_hz", math.nan),
+    ("modes", "trap", "omega_z_hz", math.nan),
+    ("parity", "simulation", "step_s", math.nan),
+    ("parity", "simulation", "step_s", math.inf),
+    ("parity", "simulation", "tau_slow_s", math.nan),
+    ("parity", "simulation", "tau_slow_s", math.inf),
+    ("parity", "simulation", "parking_hz", math.nan),
+    ("parity", "simulation", "parking_hz", math.inf),
+    ("parity", "simulation", "parking_hz", -math.inf),
+    ("converge", "converge", "radial_dims", [8, math.nan]),
+])
+def test_non_finite_value_exit_code(tmp_path, capsys, command, section, key,
+                                    value):
+    body = {"simulation": {"radial_dim": 8, "axial_dim": 4}}
+    body.setdefault(section, {})[key] = value
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(yaml.safe_dump(body))
+    code, _, err = run([command, "--config", str(cfg), "--out", str(tmp_path)],
+                       capsys)
+    assert code == 2
+    assert f"path={section}.{key}" in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("source", ["yaml", "flag"])

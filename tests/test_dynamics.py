@@ -264,16 +264,49 @@ def test_default_step_respects_both_bounds():
     sched = rc_ramp(PARKING, -PARKING, 2e-3)
     step = default_step(XI, sched)
     assert step <= 2e-3 / 50
-    assert step <= TWO_PI / (20 * PARKING) * (1 + 1e-12)
+    assert step <= TWO_PI / (12.5 * PARKING) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf, 0.0, -1e-6])
+def test_step_must_be_finite_and_positive(step):
+    space = small_space()
+    sched = rc_ramp(PARKING, -PARKING, 2e-3)
+    ham = build_hamiltonian(XI, PARKING, space)
+    with pytest.raises(StepPolicyError):
+        piecewise_deltas(sched, 0.0, sched.duration, step)
+    with pytest.raises(StepPolicyError):
+        sweep_unitaries(space, XI, sched, step=step)
+    with pytest.raises(StepPolicyError):
+        propagate(product_state(space, 2, 0), ham, schedule=sched, step=step)
+
+
+def gauss_points(schedule, mids, dts):
+    """Mean detuning and twist of steps of durations `dts` about `mids`,
+    from the detunings at their two Gauss points."""
+    half = dts * (math.sqrt(3) / 6)
+    later = np.asarray(schedule.delta_at(mids + half), dtype=float)
+    earlier = np.asarray(schedule.delta_at(mids - half), dtype=float)
+    return 0.5 * (later + earlier), (math.sqrt(3) / 12) * dts * (later - earlier)
 
 
 def uniform_deltas(schedule, t0, t1, step):
-    """The uniform grid of equal steps of at most `step`, which the graded
-    grid replaced."""
+    """The uniform grid of equal steps of at most `step`."""
     span = t1 - t0
     n = max(1, int(math.ceil(span / step - 1e-12)))
     mids = t0 + (np.arange(n) + 0.5) * (span / n)
-    return np.asarray(schedule.delta_at(mids), dtype=float), np.full(n, span / n)
+    dts = np.full(n, span / n)
+    deltas, gammas = gauss_points(schedule, mids, dts)
+    return deltas, dts, gammas
+
+
+def uniform_midpoint_deltas(schedule, t0, t1, step):
+    """The uniform grid of midpoint exponentials (no twist), which the graded
+    grid of Magnus steps replaced."""
+    span = t1 - t0
+    n = max(1, int(math.ceil(span / step - 1e-12)))
+    mids = t0 + (np.arange(n) + 0.5) * (span / n)
+    return (np.asarray(schedule.delta_at(mids), dtype=float),
+            np.full(n, span / n), np.zeros(n))
 
 
 @given(detunings, detunings, st.floats(10e-6, 5e-3), st.floats(0, 1),
@@ -285,9 +318,9 @@ def test_graded_grid_properties(d0, d1, tau, a, b, fraction):
     assume(t1 - t0 > 1e-9 * tau)
     coarsest = tau / 50
     step = coarsest * fraction
-    deltas, dts = piecewise_deltas(sched, t0, t1, step)
+    deltas, dts, gammas = piecewise_deltas(sched, t0, t1, step)
     n = dts.size
-    assert deltas.shape == (n,)
+    assert deltas.shape == gammas.shape == (n,)
     assert np.all(dts > 0)
     assert dts.sum() == pytest.approx(t1 - t0, rel=1e-12)
     assert dts.max() <= coarsest * (1 + 1e-12)
@@ -295,8 +328,10 @@ def test_graded_grid_properties(d0, d1, tau, a, b, fraction):
     assert dts.min() >= step * (n - 1) / n * (1 - 1e-12)
     nodes = t0 + np.concatenate([[0.0], np.cumsum(dts)])
     mids = 0.5 * (nodes[:-1] + nodes[1:])
-    assert np.allclose(deltas, sched.delta_at(mids), rtol=1e-9,
-                       atol=1e-9 * max(abs(d0), abs(d1), 1.0))
+    expected, twists = gauss_points(sched, mids, dts)
+    scale = max(abs(d0), abs(d1), 1.0)
+    assert np.allclose(deltas, expected, rtol=1e-9, atol=1e-9 * scale)
+    assert np.allclose(gammas, twists, rtol=1e-9, atol=1e-9 * scale * dts.max())
     # each step spans the same share of the capped density, so dt * rho is
     # constant up to rho's change within a step (at most 1% at tau / 50)
     rho = np.sqrt((np.exp(-mids / tau) + dynamics.GRID_FLOOR)
@@ -307,6 +342,7 @@ def test_graded_grid_properties(d0, d1, tau, a, b, fraction):
         uniform = uniform_deltas(sched, t0, t1, step)
         assert np.array_equal(deltas, uniform[0])
         assert np.array_equal(dts, uniform[1])
+        assert np.array_equal(gammas, uniform[2])
 
 
 @given(detunings, st.floats(10e-6, 5e-3), st.floats(0.01, 1))
@@ -323,8 +359,8 @@ def test_graded_grid_is_the_uniform_one_at_the_coarsest_step(d0, tau, fraction):
             step = min(tau / 50, 1.01 * rho * tau / 50)
         got = piecewise_deltas(sched, t0, sched.duration, step)
         expected = uniform_deltas(sched, t0, sched.duration, tau / 50)
-        assert np.array_equal(got[0], expected[0])
-        assert np.array_equal(got[1], expected[1])
+        for g, e in zip(got, expected):
+            assert np.array_equal(g, e)
 
 
 def test_flat_ramp_gets_the_grid_of_its_tau():
@@ -333,17 +369,18 @@ def test_flat_ramp_gets_the_grid_of_its_tau():
     flat = RampSchedule(PARKING, PARKING, tau, 5 * tau)
     sloped = rc_ramp(PARKING, -PARKING, tau)
     step = default_step(XI, sloped)
-    deltas, dts = piecewise_deltas(flat, 0.0, flat.duration, step)
+    deltas, dts, gammas = piecewise_deltas(flat, 0.0, flat.duration, step)
     assert flat.direction == "flat"
     assert np.array_equal(dts, piecewise_deltas(sloped, 0.0, tau * 5, step)[1])
     assert np.all(deltas == PARKING)
+    assert np.all(gammas == 0.0)
     assert 0 < dts.min() <= dts.max() <= tau / 50
 
 
 def test_graded_grid_halves_the_uniform_steps_at_lower_error():
-    # the reference sweep's ramp on 16x8: about half the steps of the old
-    # uniform grid of 20 steps per parking period, and a step-halving change
-    # of W no larger than that grid's
+    # the reference sweep's ramp on 16x8: a quarter of the steps of the old
+    # uniform grid of midpoint steps at 20 per parking period, and a
+    # step-halving change of W no larger than that grid's
     space = TwoModeSpace(FockDim(16), FockDim(8))
     sched = slow_sweep()
     model = MeasurementModel(eta=0.86, shots=1, seed=0)
@@ -361,10 +398,10 @@ def test_graded_grid_halves_the_uniform_steps_at_lower_error():
 
     graded, graded_steps = halving(default_step(XI, sched))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dynamics, "piecewise_deltas", uniform_deltas)
+        mp.setattr(dynamics, "piecewise_deltas", uniform_midpoint_deltas)
         uniform, uniform_steps = halving(uniform_step)
     assert uniform_steps == 14000
-    assert graded_steps < 0.55 * uniform_steps
+    assert graded_steps < 0.3 * uniform_steps
     assert graded <= uniform
 
 
@@ -375,20 +412,42 @@ def test_step_halving_convergence():
     psi = embed_radial(coherent_state(space.radial, 1.2), space)
     finals = []
     for s in (step, step / 2):
-        deltas, dts = piecewise_deltas(sched, 0.0, sched.duration, s)
-        finals.append(apply_piecewise(psi, XI, deltas, dts))
+        finals.append(apply_piecewise(
+            psi, XI, *piecewise_deltas(sched, 0.0, sched.duration, s)))
     assert abs(1 - finals[0].fidelity(finals[1])) < 1e-8
+
+
+def test_magnus_step_is_fourth_order():
+    # halving every step cuts the error against a fine reference by about
+    # 16 (the midpoint step's 4)
+    space = TwoModeSpace(FockDim(16), FockDim(8))
+    sched = rc_ramp(PARKING, -PARKING, 2e-3)
+    step = default_step(XI, sched)
+    psi = embed_radial(coherent_state(space.radial, 1.2), space)
+
+    def final(s):
+        return apply_piecewise(
+            psi, XI, *piecewise_deltas(sched, 0.0, sched.duration, s)).amplitudes
+
+    fine = final(step / 8)
+    coarse, half = (np.abs(final(s) - fine).max() for s in (step, step / 2))
+    assert coarse > 1e-11
+    assert coarse >= 12 * half
 
 
 def test_time_reversal_returns_initial_state():
     space = TwoModeSpace(FockDim(12), FockDim(7))
     sched = rc_ramp(PARKING, -PARKING, 2e-3)
     step = default_step(XI, sched)
-    deltas, dts = piecewise_deltas(sched, 0.0, sched.duration, step)
+    deltas, dts, gammas = piecewise_deltas(sched, 0.0, sched.duration, step)
+    assert np.abs(gammas).max() > 0
     psi = embed_radial(coherent_state(space.radial, 1.0), space)
-    fwd = apply_piecewise(psi, XI, deltas, dts)
-    back = apply_piecewise(fwd, XI, deltas[::-1], -dts[::-1])
+    fwd = apply_piecewise(psi, XI, deltas, dts, gammas)
+    back = apply_piecewise(fwd, XI, deltas[::-1], -dts[::-1], gammas[::-1])
     assert abs(1 - psi.fidelity(back)) < 1e-8
+    # no steps leave the state as it is
+    assert np.array_equal(apply_piecewise(psi, XI, [], []).amplitudes,
+                          psi.amplitudes)
 
 
 def test_ramped_trajectory_contracts():
@@ -508,20 +567,37 @@ def test_sweep_matches_propagate():
 # propagation kernel: pinned to the dense exponential and to the per-step loop
 
 
+def magnus_hamiltonian(hamiltonian, t, dt):
+    """The Hermitian H_eff whose exponential exp(-i H_eff dt) is the
+    two-Gauss-point fourth-order Magnus step over [t, t + dt]:
+    H_eff = (H_+ + H_-) / 2 - i (sqrt(3) dt / 12) [H_+, H_-], with
+    H_+- = hamiltonian(t + dt / 2 +- dt sqrt(3) / 6), the commutator
+    written out."""
+    mid, half = t + dt / 2, dt * math.sqrt(3) / 6
+    later, earlier = hamiltonian(mid + half), hamiltonian(mid - half)
+    return 0.5 * (later + earlier) - 1j * (math.sqrt(3) * dt / 12) * (
+        later @ earlier - earlier @ later)
+
+
 def reference_sweep(space, xi, schedule, step):
-    """Per-step sweep loop (one eigh per sector per step), kept as the
-    reference for the batched kernel: per-sector unitaries, final and
-    minimum branch fidelity."""
-    deltas, dts = piecewise_deltas(schedule, 0.0, schedule.duration, step)
+    """Per-step sweep loop (one complex eigh per sector per step), kept as
+    the reference for the batched kernel: per-sector unitaries, final and
+    minimum branch fidelity. A step is exp(-i H_eff dt), with the Magnus
+    H_eff = delta N + xi C + i gamma xi [C, N] of the grid's mean detuning
+    and twist, the commutator written out rather than reduced to a twist."""
+    deltas, dts, gammas = piecewise_deltas(schedule, 0.0, schedule.duration, step)
     out = {}
     for b in block_decompose(space).blocks:
+        n_c = np.diag(b.n_c_diag)
+        commutator = b.coupling @ n_c - n_c @ b.coupling
         u = np.eye(b.size, dtype=complex)
         _, v_first = np.linalg.eigh(b.hamiltonian(xi, float(schedule.delta_at(0.0))))
         branch = v_first[:, 0].astype(complex)
         evolved = branch.copy()
         worst = 1.0
-        for delta, dt in zip(deltas, dts):
-            w, v = np.linalg.eigh(b.hamiltonian(xi, float(delta)))
+        for delta, dt, gamma in zip(deltas, dts, gammas):
+            h_eff = b.hamiltonian(xi, float(delta)) + 1j * gamma * xi * commutator
+            w, v = np.linalg.eigh(h_eff)
             phases = np.exp(-1j * w * dt)
             u = (v * phases) @ (v.conj().T @ u)
             evolved = v @ (phases * (v.conj().T @ evolved))
@@ -537,20 +613,30 @@ chunk_budgets = st.sampled_from([64, 64 * 16, dynamics.CHUNK_BYTES])
 
 @given(st.integers(4, 8), st.integers(3, 4), detunings, detunings,
        st.floats(20e-6, 200e-6), st.integers(1, 40), st.integers(0, 1000),
-       chunk_budgets)
-@settings(max_examples=30, deadline=None)
+       chunk_budgets, st.booleans())
+@settings(max_examples=40, deadline=None)
 def test_kernel_matches_dense_expm_product(dr, da, d0, d1, tau, n_steps, seed,
-                                           budget):
+                                           budget, magnus):
+    # with the twists, the steps are the dense exponentials of the Magnus
+    # exponent, built on the full space from the Gauss-point Hamiltonians;
+    # without them, the exponentials exp(-i H(delta) dt)
     space = small_space(dr, da)
     sched = rc_ramp(d0, d1, tau)
-    deltas, dts = piecewise_deltas(sched, 0.0, n_steps * tau / 50, tau / 50)
+    deltas, dts, gammas = piecewise_deltas(sched, 0.0, n_steps * tau / 50, tau / 50)
     psi = random_state(space, seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "CHUNK_BYTES", budget)
-        out = apply_piecewise(psi, XI, deltas, dts).amplitudes
+        out = apply_piecewise(psi, XI, deltas, dts,
+                              gammas if magnus else None).amplitudes
+
+    def hamiltonian(t):
+        return build_hamiltonian(XI, float(sched.delta_at(t)), space).matrix.matrix
+
     dense = psi.amplitudes
-    for delta, dt in zip(deltas, dts):
-        h = build_hamiltonian(XI, delta, space).matrix.matrix
+    starts = np.concatenate([[0.0], np.cumsum(dts)[:-1]])
+    for t, delta, dt in zip(starts, deltas, dts):
+        h = (magnus_hamiltonian(hamiltonian, t, dt) if magnus
+             else build_hamiltonian(XI, delta, space).matrix.matrix)
         dense = scipy.linalg.expm(-1j * h * dt) @ dense
     assert np.abs(out - dense).max() < 1e-10
     k_vec = space.k_values()
@@ -782,9 +868,10 @@ def test_sweep_batches_eigh_in_bounded_chunks(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     sweep = sweep_unitaries(space, XI, sched)
-    deltas, dts = piecewise_deltas(sched, 0.0, sched.duration, sweep.step)
-    assert np.array_equal(sweep.deltas, deltas) and np.array_equal(sweep.dts, dts)
-    n_steps = dts.size
+    grid = piecewise_deltas(sched, 0.0, sched.duration, sweep.step)
+    for got, expected in zip((sweep.deltas, sweep.dts, sweep.gammas), grid):
+        assert np.array_equal(got, expected)
+    n_steps = grid[1].size
     # endpoint_bases, not unitaries: reading those would march them now
     n_sectors = len(sweep.endpoint_bases)
     assert n_steps > 1000
