@@ -24,21 +24,21 @@ and each step is the exact exponential of it, computed from one
 eigendecomposition of the real matrix. Every step is exactly unitary;
 accuracy is certified by the step-halving convergence contract rather than
 by an adaptive integrator. One kernel, `_march`, does every step-by-step
-propagation: worker threads, one per usable core, diagonalize the step
-matrices a batch of steps at a time with batched eighs, while the calling
-thread advances the given columns of all its sectors together, so the
-Python-level cost per step is a few small array operations.
+propagation: worker threads, one per usable core and owned by the call,
+diagonalize the step matrices a batch of steps at a time with batched
+eighs, while the calling thread advances the given columns of all its
+sectors together, so the Python-level cost per step is a few small array
+operations.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import queue
-import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
-from dataclasses import dataclass
+from contextlib import closing
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -55,14 +55,14 @@ from .fock import (
 )
 
 # Memory for the propagation kernel's per-batch stacks: the decomposed
-# batches in flight between its workers and the march (eigenvalues and
-# eigenvectors of every sector), the march's eigenvector stack, and each
-# batched eigh. The batch length follows from it, so memory stays bounded
-# whatever the ramp length.
+# batches in flight (eigenvalues and eigenvectors of every sector, held by
+# the march or by the futures of its worker threads), the march's
+# eigenvector stack, and each batched eigh. The batch length follows from
+# it, so memory stays bounded whatever the ramp length.
 CHUNK_BYTES = 32 << 20
 
-# decomposed batches each worker of the propagation kernel may hold ready
-# ahead of the march
+# batches of steps whose decomposition the propagation kernel keeps
+# submitted to its worker threads ahead of the one the march works on
 PREFETCH = 1
 
 # eigh work, in s^3 per s x s matrix (about 7 ns each on one core of a
@@ -206,6 +206,9 @@ class RampSchedule:
     direction: str = ""
 
     def __post_init__(self):
+        for name in ("delta_start", "delta_end", "tau_rc", "duration"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} {getattr(self, name)} is not finite")
         if self.tau_rc <= 0:
             raise ValueError("tau_rc must be positive")
         if self.duration < 5 * self.tau_rc:
@@ -283,17 +286,6 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-@lru_cache(maxsize=None)
-def _pool(workers: int, pid: int) -> tuple[ThreadPoolExecutor, threading.Lock]:
-    """The decomposition threads of process `pid` (a forked child has none
-    of its parent's), created on first use, and the lock a march holds
-    while it uses them: a march waits on all of its workers, so two marches
-    sharing the threads could each hold some of them and wait forever for
-    the rest."""
-    return (ThreadPoolExecutor(workers, thread_name_prefix="trilinear-eigh"),
-            threading.Lock())
-
-
 def _split(costs, n: int) -> list[list[int]]:
     """Indices of `costs` in n shares of nearly equal sum (largest first,
     each to the lightest share)."""
@@ -306,80 +298,51 @@ def _split(costs, n: int) -> list[list[int]]:
     return [sorted(share) for share in shares]
 
 
-def _decompose(groups, xis, deltas, batch: int):
-    """Diagonalize the step matrices of the sector-size `groups` ((couplings,
-    n_c diagonals) pairs), with coupling strength xis[t] and detuning
-    deltas[t] at step t, a batch of steps at a time, with one batched eigh
-    per group. Yields, per batch in order, the eigenvalues and eigenvectors
-    of every group."""
-    for lo in range(0, deltas.size, batch):
-        yield [np.linalg.eigh(_hamiltonian_stack(coupling, n_c, xis[lo:lo + batch],
-                                                 deltas[lo:lo + batch]))
-               for coupling, n_c in groups]
+def _eighs(groups, xis, deltas) -> list:
+    """Eigenvalues and eigenvectors of the step matrices of the sector-size
+    `groups` ((couplings, n_c diagonals) pairs), with coupling strength
+    xis[t] and detuning deltas[t] at step t, one batched eigh per group."""
+    return [np.linalg.eigh(_hamiltonian_stack(coupling, n_c, xis, deltas))
+            for coupling, n_c in groups]
 
 
-def _feed(batches, ready: queue.Queue, stop: threading.Event) -> None:
-    """Worker thread: put each batch of the generator `batches` on `ready`,
-    or in its place the exception it raised; end early once `stop` is set."""
+def _decomposition(groups, xis, deltas, batch: int):
+    """Diagonalize the step matrices of the sector-size `groups` (as
+    `_eighs`) a batch of steps at a time, in shares balanced by the eigh
+    cost g s^3, one per usable core, each batch's shares as futures on a
+    thread pool that this generator owns, PREFETCH batches ahead of the one
+    it yields. A batch with less than SHARE_WORK of eigh work per share
+    would spend more on handing it between threads than it gains, so it
+    gets fewer shares; a single share runs in the calling thread. Yields,
+    per batch of steps in order, the pairs (group index, (eigenvalues,
+    eigenvectors)) of every group; a worker's exception is raised here, and
+    closing the generator cancels the batches not yet started."""
+    costs = [coupling.size * coupling.shape[1] for coupling, _ in groups]
+    shares = _split(costs, max(1, min(_worker_count(), len(groups),
+                                      batch * sum(costs) // SHARE_WORK)))
+    spans = [slice(lo, lo + batch) for lo in range(0, deltas.size, batch)]
+    if len(shares) == 1:
+        for span in spans:
+            yield list(enumerate(_eighs(groups, xis[span], deltas[span])))
+        return
+    pool = ThreadPoolExecutor(len(shares), thread_name_prefix="trilinear-eigh")
 
-    def hand_over(item) -> bool:
-        while not stop.is_set():
-            try:
-                ready.put(item, timeout=0.1)
-                return True
-            except queue.Full:
-                pass
-        return False
+    def results(jobs):
+        return [pair for share, job in zip(shares, jobs)
+                for pair in zip(share, job.result())]
 
     try:
-        for part in batches:
-            if not hand_over(part):
-                return
-    except BaseException as exc:  # raised again by the marching thread
-        hand_over(exc)
-
-
-@contextmanager
-def _decomposition(groups, xis, deltas, batch: int):
-    """Run `_decompose` over the sector-size `groups`, in shares balanced by
-    the eigh cost g s^3, one per usable core, each on one worker thread for
-    the whole ramp and up to PREFETCH batches ahead of the march. A batch
-    with less than SHARE_WORK of eigh work per share would spend more on
-    handing batches between threads than it gains, so it gets fewer shares;
-    a single share runs in the calling thread. Yields an iterator that
-    gives, per batch of steps in order, the pairs (group index, (eigenvalues,
-    eigenvectors)) of every group."""
-    costs = [coupling.size * coupling.shape[1] for coupling, _ in groups]
-    workers = _worker_count()
-    shares = _split(costs, max(1, min(workers, len(groups),
-                                      batch * sum(costs) // SHARE_WORK)))
-    gens = [_decompose([groups[i] for i in share], xis, deltas, batch)
-            for share in shares]
-    if len(shares) == 1:
-        yield (list(enumerate(part)) for part in gens[0])
-        return
-    pool, lock = _pool(workers, os.getpid())
-    with lock:
-        stop = threading.Event()
-        ready = [queue.Queue(PREFETCH) for _ in shares]
-        jobs = [pool.submit(_feed, gen, q, stop) for gen, q in zip(gens, ready)]
-
-        def batches():
-            for _ in range(0, deltas.size, batch):
-                parts = []
-                for share, q in zip(shares, ready):
-                    item = q.get()
-                    if isinstance(item, BaseException):
-                        raise item
-                    parts += zip(share, item)
-                yield parts
-
-        try:
-            yield batches()
-        finally:
-            stop.set()
-            for job in jobs:
-                job.result()
+        pending = deque()
+        for span in spans:
+            pending.append([pool.submit(_eighs, [groups[i] for i in share],
+                                        xis[span], deltas[span])
+                            for share in shares])
+            if len(pending) > PREFETCH:
+                yield results(pending.popleft())
+        while pending:
+            yield results(pending.popleft())
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _march(blocks, xi: float, deltas, dts, cols, gammas=None,
@@ -394,18 +357,19 @@ def _march(blocks, xi: float, deltas, dts, cols, gammas=None,
     `cols[j]` ((s_j,) or (s_j, m_j)) holds the start columns of `blocks[j]`;
     the evolved columns come back in the same shapes. The step matrices are
     diagonalized a batch of steps at a time, with one batched eigh per
-    sector size, in worker threads, one per usable core, that run ahead of
-    the march (`_decomposition`). The march carries P_t times the columns:
-    with V_t the eigenvectors of H_t, a step multiplies by the diagonal
-    P_t P_{t-1}^dag, changes to the eigenbasis with V_t^T, applies one phase
-    per eigenvalue and changes back with V_t; P_T^dag ends the march. The
-    sectors are packed, largest first, into bins of the largest sector's
-    size, whose eigenvector matrices are block diagonal, so two real
-    matmuls on the (bins, size, .) stack step every sector at once. The
-    batch length keeps the batches in flight, the march's stacks and each
-    eigh stack within CHUNK_BYTES, so memory stays bounded whatever the
-    ramp length. Every matrix is decomposed and multiplied alone, so the
-    result does not depend on the number of workers.
+    sector size, as futures on a pool of worker threads, one per usable
+    core, that this call creates and shuts down and that run PREFETCH
+    batches ahead of the march (`_decomposition`). The march carries P_t
+    times the columns: with V_t the eigenvectors of H_t, a step multiplies
+    by the diagonal P_t P_{t-1}^dag, changes to the eigenbasis with V_t^T,
+    applies one phase per eigenvalue and changes back with V_t; P_T^dag
+    ends the march. The sectors are packed, largest first, into bins of the
+    largest sector's size, whose eigenvector matrices are block diagonal,
+    so two real matmuls on the (bins, size, .) stack step every sector at
+    once. The batch length keeps the batches in flight, the march's stacks
+    and each eigh stack within CHUNK_BYTES, so memory stays bounded
+    whatever the ramp length. Every matrix is decomposed and multiplied
+    alone, so the result does not depend on the number of workers.
 
     With `follow`, column 0 of every sector must be an eigenvector of the
     sector matrix at the start. The kernel then follows, step by step, the
@@ -450,11 +414,11 @@ def _march(blocks, xi: float, deltas, dts, cols, gammas=None,
                np.stack([blocks[j].n_c_diag for j in m])) for m in members]
     widest = max(coupling.size for coupling, _ in groups)
     # bytes per step: decomposed, the eigenvalues and eigenvectors of every
-    # sector, of which the workers may hold PREFETCH batches queued and one
-    # in work, with its stack of step matrices, while the march holds one,
-    # plus one batch of headroom; and marched, the march's stacks of
-    # eigenvectors, eigenvalues and phases, with the phases' arguments and
-    # their sines and cosines
+    # sector, of which the march holds one batch and the futures PREFETCH
+    # more, while the one submitted as the march asks for the next is in
+    # work with its stack of step matrices, plus one batch of headroom; and
+    # marched, the march's stacks of eigenvectors, eigenvalues and phases,
+    # with the phases' arguments and their sines and cosines
     decomposed = 8 * int(np.sum(sizes * (sizes + 1)))
     marched = 8 * n_bins * width * (width + 8)
     batch = max(1, min(CHUNK_BYTES // ((PREFETCH + 4) * decomposed + marched),
@@ -479,8 +443,8 @@ def _march(blocks, xi: float, deltas, dts, cols, gammas=None,
         inside[j, rows[j]] = 1.0
     final = worst = None
 
-    with _decomposition(groups, xi * np.sqrt(1 + gammas ** 2), deltas,
-                        batch) as batches:
+    with closing(_decomposition(groups, xi * np.sqrt(1 + gammas ** 2), deltas,
+                                batch)) as batches:
         for lo, parts in zip(range(0, deltas.size, batch), batches):
             c = min(batch, deltas.size - lo)
             for i, (w, v) in parts:
@@ -792,8 +756,9 @@ class SweepResult:
     evolved holds, per sector, the sweep unitary U_k applied to the start
     eigenvectors the readout needs: column 0 is U_k times the lowest one;
     unless the schedule starts above zero detuning, column 1 is U_k times
-    the highest one (the label-0 state below zero). The full unitaries are built
-    only on demand, by `unitaries` (and so by `apply`).
+    the highest one (the label-0 state below zero). The full unitaries are
+    built only on demand: by `unitaries` for every covered sector, by
+    `apply` for the sectors its state populates, each sector once.
 
     step is the finest step of the graded grid, which `piecewise_deltas`
     lays once for the sweep; deltas, dts and gammas hold that grid's
@@ -820,31 +785,42 @@ class SweepResult:
     endpoint_bases: dict[int, tuple[np.ndarray, np.ndarray]]
     branch_final_fid: dict[int, float]
     branch_min_fid: dict[int, float]
+    # the sector unitaries marched so far, by K
+    _marched: dict[int, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def _unitaries_of(self, blocks) -> dict[int, np.ndarray]:
+        """Sweep unitaries of the sector `blocks`, marched together from
+        identity columns for those not marched before."""
+        todo = [b for b in blocks if b.k not in self._marched]
+        if todo:
+            u, _ = _march(todo, self.xi, self.deltas, self.dts,
+                          [np.eye(b.size) for b in todo], self.gammas)
+            self._marched.update((b.k, uk) for b, uk in zip(todo, u))
+        return {b.k: self._marched[b.k] for b in blocks}
 
     @cached_property
     def unitaries(self) -> dict[int, np.ndarray]:
-        """Per-sector sweep unitaries, marched from identity columns."""
+        """Per-sector sweep unitaries of every covered sector."""
         blocks = block_decompose(self.space)
-        blocks = [blocks.by_k(k) for k in self.endpoint_bases]
-        u, _ = _march(blocks, self.xi, self.deltas, self.dts,
-                      [np.eye(b.size) for b in blocks], self.gammas)
-        return {b.k: uk for b, uk in zip(blocks, u)}
+        return self._unitaries_of([blocks.by_k(k) for k in self.endpoint_bases])
 
     def apply(self, state: StateVector) -> StateVector:
+        """The swept state; builds the unitaries of the sectors it
+        populates only."""
         space = state.basis
         if space != self.space:
             raise ValueError("state does not live in the sweep's space")
         amp = state.amplitudes.copy()
-        for b in block_decompose(space).blocks:
-            sub = amp[b.indices]
-            if not np.any(np.abs(sub) > 0.0):
-                continue
-            u = self.unitaries.get(b.k)
-            if u is None:
+        blocks = _populated_blocks(amp, space)
+        for b in blocks:
+            if b.k not in self.endpoint_bases:
                 raise ValueError(
                     f"state populates K = {b.k}, not covered by this sweep"
                 )
-            amp[b.indices] = u @ sub
+        unitaries = self._unitaries_of(blocks)
+        for b in blocks:
+            amp[b.indices] = unitaries[b.k] @ amp[b.indices]
         return StateVector(amp, space)
 
     def min_branch_fidelity(self, state: StateVector,

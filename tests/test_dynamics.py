@@ -212,6 +212,21 @@ def test_rc_ramp_duration_floor():
         RampSchedule(1.0, 0.0, tau_rc=1e-3, duration=4e-3)
 
 
+# the last has the default duration 5 tau_rc, NaN too
+@pytest.mark.parametrize("values", [
+    (math.nan, -1.0, 1e-3, 5e-3),
+    (-math.inf, -1.0, 1e-3, 5e-3),
+    (1.0, math.inf, 1e-3, 5e-3),
+    (1.0, -1.0, math.nan, 5e-3),
+    (1.0, -1.0, 1e-3, math.nan),
+    (1.0, -1.0, 1e-3, math.inf),
+    (1.0, -1.0, math.nan),
+])
+def test_ramp_rejects_non_finite_values(values):
+    with pytest.raises(ValueError, match="not finite"):
+        rc_ramp(*values)
+
+
 def test_rc_ramp_direction_tags():
     assert rc_ramp(0.0, 5.0, 1e-3).direction == "up"
     assert rc_ramp(5.0, 5.0, 1e-3).direction == "flat"
@@ -551,6 +566,25 @@ def test_sweep_apply_requires_covered_sectors():
         sweep.apply(psi)
 
 
+def test_apply_builds_only_the_populated_unitaries():
+    # a state in K = 2 alone marches the K = 2 unitary alone, and it agrees
+    # with the one marched together with every covered sector
+    space = TwoModeSpace(FockDim(10), FockDim(6))
+    sched = rc_ramp(PARKING, -PARKING, 2e-3)
+    sweep = sweep_unitaries(space, XI, sched, sector_ks=range(8))
+    psi = embed_radial(fock_state(space.radial, 2), space)
+    out = sweep.apply(psi)
+    assert "unitaries" not in vars(sweep)
+    assert list(sweep._marched) == [2]
+    b = block_decompose(space).by_k(2)
+    full = sweep_unitaries(space, XI, sched, sector_ks=range(8)).unitaries
+    assert len(full) == 8
+    assert np.abs(out.amplitudes[b.indices]
+                  - full[2] @ psi.amplitudes[b.indices]).max() < 1e-12
+    # a covered sector marched once serves the full set too
+    assert sweep.unitaries[2] is sweep._marched[2]
+
+
 def test_sweep_matches_propagate():
     space = TwoModeSpace(FockDim(10), FockDim(6))
     sched = rc_ramp(PARKING, -PARKING, 2e-3)
@@ -734,7 +768,7 @@ class SlowSubmit(ThreadPoolExecutor):
         return future
 
 
-def test_concurrent_sweeps_share_the_workers(monkeypatch, request):
+def test_concurrent_sweeps_share_the_workers(monkeypatch):
     # more marches than worker threads, started together and switching as
     # often as the interpreter allows, a few batches each (so a worker
     # outlives its first hand-over): each must finish and give the result
@@ -743,8 +777,6 @@ def test_concurrent_sweeps_share_the_workers(monkeypatch, request):
     monkeypatch.setattr(dynamics, "SHARE_WORK", 1)
     monkeypatch.setattr(dynamics, "_worker_count", lambda: 2)
     monkeypatch.setattr(dynamics, "ThreadPoolExecutor", SlowSubmit)
-    dynamics._pool.cache_clear()
-    request.addfinalizer(dynamics._pool.cache_clear)
     space = small_space(8, 4)
     sched = rc_ramp(PARKING, -PARKING, 40e-6)
     alone = sweep_unitaries(space, XI, sched)
@@ -782,7 +814,7 @@ def _sweep_matches(space, sched, expected):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_starts_its_own_workers(monkeypatch):
-    # the child inherits the parent's pool object but none of its threads
+    # the child inherits none of the parent's threads
     monkeypatch.setattr(dynamics, "CHUNK_BYTES", 64 * 16)
     monkeypatch.setattr(dynamics, "SHARE_WORK", 1)
     monkeypatch.setattr(dynamics, "_worker_count", lambda: 2)
@@ -833,6 +865,42 @@ def test_worker_error_reaches_the_caller(monkeypatch):
     assert sweep_unitaries(space, XI, sched).branch_min_fid
 
 
+def eigh_threads():
+    return [t for t in threading.enumerate()
+            if t.name.startswith("trilinear-eigh")]
+
+
+def test_no_worker_thread_outlives_its_sweep(monkeypatch):
+    # each call owns its worker threads and joins them before it returns,
+    # whether it returns or raises
+    monkeypatch.setattr(dynamics, "CHUNK_BYTES", 64 * 16)
+    monkeypatch.setattr(dynamics, "SHARE_WORK", 1)
+    monkeypatch.setattr(dynamics, "_worker_count", lambda: 2)
+    space = small_space(8, 4)
+    sched = rc_ramp(PARKING, -PARKING, 40e-6)
+    started = []
+    eigh = np.linalg.eigh
+
+    def watched(a, *args, **kwargs):
+        started.extend(t.name for t in eigh_threads())
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", watched)
+    sweep_unitaries(space, XI, sched)
+    assert started  # the sweep did run on worker threads
+    assert not eigh_threads()
+
+    def failing(a, *args, **kwargs):
+        if threading.current_thread().name.startswith("trilinear-eigh"):
+            raise np.linalg.LinAlgError("injected")
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(np.linalg.LinAlgError, match="injected"):
+        sweep_unitaries(space, XI, sched)
+    assert not eigh_threads()
+
+
 def test_kernel_memory_stays_within_the_budget(monkeypatch):
     # the workers run at most PREFETCH batches ahead of the march, so a ramp
     # four times longer needs no more memory
@@ -841,7 +909,7 @@ def test_kernel_memory_stays_within_the_budget(monkeypatch):
     monkeypatch.setattr(dynamics, "_worker_count", lambda: 2)
     blocks = block_decompose(small_space(8, 4)).blocks
     cols = [np.eye(b.size) for b in blocks]
-    dynamics._march(blocks, XI, [PARKING], [1e-7], cols)  # start the workers
+    dynamics._march(blocks, XI, [PARKING], [1e-7], cols)  # warm up
     peaks = []
     for n_steps in (1000, 4000):
         deltas = np.linspace(PARKING, -PARKING, n_steps)
