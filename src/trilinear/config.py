@@ -392,14 +392,14 @@ def parse_descriptor(text: str) -> StateSpec:
 
 
 def build_radial_state(spec: StateSpec, dim: FockDim) -> StateVector:
-    """Construct the radial-mode state named by a descriptor."""
-    if spec.kind == "fock":
-        return fock_state(dim, spec.params[0])
-    if spec.kind == "coherent":
-        return coherent_state(dim, spec.params[0])
-    if spec.kind == "cat":
-        alpha, phi, sign = spec.params
-        return cat_state(dim, alpha, phi, sign)
-    raise ConfigValueError(
-        "state", f"{spec.kind} is not a single-mode radial state"
-    )
+    """Construct the radial-mode state named by a descriptor; a state that
+    the truncated mode cannot hold (an occupation past its physical levels,
+    an amplitude whose series vanishes or overflows there) is a
+    ConfigValueError at path `state`."""
+    builders = {"fock": fock_state, "coherent": coherent_state, "cat": cat_state}
+    if spec.kind not in builders:
+        raise ConfigValueError("state", f"{spec.kind} is not a single-mode radial state")
+    try:
+        return builders[spec.kind](dim, *spec.params)
+    except (ValueError, OverflowError) as e:
+        raise ConfigValueError("state", f"cannot build the {spec.kind} state: {e}") from None

@@ -70,11 +70,15 @@ PREFETCH = 1
 # between threads costs up to a millisecond on a 2-vCPU VM
 SHARE_WORK = 1 << 20
 
-# floor under the graded step grid's density, which is proportional to
-# sqrt(exp(-t / tau_rc) + GRID_FLOOR) (`piecewise_deltas`): the steps of a
-# settled ramp stay within about 7 times the finest one, which keeps its
-# phase evolution resolved
-GRID_FLOOR = 0.02
+# floor under the graded step grid's density exp(-t / (2 tau_rc))
+# (`piecewise_deltas`): the steps of a settled ramp stay within 5 times the
+# finest one, which keeps its phase evolution resolved
+GRID_FLOOR = 0.2
+
+# most steps of one grid (`piecewise_deltas`), 96 MiB for its three arrays:
+# a step so fine that it needs more is refused before the grid is laid (the
+# reference sweep lays 1712)
+MAX_STEPS = 1 << 22
 
 # sectors holding at most this population do not count towards a state's
 # worst branch fidelity
@@ -240,9 +244,8 @@ def default_step(xi: float, schedule: RampSchedule) -> float:
     where the ramp is steepest: it resolves both the ramp (tau_rc / 50) and
     the fastest relevant phase evolution, 12.5 fourth-order Magnus steps per
     period of max(|delta endpoints|, 2 sqrt(2) xi). On the reference sweep
-    that is 1754 steps, a quarter of the uniform midpoint grid at 20 steps
-    per period that the graded grid replaced, with a step-halving change of
-    W about 8 times below that of the midpoint steps at 25 per period.
+    the graded grid then lays 1712 steps of 2.29 to 11.4 us, and halving
+    the step changes W by 1.1e-8.
     """
     omega_ref = max(abs(schedule.delta_start), abs(schedule.delta_end),
                     2 * math.sqrt(2) * abs(xi))
@@ -486,39 +489,11 @@ def _march(blocks, xi: float, deltas, dts, cols, gammas=None,
     return out, (final, np.minimum(worst, 1.0))
 
 
-def _grid_density(u):
-    """Step density rho of the graded grid at u = t / tau_rc (1 at u = 0)."""
-    return np.sqrt((np.exp(-u) + GRID_FLOOR) / (1 + GRID_FLOOR))
-
-
-def _grid_count(u):
-    """The integral of `_grid_density` from 0 to u, in closed form: with
-    f = GRID_FLOOR and x = sqrt(exp(-u) + f), the integrand sqrt(exp(-u) + f) has the
-    antiderivative -2x + sqrt(f) ln((x + sqrt(f)) / (x - sqrt(f))), written
-    as -2x + sqrt(f) (2 ln(x + sqrt(f)) + u), which stays exact however
-    long the ramp has settled."""
-    root = math.sqrt(GRID_FLOOR)
-
-    def antiderivative(u):
-        x = np.sqrt(np.exp(-u) + GRID_FLOOR)
-        return -2 * x + root * (2 * np.log(x + root) + u)
-
-    return (antiderivative(u) - antiderivative(0.0)) / math.sqrt(1 + GRID_FLOOR)
-
-
-def _grid_nodes(u0: float, targets: np.ndarray) -> np.ndarray:
-    """The u > u0 at which `_grid_count` reaches each of `targets` (all at
-    least its value at u0). The count is concave, so Newton's method started
-    on the tangent at u0 approaches each root from below, monotonically."""
-    u = u0 + (targets - _grid_count(u0)) / _grid_density(u0)
-    for _ in range(100):
-        shift = (targets - _grid_count(u)) / _grid_density(u)
-        u = u + shift
-        # the convergence is quadratic: after a shift this small, u is
-        # exact to rounding
-        if np.all(np.abs(shift) <= 1e-12 * np.maximum(u, 1.0)):
-            break
-    return u
+def _grid_density(u, cap: float = 0.0):
+    """Step density rho of the graded grid at u = t / tau_rc: exp(-u / 2),
+    1 at the ramp start, held from below by GRID_FLOOR and by `cap`, the
+    density at which a step lasts tau_rc / 50 (`piecewise_deltas`)."""
+    return np.maximum(np.exp(-u / 2), max(GRID_FLOOR, cap))
 
 
 def piecewise_deltas(schedule: RampSchedule, t0: float, t1: float,
@@ -541,45 +516,57 @@ def piecewise_deltas(schedule: RampSchedule, t0: float, t1: float,
 
     The grid follows the RC ramp. A step's local error grows with the
     ramp's rate of change, which falls as exp(-t / tau_rc), so a step at
-    time t (from the ramp start) lasts step / rho(t), with
-    rho(t) = sqrt((exp(-t / tau_rc) + GRID_FLOOR) / (1 + GRID_FLOOR)): `step`
-    is the finest step, taken where the ramp is steepest. No step lasts
-    longer than tau_rc / 50. The step count is the integral of rho / step
-    over [t0, t1] (rho capped from below by step / (tau_rc / 50)), rounded
-    up, which shortens every step by the same factor, at most n / (n - 1)
-    for n steps; the nodes invert the closed-form integral of rho.
+    u = t / tau_rc lasts step / rho(u) with rho(u) = max(exp(-u / 2), f)
+    (`_grid_density`) and f = max(GRID_FLOOR, step / (tau_rc / 50)): `step`
+    is the finest step, and no step lasts longer than tau_rc / 50. The
+    step count, the integral of rho / step over [t0, t1], is rounded up,
+    which shortens every step by the same factor, at most n / (n - 1) for
+    n steps. The integral of rho is 2 (1 - exp(-u / 2)) up to the kink
+    u = -2 ln f and linear after it, so the nodes invert it in closed form.
 
     Where the tau_rc / 50 cap binds over the whole interval -- always when
     step >= tau_rc / 50 -- the grid is uniform: ceil(span / h) equal steps
     with h = max(step, tau_rc / 50). The grid depends on the ramp only
     through tau_rc, so a flat ramp (delta_start == delta_end) gets the grid
     of a sloped one with the same tau_rc. A step that is not finite and
-    positive is a StepPolicyError.
+    positive, or a grid of more than MAX_STEPS steps, is a StepPolicyError,
+    raised before any array is allocated.
     """
     _check_step(step)
     span = t1 - t0
     tau = schedule.tau_rc
     coarsest = max(step, tau / 50)
-    # the density below which the cap binds
-    rho_cap = step / coarsest
+    # the density at which a step lasts tau_rc / 50, and rho's floor
+    cap = step / coarsest
+    floor = max(GRID_FLOOR, cap)
+    kink = -2 * math.log(floor)
+    below = 2 * (1 - floor)  # the count at the kink
+
+    def count(u):
+        return -2 * np.expm1(-np.minimum(u, kink) / 2) + floor * np.maximum(
+            u - kink, 0.0)
+
+    def inverse(c):
+        return -2 * np.log1p(-np.minimum(c, below) / 2) + np.maximum(
+            c - below, 0.0) / floor
+
     u0, u1 = t0 / tau, t1 / tau
-    if rho_cap >= _grid_density(u0):
-        n = max(1, int(math.ceil(span / coarsest - 1e-12)))
+    uniform = cap >= _grid_density(u0, cap)
+    if uniform:
+        total = span / coarsest
+    else:
+        c0, c1 = float(count(u0)), float(count(u1))
+        total = (c1 - c0) * tau / step
+    if not total <= MAX_STEPS:
+        raise StepPolicyError(
+            f"step {step} needs {total:.3g} steps over [{t0}, {t1}], more "
+            f"than MAX_STEPS = {MAX_STEPS}")
+    n = max(1, int(math.ceil(total - 1e-12)))
+    if uniform:
         dts = np.full(n, span / n)
         mids = t0 + (np.arange(n) + 0.5) * (span / n)
     else:
-        # the cap binds from u_cap on (never when rho_cap is below
-        # rho(infinity))
-        tail = rho_cap ** 2 * (1 + GRID_FLOOR) - GRID_FLOOR
-        u_cap = -math.log(tail) if tail > 0 else math.inf
-        counted = _grid_count(min(u1, u_cap)) - _grid_count(u0)
-        total = counted + rho_cap * max(0.0, u1 - u_cap)
-        n = max(1, int(math.ceil(total * tau / step - 1e-12)))
-        targets = total * np.arange(1, n) / n
-        graded = targets < counted
-        u = np.empty(n - 1)
-        u[graded] = _grid_nodes(u0, _grid_count(u0) + targets[graded])
-        u[~graded] = u_cap + (targets[~graded] - counted) / rho_cap
+        u = inverse(c0 + (c1 - c0) * np.arange(1, n) / n)
         nodes = np.concatenate([[t0], tau * u, [t1]])
         dts = np.diff(nodes)
         mids = 0.5 * (nodes[:-1] + nodes[1:])

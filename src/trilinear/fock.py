@@ -304,8 +304,11 @@ def _coherent_amplitudes(alpha: complex, d: int) -> np.ndarray:
 def coherent_state(dim: FockDim, alpha: complex) -> StateVector:
     """Coherent state |alpha>, renormalized on the truncated basis."""
     amp = _coherent_amplitudes(complex(alpha), dim.dim)
-    lost = 1.0 - float(np.linalg.norm(amp) ** 2)
-    amp = amp / np.linalg.norm(amp)
+    nrm = float(np.linalg.norm(amp))
+    if not 0 < nrm < math.inf:
+        raise ValueError(f"coherent({alpha}) has norm {nrm} on {dim.dim} levels")
+    lost = 1.0 - nrm ** 2
+    amp = amp / nrm
     leak = guard_leak(amp, dim) + max(lost, 0.0)
     if leak >= GUARD_LEAK_THRESHOLD:
         warnings.warn(
@@ -332,8 +335,9 @@ def cat_state(dim: FockDim, alpha: complex, phi: float = math.pi,
         beta, dim.dim
     )
     nrm = np.linalg.norm(amp)
-    if nrm < 1e-12:
-        raise ValueError(f"cat({alpha}, {phi}, {sign:+d}) has zero norm")
+    if not 1e-12 <= nrm < math.inf:
+        raise ValueError(f"cat({alpha}, {phi}, {sign:+d}) has norm {nrm} "
+                         f"on {dim.dim} levels")
     state = StateVector(amp / nrm, dim)
     leak = state.guard_leak()
     if leak >= GUARD_LEAK_THRESHOLD:

@@ -301,6 +301,40 @@ def test_step_policy_violation_exit_code(tmp_path, capsys):
     assert "numerical-contract" in err
 
 
+@pytest.mark.parametrize("command, state", [
+    ("wigner", "cat:0:pi:minus"),  # zero norm
+    ("wigner", "fock:50"),  # past the physical levels
+    ("wigner", "cat:1e200:pi:plus"),  # |alpha|^2 overflows
+    ("wigner", "coherent:100"),  # every amplitude underflows
+    ("parity", "coherent:100"),
+    ("parity", "cat:0:pi:minus"),
+    ("converge", "fock:50"),
+    ("converge", "coherent:100"),
+])
+def test_unbuildable_state_exit_code(tmp_path, capsys, command, state):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"state: '{state}'\nconverge:\n  radial_dims: [8, 10]\n")
+    code, _, err = run([command, "--dims", "8x4", "--exact", "--config",
+                        str(cfg), "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert "path=state" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", ["wigner", "parity", "oscillate"])
+def test_step_count_bound_exit_code(tmp_path, capsys, command):
+    # 1e-300 s would need about 1e297 steps: refused before any is laid
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("simulation:\n  step_s: 1.0e-300\n  radial_dim: 8\n"
+                   "  axial_dim: 4\n")
+    code, _, err = run([command, "--config", str(cfg), "--out", str(tmp_path)],
+                       capsys)
+    assert code == 3
+    assert "MAX_STEPS" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_converge_report(tmp_path, capsys):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(

@@ -12,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from trilinear import (
     FockDim,
@@ -349,9 +349,7 @@ def test_graded_grid_properties(d0, d1, tau, a, b, fraction):
     assert np.allclose(gammas, twists, rtol=1e-9, atol=1e-9 * scale * dts.max())
     # each step spans the same share of the capped density, so dt * rho is
     # constant up to rho's change within a step (at most 1% at tau / 50)
-    rho = np.sqrt((np.exp(-mids / tau) + dynamics.GRID_FLOOR)
-                  / (1 + dynamics.GRID_FLOOR))
-    work = dts * np.maximum(rho, step / coarsest)
+    work = dts * dynamics._grid_density(mids / tau, step / coarsest)
     assert work.max() <= work.min() * 1.02
     if fraction == 1:
         uniform = uniform_deltas(sched, t0, t1, step)
@@ -369,13 +367,69 @@ def test_graded_grid_is_the_uniform_one_at_the_coarsest_step(d0, tau, fraction):
     for t0, step in ((0.0, tau / 50), (sched.duration * fraction, None)):
         if step is None:
             # rho(t0) below step / (tau / 50)
-            rho = math.sqrt((math.exp(-t0 / tau) + dynamics.GRID_FLOOR)
-                            / (1 + dynamics.GRID_FLOOR))
+            rho = float(dynamics._grid_density(t0 / tau))
             step = min(tau / 50, 1.01 * rho * tau / 50)
         got = piecewise_deltas(sched, t0, sched.duration, step)
         expected = uniform_deltas(sched, t0, sched.duration, tau / 50)
         for g, e in zip(got, expected):
             assert np.array_equal(g, e)
+
+
+@given(st.floats(10e-6, 5e-3), st.floats(0, 1), st.floats(0, 1),
+       st.floats(0.01, 1))
+@example(2e-3, 0.3, 1.0, 0.05)  # t0 > 0, across the kink at u = 2 ln 5
+@example(2e-3, 0.1, 0.9, 0.5)  # the step's floor moves the kink to 2 ln 2
+@example(2e-3, 0.8, 0.2, 0.01)  # t0 past the kink
+@settings(max_examples=200, deadline=None)
+def test_graded_grid_nodes_hit_their_counts(tau, a, b, fraction):
+    # the integral of rho from t0 reaches k / n of its value over [t0, t1]
+    # at node k; rho = exp(-u / 2) integrates to 2 (1 - exp(-u / 2)) up to
+    # the kink where it meets its floor f, and grows by f per unit u after
+    sched = rc_ramp(PARKING, -PARKING, tau)
+    t0, t1 = sorted((a * sched.duration, b * sched.duration))
+    assume(t1 - t0 > 1e-3 * tau)
+    step = tau / 50 * fraction
+    _, dts, _ = piecewise_deltas(sched, t0, t1, step)
+    floor = max(dynamics.GRID_FLOOR, fraction)
+    kink = -2 * math.log(floor)
+
+    def count(t):
+        u = np.asarray(t) / tau
+        return np.where(u < kink, 2 * (1 - np.exp(-u / 2)),
+                        2 * (1 - floor) + floor * (u - kink))
+
+    nodes = t0 + np.concatenate([[0.0], np.cumsum(dts)])
+    counts = count(nodes) - count(t0)
+    n = dts.size
+    assert counts[-1] * tau / step <= n < counts[-1] * tau / step + 1
+    assert np.allclose(counts, counts[-1] * np.arange(n + 1) / n, rtol=0,
+                       atol=1e-12 * max(1.0, t1 / tau))
+
+
+def test_step_count_is_bounded_before_the_grid_is_laid(monkeypatch):
+    sched = rc_ramp(PARKING, -PARKING, 2e-3)
+    tracemalloc.start()
+    try:
+        # 1e297 steps; at 5e-324 the count overflows to inf
+        for step in (1e-300, 5e-324):
+            with pytest.raises(StepPolicyError, match="MAX_STEPS"):
+                piecewise_deltas(sched, 0.0, sched.duration, step)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    space = small_space()
+    with pytest.raises(StepPolicyError, match="MAX_STEPS"):
+        sweep_unitaries(space, XI, sched, step=1e-300)
+    # the bound admits a grid of MAX_STEPS steps and refuses one step more,
+    # graded or uniform
+    for step in (default_step(XI, sched), sched.tau_rc / 50):
+        n = piecewise_deltas(sched, 0.0, sched.duration, step)[1].size
+        monkeypatch.setattr(dynamics, "MAX_STEPS", n)
+        piecewise_deltas(sched, 0.0, sched.duration, step)
+        monkeypatch.setattr(dynamics, "MAX_STEPS", n - 1)
+        with pytest.raises(StepPolicyError, match="MAX_STEPS"):
+            piecewise_deltas(sched, 0.0, sched.duration, step)
 
 
 def test_flat_ramp_gets_the_grid_of_its_tau():

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from trilinear import (
     FockDim,
@@ -36,6 +36,8 @@ from trilinear.fock import (
     guard_leak,
     radial_marginal,
 )
+
+from wigner_kernel import grid_wigner, pinned_grid_wigner
 
 TWO_OVER_PI = 2 / math.pi
 
@@ -375,8 +377,7 @@ def test_wigner_normalization_grid_integral():
     axis = np.linspace(-4, 4, 81)
     h = axis[1] - axis[0]
     for state in (fock_state(d, 0), coherent_state(d, 1.0)):
-        grid = np.array([[wigner_oracle(state, x + 1j * y) for y in axis]
-                         for x in axis])
+        grid = pinned_grid_wigner(state, axis[:, None] + 1j * axis[None, :])
         integral = np.trapezoid(np.trapezoid(grid, dx=h, axis=1), dx=h)
         assert integral == pytest.approx(1.0, abs=1e-3)
 
@@ -384,3 +385,30 @@ def test_wigner_normalization_grid_integral():
 def test_wigner_oracle_warns_on_truncation_leak():
     with pytest.warns(TruncationLeakWarning):
         wigner_oracle(fock_state(FockDim(12), 2), 2.5)
+
+
+quadrature = st.floats(-2.0, 2.0)
+
+
+@given(st.lists(st.complex_numbers(max_magnitude=1.0), min_size=1, max_size=8),
+       st.lists(st.builds(complex, quadrature, quadrature), min_size=1,
+                max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_grid_wigner_matches_the_oracle(coeffs, alphas):
+    # the test-side grid oracle, pinned to the per-point definition on
+    # random states of up to 8 levels, far enough from the cutoff of 60
+    # that truncation changes no digit
+    amp = np.zeros(60, dtype=complex)
+    amp[:len(coeffs)] = coeffs
+    assume(np.linalg.norm(amp) > 0.1)
+    state = StateVector(amp / np.linalg.norm(amp), FockDim(60))
+    expected = [wigner_oracle(state, a) for a in alphas]
+    assert np.allclose(grid_wigner(state, alphas), expected, rtol=0, atol=1e-12)
+
+
+def test_grid_wigner_refuses_a_leaking_grid():
+    # where wigner_oracle warns of a leak, the infinite-space kernel does
+    # not stand in for it
+    state = fock_state(FockDim(12), 2)
+    with pytest.raises(AssertionError, match="leaks"):
+        grid_wigner(state, np.array([0.0, 2.5]))
