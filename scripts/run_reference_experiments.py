@@ -79,13 +79,13 @@ def main() -> None:
         res = adiabatic_parity(fock_state(space.radial, n), params.xi, space,
                                schedule, model, sweep=sweep, stream=(n,))
         rows.append((n, res.exact.parity, res.sampled.parity,
-                     res.sampled.stderr, res.min_branch_fidelity,
+                     res.sampled.stderr, res.readout_bias,
                      ";".join(res.flags)))
         print(f"  n={n}: parity {res.exact.parity:+.4f} "
               f"(sampled {res.sampled.parity:+.3f})")
     write_csv(args.out / "parity_fock.csv",
               ["n", "parity_exact", "parity_sampled", "stderr",
-               "min_branch_fidelity", "flags"], rows)
+               "readout_bias", "flags"], rows)
     print(f"artifacts in {args.out}")
 
 

@@ -151,7 +151,7 @@ def run_parity(cfg: RunConfig, out: Path) -> None:
         ("parity_exact", res.exact.parity),
         ("parity_sampled", res.sampled.parity),
         ("stderr", res.sampled.stderr),
-        ("min_branch_fidelity", res.min_branch_fidelity),
+        ("readout_bias", res.readout_bias),
         ("flags", ";".join(res.flags)),
     ]
     rows += [
@@ -160,7 +160,7 @@ def run_parity(cfg: RunConfig, out: Path) -> None:
     write_csv(out / "parity.csv", ["key", "value"], rows, provenance(cfg, "parity"))
     parity = res.exact.parity if cfg.exact else res.sampled.parity
     print(f"parity = {parity:.6g}")
-    print(f"min_branch_fidelity = {res.min_branch_fidelity:.6g}")
+    print(f"max_readout_bias = {abs(res.readout_bias):.3g}")
     _print_sweep_steps(res.sweep_dts)
 
 
@@ -181,6 +181,7 @@ def run_wigner(cfg: RunConfig, out: Path) -> None:
     flags = [set(f.split(";")) for f in scan.flags]
     print(f"flagged_points = leak {sum('leak' in f for f in flags)}, "
           f"diabatic {sum('diabatic' in f for f in flags)} of {len(flags)}")
+    print(f"max_readout_bias = {np.abs(scan.readout_bias).max():.3g}")
     _print_sweep_steps(scan.sweep_dts)
 
 

@@ -401,5 +401,5 @@ def build_radial_state(spec: StateSpec, dim: FockDim) -> StateVector:
         raise ConfigValueError("state", f"{spec.kind} is not a single-mode radial state")
     try:
         return builders[spec.kind](dim, *spec.params)
-    except (ValueError, OverflowError) as e:
+    except ValueError as e:
         raise ConfigValueError("state", f"cannot build the {spec.kind} state: {e}") from None

@@ -80,10 +80,6 @@ GRID_FLOOR = 0.2
 # reference sweep lays 1712)
 MAX_STEPS = 1 << 22
 
-# sectors holding at most this population do not count towards a state's
-# worst branch fidelity
-BRANCH_POPULATION_FLOOR = 1e-6
-
 
 @dataclass(frozen=True)
 class SectorBlock:
@@ -348,8 +344,7 @@ def _decomposition(groups, xis, deltas, batch: int):
         pool.shutdown(cancel_futures=True)
 
 
-def _march(blocks, xi: float, deltas, dts, cols, gammas=None,
-           follow: bool = False):
+def _march(blocks, xi: float, deltas, dts, cols, gammas=None):
     """Evolve, in lockstep, columns of several K sectors through the steps
     P_t^dag exp(-i dts[t] H_t) P_t, in order, with
     H_t = deltas[t] N + xi sqrt(1 + gammas[t]^2) C (N the n_c diagonal, C
@@ -373,19 +368,10 @@ def _march(blocks, xi: float, deltas, dts, cols, gammas=None,
     and each eigh stack within CHUNK_BYTES, so memory stays bounded
     whatever the ramp length. Every matrix is decomposed and multiplied
     alone, so the result does not depend on the number of workers.
-
-    With `follow`, column 0 of every sector must be an eigenvector of the
-    sector matrix at the start. The kernel then follows, step by step, the
-    eigenvector P_t^dag V_t e_k of maximal overlap with the previous step's
-    (continuity, not eigenvalue order, so the branch is tracked through
-    avoided crossings), carried as one more column, and returns the
-    fidelities |<branch|evolved column 0>|^2 after the last step and their
-    minimum over all steps, one entry per sector; otherwise the second
-    result is None.
     """
     n = len(blocks)
     if n == 0:
-        return [], ((np.empty(0), np.empty(0)) if follow else None)
+        return []
     deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
     dts = np.atleast_1d(np.asarray(dts, dtype=float))
     gammas = (np.zeros(deltas.size) if gammas is None
@@ -429,22 +415,15 @@ def _march(blocks, xi: float, deltas, dts, cols, gammas=None,
 
     cols = [np.asarray(col, dtype=complex) for col in cols]
     n_cols = [1 if col.ndim == 1 else col.shape[1] for col in cols]
-    # P_t times the columns, and with `follow` the followed branch last
-    z = np.zeros((n_bins, width, max(n_cols) + follow), dtype=complex)
+    # P_t times the columns
+    z = np.zeros((n_bins, width, max(n_cols)), dtype=complex)
     for j, col in enumerate(cols):
         z[bin_of[j], rows[j], :n_cols[j]] = col.reshape(sizes[j], -1)
-        if follow:
-            z[bin_of[j], rows[j], -1] = z[bin_of[j], rows[j], 0]
     # the same in the step's eigenbasis
     y = np.empty_like(z)
     basis = np.zeros((batch, n_bins, width, width))
     basis_t = basis.transpose(0, 1, 3, 2)
     angle = np.zeros((batch, n_bins, width))
-    # a branch's successor lies in its sector's rows of its bin
-    inside = np.zeros((n, width))
-    for j in range(n):
-        inside[j, rows[j]] = 1.0
-    final = worst = None
 
     with closing(_decomposition(groups, xi * np.sqrt(1 + gammas ** 2), deltas,
                                 batch)) as batches:
@@ -460,33 +439,15 @@ def _march(blocks, xi: float, deltas, dts, cols, gammas=None,
             phases.real[..., 0], phases.imag[..., 0] = np.cos(arg), -np.sin(arg)
             # the twist P_t P_{t-1}^dag of row n_c is twists[t, n_c]
             twists = np.exp(1j * turns[lo:lo + c, None] * np.arange(n_c.max() + 1))
-            if follow:
-                track = np.empty((c, n), dtype=complex)
             for t in range(c):
                 np.multiply(z, twists[t, n_c], out=z)
                 np.matmul(basis_t[t], z.view(float), out=y.view(float))
-                if follow:
-                    # the successor: the eigenvector of largest overlap
-                    # with the branch, which the last column holds
-                    pick = (np.abs(y[bin_of, :, -1]) * inside).argmax(axis=1)
-                    track[t] = y[bin_of, pick, 0]
-                    y[:, :, -1] = 0.0
-                    y[bin_of, pick, -1] = 1.0
                 np.multiply(y, phases[t], out=y)
                 np.matmul(basis[t], y.view(float), out=z.view(float))
-            if not follow:
-                continue
-            fids = np.abs(track) ** 2
-            worst = fids.min(axis=0) if worst is None else np.minimum(
-                worst, fids.min(axis=0))
-            final = fids[-1]
     # undo the last step's twist
     untwist = np.exp(-1j * (thetas[-1] if thetas.size else 0.0) * n_c)
-    out = [(z[bin_of[j], rows[j], :n_cols[j]] * untwist[bin_of[j], rows[j]]
-            ).reshape(col.shape) for j, col in enumerate(cols)]
-    if not follow:
-        return out, None
-    return out, (final, np.minimum(worst, 1.0))
+    return [(z[bin_of[j], rows[j], :n_cols[j]] * untwist[bin_of[j], rows[j]]
+             ).reshape(col.shape) for j, col in enumerate(cols)]
 
 
 def _grid_density(u, cap: float = 0.0):
@@ -587,8 +548,8 @@ def _populated_blocks(amp: np.ndarray, space: TwoModeSpace) -> list[SectorBlock]
 def _march_state(amp: np.ndarray, blocks, xi: float, deltas, dts,
                  gammas=None) -> None:
     """Evolve the full-space amplitudes `amp` in place on `blocks`."""
-    evolved, _ = _march(blocks, xi, deltas, dts, [amp[b.indices] for b in blocks],
-                        gammas)
+    evolved = _march(blocks, xi, deltas, dts, [amp[b.indices] for b in blocks],
+                     gammas)
     for b, sub in zip(blocks, evolved):
         amp[b.indices] = sub
 
@@ -752,13 +713,6 @@ class SweepResult:
     fourth-order Magnus steps: the mean detuning of each step's two Gauss
     points, the step durations and the twists. `unitaries` marches the same
     steps.
-
-    branch_final_fid / branch_min_fid monitor the sweep's own adiabaticity:
-    the instantaneous eigenstate anchored at the start (followed through the
-    crossing by maximal-overlap continuity, not eigenvalue order, among the
-    eigenvectors of each step's Magnus exponent) is evolved with the sweep,
-    and its fidelity to the tracked branch is recorded along the way. An
-    ideal adiabatic sweep keeps it at 1.
     """
 
     space: TwoModeSpace
@@ -770,8 +724,6 @@ class SweepResult:
     gammas: np.ndarray
     evolved: dict[int, np.ndarray]
     endpoint_bases: dict[int, tuple[np.ndarray, np.ndarray]]
-    branch_final_fid: dict[int, float]
-    branch_min_fid: dict[int, float]
     # the sector unitaries marched so far, by K
     _marched: dict[int, np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False)
@@ -781,8 +733,8 @@ class SweepResult:
         identity columns for those not marched before."""
         todo = [b for b in blocks if b.k not in self._marched]
         if todo:
-            u, _ = _march(todo, self.xi, self.deltas, self.dts,
-                          [np.eye(b.size) for b in todo], self.gammas)
+            u = _march(todo, self.xi, self.deltas, self.dts,
+                       [np.eye(b.size) for b in todo], self.gammas)
             self._marched.update((b.k, uk) for b, uk in zip(todo, u))
         return {b.k: self._marched[b.k] for b in blocks}
 
@@ -810,18 +762,6 @@ class SweepResult:
             amp[b.indices] = unitaries[b.k] @ amp[b.indices]
         return StateVector(amp, space)
 
-    def min_branch_fidelity(self, state: StateVector,
-                            population_floor: float = BRANCH_POPULATION_FLOOR
-                            ) -> float:
-        """Worst along-the-sweep branch fidelity over the sectors this state
-        populates above population_floor."""
-        pops = state.populations()
-        worst = 1.0
-        for b in block_decompose(state.basis).blocks:
-            if float(pops[b.indices].sum()) > population_floor:
-                worst = min(worst, self.branch_min_fid.get(b.k, 1.0))
-        return worst
-
 
 def sweep_unitaries(space: TwoModeSpace, xi: float, schedule: RampSchedule,
                     step: float | None = None,
@@ -831,8 +771,8 @@ def sweep_unitaries(space: TwoModeSpace, xi: float, schedule: RampSchedule,
     The result is state-independent: one call serves a whole grid of initial
     states (the expensive part of Wigner scans is paid once here). All
     sectors advance together through one lockstep kernel that evolves only
-    the start eigenvectors the readout and the adiabaticity monitor need;
-    the full unitaries are built on demand (`SweepResult.unitaries`).
+    the start eigenvectors the readout needs; the full unitaries are built
+    on demand (`SweepResult.unitaries`).
     """
     if step is None:
         step = default_step(xi, schedule)
@@ -847,12 +787,11 @@ def sweep_unitaries(space: TwoModeSpace, xi: float, schedule: RampSchedule,
     for b in blocks:
         _, (v_first, v_last) = np.linalg.eigh(b.hamiltonians(xi, ends))
         endpoint_bases[b.k] = (v_first, v_last)
-    # column 0, the lowest start eigenvector, doubles as the adiabaticity
-    # monitor's branch; below zero detuning the label-0 state is the highest
+    # column 0 is the lowest start eigenvector; below zero detuning the
+    # label-0 state is the highest, marched as column 1
     starts = [0] if ends[0] > 0 else [0, -1]
-    evolved, (final_fid, min_fid) = _march(
-        blocks, xi, deltas, dts,
-        [endpoint_bases[b.k][0][:, starts] for b in blocks], gammas, follow=True)
+    evolved = _march(blocks, xi, deltas, dts,
+                     [endpoint_bases[b.k][0][:, starts] for b in blocks], gammas)
     return SweepResult(
         space=space,
         xi=xi,
@@ -863,6 +802,4 @@ def sweep_unitaries(space: TwoModeSpace, xi: float, schedule: RampSchedule,
         gammas=gammas,
         evolved={b.k: f for b, f in zip(blocks, evolved)},
         endpoint_bases=endpoint_bases,
-        branch_final_fid={b.k: float(f) for b, f in zip(blocks, final_fid)},
-        branch_min_fid={b.k: float(f) for b, f in zip(blocks, min_fid)},
     )

@@ -296,7 +296,12 @@ def _coherent_amplitudes(alpha: complex, d: int) -> np.ndarray:
         amp = np.zeros(d, dtype=complex)
         amp[0] = 1.0
         return amp
-    log_mag = -abs(alpha) ** 2 / 2 + n * math.log(abs(alpha)) - log_fact / 2
+    try:
+        half_norm = abs(alpha) ** 2 / 2
+    except OverflowError:
+        raise ValueError(
+            f"amplitude {alpha} is too large: |alpha|^2 overflows a float") from None
+    log_mag = -half_norm + n * math.log(abs(alpha)) - log_fact / 2
     phase = np.exp(1j * n * np.angle(alpha))
     return np.exp(log_mag) * phase
 

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import (
-    BRANCH_POPULATION_FLOOR,
     RampSchedule,
     SweepResult,
     block_decompose,
@@ -57,7 +56,9 @@ DISPLACEMENT_RATE = math.sqrt(3.0e-4)  # |alpha| per microsecond of drive
 # length follows from it
 BLOCK_BYTES = 1 << 20
 
-ADIABATIC_FIDELITY_FLOOR = 0.99
+# |readout bias of W| above which a point is flagged 'diabatic': the
+# tolerance of the scan against the Wigner oracle (acceptance criterion 5)
+READOUT_BIAS_TOLERANCE = 0.01
 
 # amplitudes at or below this are treated as unpopulated when choosing
 # which K sectors a protocol needs (coherent-state tails reach every level
@@ -108,11 +109,16 @@ def measurement_channel(p_phonon: float, model: MeasurementModel,
     """
     if not 0.0 <= p_phonon <= 1.0 + 1e-12:
         raise ValueError(f"p_phonon = {p_phonon} outside [0, 1]")
-    p_phonon = min(p_phonon, 1.0)
-    p1 = model.eta * p_phonon + model.dark_bright_prob * (1.0 - p_phonon)
+    p1 = _bright_probability(min(p_phonon, 1.0), model)
     k = model.rng(*stream).binomial(model.shots, p1)
     p1_hat = k / model.shots
     return p1, p1_hat, binomial_stderr(p1_hat, model.shots)
+
+
+def _bright_probability(p_phonon, model: MeasurementModel):
+    """p1_exact of the mapping channel, for one p_phonon in [0, 1] or an
+    array of them."""
+    return model.eta * p_phonon + model.dark_bright_prob * (1.0 - p_phonon)
 
 
 def parity_estimate(p1: float, eta: float) -> float:
@@ -223,16 +229,17 @@ class _SectorReadout:
     The readout acts on each sector separately, so a radial state psi
     yields the incoherent sum over k of |psi_k|^2 times the per-sector
     figures of f_k = U_k e_k: `radial0` is the final population of the
-    labels with radial label 0, `axial` the final axial-label marginal,
-    `guard` the radial and axial guard-band populations, and `min_fid` the
-    sweep's worst branch fidelity.
+    labels with radial label 0, `axial` the final axial-label marginal and
+    `guard` the radial and axial guard-band populations. An ideal sweep
+    maps e_k to radial label 0 for even k and to radial label 1 for odd k,
+    so radial0[k] - [k even] is all that sector's readout error; for odd k
+    no label of the sector has radial label 0, and it is exactly 0.
     """
 
     covered: np.ndarray  # (dr,) bool
     radial0: np.ndarray  # (dr,)
     axial: np.ndarray  # (dr, da)
     guard: np.ndarray  # (dr, 2)
-    min_fid: np.ndarray  # (dr,)
 
     @classmethod
     def of(cls, sweep: SweepResult) -> "_SectorReadout":
@@ -247,7 +254,6 @@ class _SectorReadout:
         radial0 = np.zeros(dr)
         axial = np.zeros((dr, space.axial.dim))
         guard = np.zeros((dr, 2))
-        min_fid = np.ones(dr)
         for k in range(dr):
             bases = sweep.endpoint_bases.get(k)
             if bases is None:
@@ -264,14 +270,16 @@ class _SectorReadout:
             radial0[k] = labels[block_occ[:, 0] == 0].sum()
             axial[k, block_occ[:, 1]] = labels
             guard[k] = np.abs(f) ** 2 @ (block_occ > tops)
-            min_fid[k] = sweep.branch_min_fid[k]
-        return cls(covered, radial0, axial, guard, min_fid)
+        return cls(covered, radial0, axial, guard)
 
     def read(self, amplitudes: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Readout of each row of radial amplitudes: (p_phonon, leak,
-        min_fid, axial distribution), one entry or row per input row.
-        Levels with |psi_k| <= AMPLITUDE_FLOOR count as unpopulated; a
-        populated level whose sector the sweep does not cover is an error."""
+        """Readout of each row of radial amplitudes: (p_phonon, leak, bias,
+        axial distribution), one entry or row per input row. bias is
+        sum_k |psi_k|^2 (radial0[k] - [k even]), the exact error of the
+        readout's P(radial label 0) against the ideal parity map: the
+        parity it reads is off by 2 bias, W by (4 / pi) bias. Levels with
+        |psi_k| <= AMPLITUDE_FLOOR count as unpopulated; a populated level
+        whose sector the sweep does not cover is an error."""
         populated = np.abs(amplitudes) > AMPLITUDE_FLOOR
         missing = populated & ~self.covered
         if missing.any():
@@ -280,13 +288,13 @@ class _SectorReadout:
         w = np.where(populated, np.abs(amplitudes) ** 2, 0.0)
         p_phonon = np.clip(1.0 - w @ self.radial0, 0.0, 1.0)
         leak = (w @ self.guard).max(axis=1) >= GUARD_LEAK_THRESHOLD
-        min_fid = np.where(w > BRANCH_POPULATION_FLOOR, self.min_fid, 1.0).min(axis=1)
-        return p_phonon, leak, min_fid, w @ self.axial
+        even = np.arange(self.radial0.size) % 2 == 0
+        return p_phonon, leak, w @ (self.radial0 - even), w @ self.axial
 
 
-def _flags(leak: bool, min_fid: float) -> tuple[str, ...]:
+def _flags(leak: bool, wigner_bias: float) -> tuple[str, ...]:
     return (("leak",) if leak else ()) + (
-        ("diabatic",) if min_fid < ADIABATIC_FIDELITY_FLOOR else ())
+        ("diabatic",) if abs(wigner_bias) > READOUT_BIAS_TOLERANCE else ())
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +504,8 @@ class AdiabaticParityResult:
     sampled: ParityResult
     p_phonon: float
     axial_distribution: np.ndarray
-    min_branch_fidelity: float
+    # exact parity minus the ideal sum_n (-1)^n |psi_n|^2: the sweep's error
+    readout_bias: float
     flags: tuple[str, ...]
     sweep_dts: np.ndarray  # the step durations of the sweep's grid
 
@@ -517,8 +526,11 @@ def adiabatic_parity(state_r: StateVector, xi: float, space: TwoModeSpace,
     Even initial Fock components end with the radial mode empty, odd ones
     with a single radial phonon, so P(n_r >= 1) through the mapping channel
     estimates the parity. The final axial distribution (which carries n/2)
-    is returned as an extra diagnostic. A per-sector instantaneous-eigenstate
-    fidelity below 0.99 raises the 'diabatic' flag; it is reported, not fatal.
+    is returned as an extra diagnostic. readout_bias is the exact parity's
+    departure from the ideal sum_n (-1)^n |psi_n|^2, known in closed form
+    because the readout is per sector (`_SectorReadout.read`); a bias of
+    the Wigner value (2 / pi) <P> beyond READOUT_BIAS_TOLERANCE raises the
+    'diabatic' flag. It is reported, not fatal.
     """
     if not isinstance(state_r.basis, FockDim) or state_r.basis != space.radial:
         raise ValueError("state must live on the radial mode of the space")
@@ -529,10 +541,10 @@ def adiabatic_parity(state_r: StateVector, xi: float, space: TwoModeSpace,
         sweep = sweep_unitaries(space, xi, schedule, step, sector_ks=populated)
     elif sweep.space != space:
         raise ValueError("the sweep was built for another space")
-    p_phonon, leak, min_fid, axial = _SectorReadout.of(sweep).read(
+    p_phonon, leak, bias, axial = _SectorReadout.of(sweep).read(
         state_r.amplitudes[None, :])
     p_phonon = float(p_phonon[0])
-    min_fid = float(min_fid[0])
+    parity_bias = 2.0 * float(bias[0])
     p1, p1_hat, stderr = measurement_channel(p_phonon, model, stream=stream)
     exact = ParityResult(
         p1=p1, parity=parity_estimate(p1, model.eta), shots=0, stderr=0.0,
@@ -547,8 +559,8 @@ def adiabatic_parity(state_r: StateVector, xi: float, space: TwoModeSpace,
         sampled=sampled,
         p_phonon=p_phonon,
         axial_distribution=axial[0],
-        min_branch_fidelity=min_fid,
-        flags=_flags(leak[0], min_fid),
+        readout_bias=parity_bias,
+        flags=_flags(leak[0], 2.0 / math.pi * parity_bias),
         sweep_dts=sweep.dts,
     )
 
@@ -571,6 +583,10 @@ class WignerScan:
     meta: dict = field(compare=False)
     # the step durations of the sweep's grid
     sweep_dts: np.ndarray | None = field(default=None, compare=False)
+    # per point, the error of the exact W against the ideal displaced
+    # parity (2/pi) <P> that the sweep's readout makes (`_SectorReadout.
+    # read`); dark counts, if modelled, come on top
+    readout_bias: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         eta = self.meta.get("eta", 1.0)
@@ -632,8 +648,9 @@ def wigner_scan(state_r: StateVector, alphas, xi: float, space: TwoModeSpace,
     displaced radial populations: the grid is displaced and read out in
     blocks of points, with the figures of each sector computed once per
     sweep, and gives at each point what adiabatic_parity gives for the
-    displaced state. Per-point randomness is
-    drawn from the stream (seed, point index), so the scan is deterministic.
+    displaced state, readout_bias included. Per-point randomness is
+    drawn from the stream (seed, point index), so the scan is deterministic;
+    an exact scan draws nothing.
     """
     alphas = np.asarray(alphas, complex).ravel()
     dim_r = state_r.basis
@@ -651,26 +668,30 @@ def wigner_scan(state_r: StateVector, alphas, xi: float, space: TwoModeSpace,
     readout = _SectorReadout.of(sweep)
 
     n = alphas.size
-    p1_exact = np.empty(n)
-    p1_sampled = np.empty(n)
-    stderr = np.empty(n)
-    flags: list[str] = []
+    p_phonon = np.empty(n)
+    leak = np.empty(n, dtype=bool)
+    bias = np.empty(n)
     for lo, disp in _displaced_blocks(state_r, alphas):
+        span = slice(lo, lo + disp.shape[0])
+        p_phonon[span], leak[span], bias[span], _ = readout.read(disp)
         disp_leak = (np.abs(disp[:, dim_r.top_physical + 1:]) ** 2).sum(axis=1)
-        p_phonon, leak, min_fid, _ = readout.read(disp)
-        leak |= disp_leak >= GUARD_LEAK_THRESHOLD
-        for i, (p, lk, fid) in enumerate(
-            zip(p_phonon.tolist(), leak.tolist(), min_fid.tolist()), start=lo
-        ):
+        leak[span] |= disp_leak >= GUARD_LEAK_THRESHOLD
+    bias *= 4.0 / math.pi
+    flags = tuple(";".join(_flags(lk, b))
+                  for lk, b in zip(leak.tolist(), bias.tolist()))
+
+    if exact:
+        p1_exact = _bright_probability(p_phonon, model)
+        p1_sampled = p1_exact.copy()
+        stderr = np.zeros(n)
+    else:
+        p1_exact = np.empty(n)
+        p1_sampled = np.empty(n)
+        stderr = np.empty(n)
+        for i, p in enumerate(p_phonon.tolist()):
             p1_exact[i], p1_sampled[i], stderr[i] = measurement_channel(
                 p, model, stream=(i,))
-            flags.append(";".join(_flags(lk, fid)))
-
-    p1 = p1_exact if exact else p1_sampled
-    parity = 1.0 - 2.0 * p1 / model.eta
-    if exact:
-        stderr = np.zeros(n)
-        p1_sampled = p1_exact.copy()
+    parity = 1.0 - 2.0 * p1_sampled / model.eta
     scan_meta = {
         "eta": model.eta,
         "shots": 0 if exact else model.shots,
@@ -688,9 +709,10 @@ def wigner_scan(state_r: StateVector, alphas, xi: float, space: TwoModeSpace,
         parity=parity,
         wigner=2.0 / math.pi * parity,
         stderr=2.0 / math.pi * 2.0 * stderr / model.eta,
-        flags=tuple(flags),
+        flags=flags,
         meta=scan_meta,
         sweep_dts=sweep.dts,
+        readout_bias=bias,
     )
 
 

@@ -380,6 +380,9 @@ def test_graded_grid_is_the_uniform_one_at_the_coarsest_step(d0, tau, fraction):
 @example(2e-3, 0.3, 1.0, 0.05)  # t0 > 0, across the kink at u = 2 ln 5
 @example(2e-3, 0.1, 0.9, 0.5)  # the step's floor moves the kink to 2 ln 2
 @example(2e-3, 0.8, 0.2, 0.01)  # t0 past the kink
+# uniform grids whose summed steps end a few ulps past t1
+@example(0.00421875113999456, 0.0, 1.0, 1.0)
+@example(0.00011911294713179829, 0.0, 1.0, 1.0)
 @settings(max_examples=200, deadline=None)
 def test_graded_grid_nodes_hit_their_counts(tau, a, b, fraction):
     # the integral of rho from t0 reaches k / n of its value over [t0, t1]
@@ -401,7 +404,11 @@ def test_graded_grid_nodes_hit_their_counts(tau, a, b, fraction):
     nodes = t0 + np.concatenate([[0.0], np.cumsum(dts)])
     counts = count(nodes) - count(t0)
     n = dts.size
-    assert counts[-1] * tau / step <= n < counts[-1] * tau / step + 1
+    # the step count over [t0, t1] is rounded up to n, with the same 1e-12
+    # slack as piecewise_deltas; it is taken at t1 itself, since the summed
+    # steps may end a few ulps past it
+    total = float(count(t1) - count(t0)) * tau / step
+    assert total - 1e-12 <= n < total + 1
     assert np.allclose(counts, counts[-1] * np.arange(n + 1) / n, rtol=0,
                        atol=1e-12 * max(1.0, t1 / tau))
 
@@ -608,7 +615,8 @@ def test_sweep_adiabatic_theorem_low_sectors():
     space = TwoModeSpace(FockDim(40), FockDim(20))
     sched = rc_ramp(PARKING, -PARKING, 2e-3)
     sweep = sweep_unitaries(space, XI, sched, sector_ks=range(13))
-    assert min(sweep.branch_final_fid.values()) >= 0.99
+    for k, (_, v_last) in sweep.endpoint_bases.items():
+        assert abs(np.vdot(v_last[:, 0], sweep.evolved[k][:, 0])) ** 2 >= 0.99
 
 
 def test_sweep_apply_requires_covered_sectors():
@@ -669,29 +677,21 @@ def magnus_hamiltonian(hamiltonian, t, dt):
 
 def reference_sweep(space, xi, schedule, step):
     """Per-step sweep loop (one complex eigh per sector per step), kept as
-    the reference for the batched kernel: per-sector unitaries, final and
-    minimum branch fidelity. A step is exp(-i H_eff dt), with the Magnus
-    H_eff = delta N + xi C + i gamma xi [C, N] of the grid's mean detuning
-    and twist, the commutator written out rather than reduced to a twist."""
+    the reference for the batched kernel: the per-sector unitaries. A step
+    is exp(-i H_eff dt), with the Magnus H_eff = delta N + xi C +
+    i gamma xi [C, N] of the grid's mean detuning and twist, the commutator
+    written out rather than reduced to a twist."""
     deltas, dts, gammas = piecewise_deltas(schedule, 0.0, schedule.duration, step)
     out = {}
     for b in block_decompose(space).blocks:
         n_c = np.diag(b.n_c_diag)
         commutator = b.coupling @ n_c - n_c @ b.coupling
         u = np.eye(b.size, dtype=complex)
-        _, v_first = np.linalg.eigh(b.hamiltonian(xi, float(schedule.delta_at(0.0))))
-        branch = v_first[:, 0].astype(complex)
-        evolved = branch.copy()
-        worst = 1.0
         for delta, dt, gamma in zip(deltas, dts, gammas):
             h_eff = b.hamiltonian(xi, float(delta)) + 1j * gamma * xi * commutator
             w, v = np.linalg.eigh(h_eff)
-            phases = np.exp(-1j * w * dt)
-            u = (v * phases) @ (v.conj().T @ u)
-            evolved = v @ (phases * (v.conj().T @ evolved))
-            branch = v[:, int(np.argmax(np.abs(branch.conj() @ v)))].astype(complex)
-            worst = min(worst, abs(np.vdot(branch, evolved)) ** 2)
-        out[b.k] = (u, abs(np.vdot(branch, evolved)) ** 2, worst)
+            u = (v * np.exp(-1j * w * dt)) @ (v.conj().T @ u)
+        out[b.k] = u
     return out
 
 
@@ -734,7 +734,7 @@ def test_kernel_matches_dense_expm_product(dr, da, d0, d1, tau, n_steps, seed,
 
 
 # a 1000x weaker coupling makes the crossings narrower than a step, so the
-# followed branch leaves eigenvalue order
+# sweep is far from adiabatic
 @given(st.integers(4, 8), st.integers(3, 4), detunings, detunings,
        st.floats(10e-6, 40e-6), st.sampled_from([XI, XI / 1000]), chunk_budgets)
 @settings(max_examples=15, deadline=None)
@@ -746,10 +746,8 @@ def test_sweep_matches_per_step_reference(dr, da, d0, d1, tau, xi, budget):
         sweep = sweep_unitaries(space, xi, sched)
     ref = reference_sweep(space, xi, sched, sweep.step)
     assert sweep.unitaries.keys() == ref.keys()
-    for k, (u, final_fid, min_fid) in ref.items():
+    for k, u in ref.items():
         assert np.abs(sweep.unitaries[k] - u).max() < 1e-12
-        assert abs(sweep.branch_final_fid[k] - final_fid) < 1e-12
-        assert abs(sweep.branch_min_fid[k] - min_fid) < 1e-12
 
 
 # sector sets of mixed sizes, both signs of the start detuning (which
@@ -772,11 +770,8 @@ def test_lockstep_columns_match_per_step_reference(dr, da, data, sign, d0, d1,
     assert sorted(sweep.evolved) == sorted(ks)
     starts = [0] if sign > 0 else [0, -1]
     for k in ks:
-        u, final_fid, min_fid = ref[k]
-        expected = u @ sweep.endpoint_bases[k][0][:, starts]
+        expected = ref[k] @ sweep.endpoint_bases[k][0][:, starts]
         assert np.abs(sweep.evolved[k] - expected).max() < 1e-12
-        assert abs(sweep.branch_final_fid[k] - final_fid) < 1e-12
-        assert abs(sweep.branch_min_fid[k] - min_fid) < 1e-12
     assert "unitaries" not in vars(sweep)
 
 
@@ -809,8 +804,6 @@ def test_sweep_does_not_depend_on_worker_count(dr, da, data, sign, d0, d1, tau,
     one, three = sweeps
     for k in ks:
         assert np.array_equal(one.evolved[k], three.evolved[k])
-        assert one.branch_final_fid[k] == three.branch_final_fid[k]
-        assert one.branch_min_fid[k] == three.branch_min_fid[k]
 
 
 class SlowSubmit(ThreadPoolExecutor):
@@ -916,7 +909,7 @@ def test_worker_error_reaches_the_caller(monkeypatch):
     assert [str(exc) for exc in raised] == ["injected"]
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     # the workers are free again
-    assert sweep_unitaries(space, XI, sched).branch_min_fid
+    assert sweep_unitaries(space, XI, sched).evolved
 
 
 def eigh_threads():
@@ -970,7 +963,7 @@ def test_kernel_memory_stays_within_the_budget(monkeypatch):
         dts = np.full(n_steps, 1e-7)
         tracemalloc.start()
         try:
-            dynamics._march(blocks, XI, deltas, dts, cols, follow=True)
+            dynamics._march(blocks, XI, deltas, dts, cols)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -287,6 +287,13 @@ def test_cat_zero_norm_rejected():
         cat_state(FockDim(20), 0.0, math.pi, -1)
 
 
+@pytest.mark.parametrize("build", [coherent_state, cat_state])
+def test_overflowing_amplitude_rejected(build):
+    # |alpha|^2 of 1e200 is past the largest float
+    with pytest.raises(ValueError, match=r"amplitude \(1e\+200\+0j\)"):
+        build(FockDim(8), 1e200)
+
+
 def test_product_state_and_marginals():
     space = TwoModeSpace(FockDim(6), FockDim(5))
     state = product_state(space, 2, 1)

@@ -1,6 +1,7 @@
 """Measurement protocols: channel, parity sweep, spectra, Wigner scans."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from trilinear import (
     FockDim,
     MeasurementModel,
     StateVector,
+    TruncationLeakWarning,
     TwoModeSpace,
     adiabatic_parity,
     avoided_crossing_spectrum,
@@ -38,7 +40,7 @@ from trilinear.fock import (
     guard_leak,
 )
 from trilinear.protocols import (
-    ADIABATIC_FIDELITY_FLOOR,
+    READOUT_BIAS_TOLERANCE,
     ParityResult,
     binomial_stderr,
     normal_mode_embedding,
@@ -310,6 +312,18 @@ def test_parity_eta_correction_through_channel(space, schedule, sweep):
     assert res.exact.parity == pytest.approx(-1.0, abs=1e-9)
 
 
+def test_fast_ramp_flags_the_two_phonon_state_diabatic():
+    # the 20 us ramp leaves |2> nearly where it started, so its parity reads
+    # close to -1 instead of +1; the bias says by how much
+    small = TwoModeSpace(FockDim(10), FockDim(5))
+    res = adiabatic_parity(fock_state(small.radial, 2), PARAMS.xi, small,
+                           rc_ramp(PARKING, -PARKING, 20e-6),
+                           MeasurementModel(eta=1.0, seed=5))
+    assert res.flags == ("diabatic",)
+    assert res.readout_bias == pytest.approx(res.exact.parity - 1.0, abs=1e-12)
+    assert res.readout_bias < -1.9
+
+
 def test_normal_mode_embedding_reduces_to_bare_at_weak_coupling():
     # with xi 1000x smaller the dressing must be indistinguishable from bare
     small = TwoModeSpace(FockDim(16), FockDim(8))
@@ -506,9 +520,25 @@ def test_partial_sweep_rejects_uncovered_sectors():
                          model, sweep=partial)
 
 
+def leaky_oracle(state, alpha):
+    """wigner_oracle, silent where the displaced state reaches the guard
+    band (the truncated displacement is exact there too)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationLeakWarning)
+        return wigner_oracle(state, alpha)
+
+
+def random_radial_state(dim, n_levels, seed):
+    rng = np.random.default_rng(seed)
+    amp = np.zeros(dim.dim, dtype=complex)
+    amp[:n_levels] = rng.normal(size=n_levels) + 1j * rng.normal(size=n_levels)
+    return StateVector(amp / np.linalg.norm(amp), dim)
+
+
 def per_point_reference(state, alphas, space, sweep, model):
     """The scan composed point by point from the protocol's pieces:
-    displace, embed, sweep, read the labels, sample."""
+    displace, embed, sweep, read the labels, sample; a point is 'diabatic'
+    where its exact W misses the Wigner oracle by more than the tolerance."""
     dim = state.basis
     p1_exact, p1_sampled, flags = [], [], []
     for i, alpha in enumerate(alphas):
@@ -521,7 +551,8 @@ def per_point_reference(state, alphas, space, sweep, model):
         p1, p1_hat, _ = measurement_channel(p_phonon, model, stream=(i,))
         leak = (guard_leak(disp, dim) >= GUARD_LEAK_THRESHOLD
                 or guard_leak(final.amplitudes, space) >= GUARD_LEAK_THRESHOLD)
-        diabatic = sweep.min_branch_fidelity(psi0) < ADIABATIC_FIDELITY_FLOOR
+        w_point = TWO_OVER_PI * parity_estimate(p1, model.eta)
+        diabatic = abs(w_point - leaky_oracle(state, alpha)) > READOUT_BIAS_TOLERANCE
         p1_exact.append(p1)
         p1_sampled.append(p1_hat)
         flags.append(";".join(name for name, on in
@@ -533,7 +564,8 @@ def per_point_reference(state, alphas, space, sweep, model):
 # push the displaced states of a 6..10-level radial mode into its guard band.
 # The examples pin two edges: on 6x5 a displaced state can reach the radial
 # guard band while its swept image stays clear of both, and near the
-# vacuum the diabatic K = 2 sector holds less than the population floor.
+# vacuum the fast ramp's large K = 2 error is weighted by so small a
+# population that the point's bias stays within the tolerance.
 # The small block budget splits the 25-point grid into blocks of 4 to 7.
 @given(st.integers(6, 10), st.integers(3, 5), st.integers(0, 1000),
        st.integers(1, 5), st.floats(0.01, 3.0), st.floats(15e-6, 500e-6),
@@ -546,10 +578,7 @@ def per_point_reference(state, alphas, space, sweep, model):
 def test_scan_matches_per_point_composition(dr, da, seed, n_levels, extent, tau,
                                             budget):
     space = TwoModeSpace(FockDim(dr), FockDim(da))
-    rng = np.random.default_rng(seed)
-    amp = np.zeros(dr, dtype=complex)
-    amp[:n_levels] = rng.normal(size=n_levels) + 1j * rng.normal(size=n_levels)
-    state = StateVector(amp / np.linalg.norm(amp), space.radial)
+    state = random_radial_state(space.radial, n_levels, seed)
     sched = rc_ramp(PARKING, -PARKING, tau)
     sweep = sweep_unitaries(space, PARAMS.xi, sched, sector_ks=range(dr))
     model = MeasurementModel(eta=0.86, shots=200, seed=seed)
@@ -563,6 +592,29 @@ def test_scan_matches_per_point_composition(dr, da, seed, n_levels, extent, tau,
     assert np.abs(scan.p1_exact - p1_exact).max() < 1e-12
     assert np.array_equal(scan.p1_sampled, p1_sampled)
     assert list(scan.flags) == flags
+
+
+# the readout is per K sector, so its error is known in closed form: the
+# reported bias is the exact W's departure from the oracle at every point,
+# whatever the ramp, and sectors of odd k, which hold no radial-label-0
+# state, read out without any error
+@given(st.integers(6, 10), st.integers(3, 5), st.integers(0, 1000),
+       st.integers(1, 6), st.floats(0.01, 2.0), st.floats(15e-6, 2e-3))
+@settings(max_examples=20, deadline=None)
+def test_readout_bias_is_the_error_against_the_oracle(dr, da, seed, n_levels,
+                                                       extent, tau):
+    space = TwoModeSpace(FockDim(dr), FockDim(da))
+    state = random_radial_state(space.radial, n_levels, seed)
+    sched = rc_ramp(PARKING, -PARKING, tau)
+    sweep = sweep_unitaries(space, PARAMS.xi, sched, sector_ks=range(dr))
+    alphas = phase_space_grid(extent, 5)
+    scan = wigner_scan(state, alphas, PARAMS.xi, space, sched,
+                       MeasurementModel(eta=0.86, seed=seed), exact=True,
+                       sweep=sweep)
+    oracle = np.array([leaky_oracle(state, a) for a in alphas])
+    assert np.abs(scan.readout_bias - (scan.wigner - oracle)).max() < 1e-12
+    radial0 = protocols._SectorReadout.of(sweep).radial0
+    assert np.all(radial0[1::2] == 0.0)
 
 
 def test_scan_csv_schema(space, schedule, sweep, tmp_path):
