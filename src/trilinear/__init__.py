@@ -73,4 +73,5 @@ from .protocols import (
     radial_cut,
     slow_sweep,
     wigner_scan,
+    wigner_sweep_needed,
 )

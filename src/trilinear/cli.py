@@ -183,6 +183,8 @@ def run_wigner(cfg: RunConfig, out: Path) -> None:
           f"diabatic {sum('diabatic' in f for f in flags)} of {len(flags)}")
     print(f"max_readout_bias = {np.abs(scan.readout_bias).max():.3g}")
     _print_sweep_steps(scan.sweep_dts)
+    # odd sectors without a guard-band state read out exactly unswept
+    print("sweep_sectors = {} of {}".format(*scan.sweep_sectors))
 
 
 def run_converge(cfg: RunConfig, out: Path) -> None:
@@ -237,7 +239,7 @@ def convergence_report(cfg: RunConfig) -> list[tuple]:
     for d in dims:
         space = TwoModeSpace(
             FockDim(d, cfg.simulation.guard_band),
-            FockDim(max(3, d // 2), cfg.simulation.guard_band),
+            FockDim(cfg.converge.axial_dim(d), cfg.simulation.guard_band),
         )
         state = build_radial_state(spec, space.radial)
         scan = wigner_scan(
@@ -246,7 +248,8 @@ def convergence_report(cfg: RunConfig) -> list[tuple]:
         )
         w0.append(float(scan.wigner[0]))
     rows += convergence_rows("truncation", "wigner_origin",
-                             [f"{d}x{max(3, d // 2)}" for d in dims], w0)
+                             [f"{d}x{cfg.converge.axial_dim(d)}" for d in dims],
+                             w0)
 
     # truncation sweep: the two-phonon gap (exactly dimension-independent,
     # the sector closes at two basis states)

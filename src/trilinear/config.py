@@ -97,6 +97,11 @@ class ConvergeSection:
     radial_dims: tuple = (20, 30, 40)
     step_fractions: tuple = (1.0, 0.5, 0.25)
 
+    @staticmethod
+    def axial_dim(radial_dim: int) -> int:
+        """The axial dim the truncation sweep pairs with a radial dim."""
+        return max(3, radial_dim // 2)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -295,6 +300,13 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigValueError(
             "converge.radial_dims", "must be a strictly increasing list of dims >= 4"
         )
+    for d in (int(d) for d in c.radial_dims):
+        a = c.axial_dim(d)
+        if s.guard_band > min(d, a) - 2:
+            raise ConfigValueError(
+                "converge.radial_dims",
+                f"{d}x{a} cannot hold guard band {s.guard_band} in both modes",
+            )
     if not c.step_fractions or any(
         not 0 < float(fr) <= 1 for fr in c.step_fractions
     ) or list(c.step_fractions) != sorted(

@@ -221,6 +221,21 @@ def _label_marginals(pops: np.ndarray,
     return grid.sum(axis=1), grid.sum(axis=0)
 
 
+def wigner_sweep_needed(space: TwoModeSpace) -> np.ndarray:
+    """Per radial level k, whether the Wigner readout of sector K = k
+    depends on the sweep: k is even (the sector may hold the radial-label-0
+    label |0, k/2>), or its basis holds a guard-band state. Any other
+    sector has no label with radial label 0 and no guard-band state, so
+    its `_SectorReadout` figures radial0 and guard are exactly 0 whatever
+    the sweep does to it, and a Wigner scan reads it without a sweep."""
+    occ = space.occupations()
+    tops = np.array([space.radial.top_physical, space.axial.top_physical])
+    blocks = block_decompose(space)
+    ks = np.arange(space.radial.dim)
+    guard = [bool((occ[blocks.by_k(int(k)).indices] > tops).any()) for k in ks]
+    return (ks % 2 == 0) | np.array(guard)
+
+
 @dataclass(frozen=True)
 class _SectorReadout:
     """What one sweep and the label readout do to each K sector, indexed by
@@ -234,9 +249,16 @@ class _SectorReadout:
     maps e_k to radial label 0 for even k and to radial label 1 for odd k,
     so radial0[k] - [k even] is all that sector's readout error; for odd k
     no label of the sector has radial label 0, and it is exactly 0.
+
+    `swept` marks the sectors the sweep marched and `known` those whose
+    radial0 and guard `read` knows: the swept ones and every sector that
+    `wigner_sweep_needed` leaves out, whose radial0 = 0 and guard = 0 by its
+    basis alone. Such a sector's axial marginal does depend on the sweep, so
+    `axial_distribution` takes swept sectors only.
     """
 
-    covered: np.ndarray  # (dr,) bool
+    swept: np.ndarray  # (dr,) bool
+    known: np.ndarray  # (dr,) bool
     radial0: np.ndarray  # (dr,)
     axial: np.ndarray  # (dr, da)
     guard: np.ndarray  # (dr, 2)
@@ -250,7 +272,7 @@ class _SectorReadout:
         occ = space.occupations()
         tops = np.array([space.radial.top_physical, space.axial.top_physical])
         blocks = block_decompose(space)
-        covered = np.zeros(dr, dtype=bool)
+        swept = np.zeros(dr, dtype=bool)
         radial0 = np.zeros(dr)
         axial = np.zeros((dr, space.axial.dim))
         guard = np.zeros((dr, 2))
@@ -266,30 +288,41 @@ class _SectorReadout:
             label0 = _label_basis(bases[0], delta0)[:, 0]
             f = sweep.evolved[k][:, start] * np.vdot(bases[0][:, start], label0)
             labels = np.abs(_label_basis(bases[1], delta1).conj().T @ f) ** 2
-            covered[k] = True
+            swept[k] = True
             radial0[k] = labels[block_occ[:, 0] == 0].sum()
             axial[k, block_occ[:, 1]] = labels
             guard[k] = np.abs(f) ** 2 @ (block_occ > tops)
-        return cls(covered, radial0, axial, guard)
+        return cls(swept, swept | ~wigner_sweep_needed(space), radial0,
+                   axial, guard)
 
-    def read(self, amplitudes: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Readout of each row of radial amplitudes: (p_phonon, leak, bias,
-        axial distribution), one entry or row per input row. bias is
-        sum_k |psi_k|^2 (radial0[k] - [k even]), the exact error of the
-        readout's P(radial label 0) against the ideal parity map: the
-        parity it reads is off by 2 bias, W by (4 / pi) bias. Levels with
-        |psi_k| <= AMPLITUDE_FLOOR count as unpopulated; a populated level
-        whose sector the sweep does not cover is an error."""
+    @staticmethod
+    def _weights(amplitudes: np.ndarray, known: np.ndarray) -> np.ndarray:
+        """|psi_k|^2 per row, 0 where |psi_k| <= AMPLITUDE_FLOOR counts as
+        unpopulated; a populated level outside `known` is an error."""
         populated = np.abs(amplitudes) > AMPLITUDE_FLOOR
-        missing = populated & ~self.covered
+        missing = populated & ~known
         if missing.any():
             k = int(missing[missing.any(axis=1).argmax()].argmax())
             raise ValueError(f"sweep does not cover the populated K = {k}")
-        w = np.where(populated, np.abs(amplitudes) ** 2, 0.0)
+        return np.where(populated, np.abs(amplitudes) ** 2, 0.0)
+
+    def read(self, amplitudes: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Readout of each row of radial amplitudes: (p_phonon, leak, bias),
+        one entry per input row. bias is sum_k |psi_k|^2 (radial0[k] -
+        [k even]), the exact error of the readout's P(radial label 0)
+        against the ideal parity map: the parity it reads is off by
+        2 bias, W by (4 / pi) bias. A populated level outside `known`
+        is an error."""
+        w = self._weights(amplitudes, self.known)
         p_phonon = np.clip(1.0 - w @ self.radial0, 0.0, 1.0)
         leak = (w @ self.guard).max(axis=1) >= GUARD_LEAK_THRESHOLD
         even = np.arange(self.radial0.size) % 2 == 0
-        return p_phonon, leak, w @ (self.radial0 - even), w @ self.axial
+        return p_phonon, leak, w @ (self.radial0 - even)
+
+    def axial_distribution(self, amplitudes: np.ndarray) -> np.ndarray:
+        """Final axial-label distribution of each row of radial amplitudes;
+        every populated sector must be swept."""
+        return self._weights(amplitudes, self.swept) @ self.axial
 
 
 def _flags(leak: bool, wigner_bias: float) -> tuple[str, ...]:
@@ -541,8 +574,11 @@ def adiabatic_parity(state_r: StateVector, xi: float, space: TwoModeSpace,
         sweep = sweep_unitaries(space, xi, schedule, step, sector_ks=populated)
     elif sweep.space != space:
         raise ValueError("the sweep was built for another space")
-    p_phonon, leak, bias, axial = _SectorReadout.of(sweep).read(
-        state_r.amplitudes[None, :])
+    readout = _SectorReadout.of(sweep)
+    amplitudes = state_r.amplitudes[None, :]
+    # the axial distribution needs every populated sector swept
+    axial = readout.axial_distribution(amplitudes)
+    p_phonon, leak, bias = readout.read(amplitudes)
     p_phonon = float(p_phonon[0])
     parity_bias = 2.0 * float(bias[0])
     p1, p1_hat, stderr = measurement_channel(p_phonon, model, stream=stream)
@@ -587,6 +623,10 @@ class WignerScan:
     # parity (2/pi) <P> that the sweep's readout makes (`_SectorReadout.
     # read`); dark counts, if modelled, come on top
     readout_bias: np.ndarray | None = field(default=None, compare=False)
+    # (swept, populated): of the K sectors some displaced grid state
+    # populates, how many the readout took from the sweep's march; the
+    # others it reads exactly without one (`wigner_sweep_needed`)
+    sweep_sectors: tuple[int, int] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         eta = self.meta.get("eta", 1.0)
@@ -642,8 +682,11 @@ def wigner_scan(state_r: StateVector, alphas, xi: float, space: TwoModeSpace,
     """Displace, sweep, map, estimate: W(alpha) = (2/pi) <P>.
 
     The sweep is computed once and shared across grid points (and across
-    scans when passed in); without one, only the K sectors that some
-    displaced grid state populates above AMPLITUDE_FLOOR are swept. Because
+    scans when passed in). Without one, the scan sweeps only the K sectors
+    that some displaced grid state populates above AMPLITUDE_FLOOR and
+    whose readout depends on the sweep (`wigner_sweep_needed`): an odd
+    sector with no guard-band state reads radial0 = 0 and guard = 0
+    exactly, swept or not, so a sweep passed in may lack it too. Because
     the readout acts on each K sector separately, a point needs only its
     displaced radial populations: the grid is displaced and read out in
     blocks of points, with the figures of each sector computed once per
@@ -656,15 +699,15 @@ def wigner_scan(state_r: StateVector, alphas, xi: float, space: TwoModeSpace,
     dim_r = state_r.basis
     if not isinstance(dim_r, FockDim) or dim_r != space.radial:
         raise ValueError("state must live on the radial mode of the space")
-    if sweep is None:
-        # sweep only the sectors that some displaced grid state populates
-        populated = np.zeros(dim_r.dim, dtype=bool)
-        for _, disp in _displaced_blocks(state_r, alphas):
-            populated |= (np.abs(disp) > AMPLITUDE_FLOOR).any(axis=0)
-        sweep = sweep_unitaries(space, xi, schedule, step,
-                                sector_ks=np.flatnonzero(populated))
-    elif sweep.space != space:
+    if sweep is not None and sweep.space != space:
         raise ValueError("the sweep was built for another space")
+    populated = np.zeros(dim_r.dim, dtype=bool)
+    for _, disp in _displaced_blocks(state_r, alphas):
+        populated |= (np.abs(disp) > AMPLITUDE_FLOOR).any(axis=0)
+    if sweep is None:
+        sweep = sweep_unitaries(
+            space, xi, schedule, step,
+            sector_ks=np.flatnonzero(populated & wigner_sweep_needed(space)))
     readout = _SectorReadout.of(sweep)
 
     n = alphas.size
@@ -673,7 +716,7 @@ def wigner_scan(state_r: StateVector, alphas, xi: float, space: TwoModeSpace,
     bias = np.empty(n)
     for lo, disp in _displaced_blocks(state_r, alphas):
         span = slice(lo, lo + disp.shape[0])
-        p_phonon[span], leak[span], bias[span], _ = readout.read(disp)
+        p_phonon[span], leak[span], bias[span] = readout.read(disp)
         disp_leak = (np.abs(disp[:, dim_r.top_physical + 1:]) ** 2).sum(axis=1)
         leak[span] |= disp_leak >= GUARD_LEAK_THRESHOLD
     bias *= 4.0 / math.pi
@@ -713,6 +756,8 @@ def wigner_scan(state_r: StateVector, alphas, xi: float, space: TwoModeSpace,
         meta=scan_meta,
         sweep_dts=sweep.dts,
         readout_bias=bias,
+        sweep_sectors=(int((populated & readout.swept).sum()),
+                       int(populated.sum())),
     )
 
 

@@ -34,6 +34,7 @@ from trilinear import (
     slow_sweep,
     sweep_unitaries,
     wigner_scan,
+    wigner_sweep_needed,
 )
 from trilinear.cli import main
 from trilinear.dynamics import apply_piecewise, default_step, piecewise_deltas
@@ -73,8 +74,10 @@ def space80():
 
 @pytest.fixture(scope="module")
 def sweep80(space80):
-    return sweep_unitaries(space80, PARAMS.xi, slow_sweep(),
-                           sector_ks=range(space80.radial.dim))
+    # it feeds only Wigner readouts, which need just the rule's sectors
+    return sweep_unitaries(
+        space80, PARAMS.xi, slow_sweep(),
+        sector_ks=np.flatnonzero(wigner_sweep_needed(space80)))
 
 
 def test_criterion_1_coupling_constant():

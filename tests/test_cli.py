@@ -157,6 +157,18 @@ def test_wigner_reports_flagged_points(tmp_path, capsys):
     assert float(bias.split("=")[1]) <= 0.01
 
 
+def test_wigner_reports_swept_sectors(tmp_path, capsys):
+    # the default grid populates all 8 sectors of 8x4; the readout needs
+    # the even ones and the odd ones holding a guard-band state: K = 5
+    # (|1, 2>, axial guard) and K = 7 (|7, 0>, radial guard)
+    code, out, _ = run(["wigner", "--dims", "8x4", "--exact", "--out",
+                        str(tmp_path)], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    steps = next(i for i, l in enumerate(lines) if l.startswith("sweep_steps = "))
+    assert lines[steps + 1] == "sweep_sectors = 6 of 8"
+
+
 def test_product_descriptor_exit_code(tmp_path, capsys):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("state: product:1:0\n")
@@ -360,6 +372,20 @@ def test_converge_report(tmp_path, capsys):
     # step-halving infidelity stays inside the convergence contract
     inf_rows = [r for r in table if r[2] == "sweep_infidelity"]
     assert all(float(r[3]) < 1e-8 for r in inf_rows)
+
+
+@pytest.mark.parametrize("dims", [[4, 6], [6, 8]])
+def test_converge_dims_too_small_for_the_guard_band_exit_code(tmp_path, capsys,
+                                                              dims):
+    # radial dims below 8 pair with a 3-level axial mode, which cannot hold
+    # the default 2-level guard band
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(yaml.safe_dump({"converge": {"radial_dims": dims}}))
+    code, _, err = run(["converge", "--config", str(cfg), "--out",
+                        str(tmp_path)], capsys)
+    assert code == 2
+    assert "path=converge.radial_dims" in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_convergence_flags_divergence_not_rounding():

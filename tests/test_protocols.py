@@ -31,6 +31,7 @@ from trilinear import (
     sweep_unitaries,
     wigner_oracle,
     wigner_scan,
+    wigner_sweep_needed,
 )
 from trilinear import protocols
 from trilinear.fock import (
@@ -479,6 +480,21 @@ def test_scan_reads_evolved_columns_without_unitaries():
     assert "unitaries" not in vars(sweep)
 
 
+def readout_rule(space, ks):
+    """The sectors of ks a Wigner readout needs swept, from the rule's
+    statement: K = k is even, or one of its basis states (k - 2j, j),
+    j = 0..min(k // 2, da - 1), lies in a guard band."""
+    top_r, top_a = space.radial.top_physical, space.axial.top_physical
+    return [int(k) for k in ks
+            if k % 2 == 0 or k > top_r or min(k // 2, space.axial.dim - 1) > top_a]
+
+
+def populated_sectors(state, alphas):
+    disp = displaced_amplitudes(state.amplitudes, -np.asarray(alphas),
+                                state.basis)
+    return np.flatnonzero((np.abs(disp) > protocols.AMPLITUDE_FLOOR).any(axis=0))
+
+
 def test_scan_without_sweep_covers_only_populated_sectors(monkeypatch):
     small = TwoModeSpace(FockDim(16), FockDim(8))
     sched = rc_ramp(PARKING, -PARKING, 200e-6)
@@ -493,31 +509,92 @@ def test_scan_without_sweep_covers_only_populated_sectors(monkeypatch):
 
     monkeypatch.setattr(protocols, "sweep_unitaries", recording)
     scan = wigner_scan(state, grid, PARAMS.xi, small, sched, model, exact=True)
-    disp = displaced_amplitudes(state.amplitudes, -grid, small.radial)
-    populated = np.flatnonzero((np.abs(disp) > protocols.AMPLITUDE_FLOOR).any(axis=0))
-    assert swept == [populated.tolist()]
+    populated = populated_sectors(state, grid)
+    assert swept == [readout_rule(small, populated)]
     assert len(populated) < small.radial.dim
+    assert 0 < len(swept[0]) < len(populated)
+    assert scan.sweep_sectors == (len(swept[0]), len(populated))
     full = sweep_unitaries(small, PARAMS.xi, sched, sector_ks=range(16))
     ref = wigner_scan(state, grid, PARAMS.xi, small, sched, model, exact=True,
                       sweep=full)
-    assert np.abs(scan.p1_exact - ref.p1_exact).max() < 1e-12
+    assert np.array_equal(scan.p1_exact, ref.p1_exact)
+    assert np.array_equal(scan.readout_bias, ref.readout_bias)
     assert scan.flags == ref.flags
+    assert ref.sweep_sectors == (len(populated), len(populated))
 
 
 def test_partial_sweep_rejects_uncovered_sectors():
     small = TwoModeSpace(FockDim(10), FockDim(5))
     sched = rc_ramp(PARKING, -PARKING, 20e-6)
     partial = sweep_unitaries(small, PARAMS.xi, sched, sector_ks=[0, 1, 2])
+    full = sweep_unitaries(small, PARAMS.xi, sched, sector_ks=range(10))
     model = MeasurementModel()
-    state = fock_state(small.radial, 1)
-    # the undisplaced point is covered; the displaced one populates K = 3
-    wigner_scan(state, [0.0], PARAMS.xi, small, sched, model, sweep=partial)
-    with pytest.raises(ValueError, match="does not cover the populated K = 3"):
-        wigner_scan(state, [0.0, 1.0], PARAMS.xi, small, sched, model,
-                    sweep=partial)
+    # K = 3 is odd and holds no guard-band state: a scan reads it exactly
+    # without a sweep, so the partial sweep serves a state populating it
+    amp = np.zeros(10, complex)
+    amp[[1, 3]] = 1 / math.sqrt(2)
+    state = StateVector(amp, small.radial)
+    scans = [wigner_scan(state, [0.0], PARAMS.xi, small, sched, model,
+                         sweep=sw) for sw in (partial, full)]
+    for name in ("p1_exact", "p1_sampled", "readout_bias"):
+        assert np.array_equal(getattr(scans[0], name), getattr(scans[1], name))
+    assert scans[0].flags == scans[1].flags
+    assert scans[0].sweep_sectors == (1, 2)
+    # the displaced point populates the even K = 4, which needs the sweep
     with pytest.raises(ValueError, match="does not cover the populated K = 4"):
-        adiabatic_parity(fock_state(small.radial, 4), PARAMS.xi, small, sched,
-                         model, sweep=partial)
+        wigner_scan(fock_state(small.radial, 1), [0.0, 1.0], PARAMS.xi, small,
+                    sched, model, sweep=partial)
+    # the axial distribution of adiabatic_parity reads every populated
+    # sector, K = 3 included
+    for n in (3, 4):
+        with pytest.raises(ValueError, match=f"does not cover the populated K = {n}"):
+            adiabatic_parity(fock_state(small.radial, n), PARAMS.xi, small,
+                             sched, model, sweep=partial)
+
+
+@given(st.integers(4, 12), st.integers(3, 6), st.integers(0, 2),
+       st.integers(0, 1000), st.integers(1, 12), st.floats(0.0, 2.0),
+       st.booleans(), st.booleans())
+@example(dr=8, da=4, guard=2, seed=0, n_levels=8, extent=1.0, falling=True,
+         exact=False)  # odd K = 5 (axial guard) and 7 (radial guard) swept
+@example(dr=9, da=3, guard=1, seed=1, n_levels=3, extent=1.5, falling=False,
+         exact=True)
+@settings(max_examples=25, deadline=None)
+def test_pruned_sweep_reads_as_the_full_sweep(dr, da, guard, seed, n_levels,
+                                              extent, falling, exact):
+    guard = min(guard, da - 2)
+    space = TwoModeSpace(FockDim(dr, guard), FockDim(da, guard))
+    state = random_radial_state(space.radial, min(n_levels, dr), seed)
+    # a rising ramp starts below zero detuning and marches two start columns
+    sched = rc_ramp(PARKING, -PARKING, 15e-6) if falling else rc_ramp(
+        -PARKING, PARKING, 15e-6)
+    alphas = phase_space_grid(extent, 3) if extent > 0 else np.array([0j])
+    model = MeasurementModel(eta=0.86, shots=200, seed=seed)
+    populated = populated_sectors(state, alphas)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationLeakWarning)
+        pruned = wigner_scan(state, alphas, PARAMS.xi, space, sched, model,
+                             exact=exact)
+        full = sweep_unitaries(space, PARAMS.xi, sched, sector_ks=populated)
+        ref = wigner_scan(state, alphas, PARAMS.xi, space, sched, model,
+                          exact=exact, sweep=full)
+    for name in ("p1_exact", "p1_sampled", "readout_bias"):
+        assert np.array_equal(getattr(pruned, name), getattr(ref, name))
+    assert pruned.flags == ref.flags
+    swept = readout_rule(space, populated)
+    assert populated[wigner_sweep_needed(space)[populated]].tolist() == swept
+    assert pruned.sweep_sectors == (len(swept), len(populated))
+
+
+def test_scan_of_an_odd_fock_state_at_the_origin_sweeps_nothing():
+    space = TwoModeSpace(FockDim(12), FockDim(6))
+    scan = wigner_scan(fock_state(space.radial, 1), [0.0], PARAMS.xi, space,
+                       rc_ramp(PARKING, -PARKING, 15e-6),
+                       MeasurementModel(eta=0.86), exact=True)
+    assert scan.sweep_sectors == (0, 1)
+    assert scan.wigner[0] == -TWO_OVER_PI
+    assert scan.readout_bias[0] == 0.0
+    assert scan.flags == ("",)
 
 
 def leaky_oracle(state, alpha):
