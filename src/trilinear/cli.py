@@ -324,8 +324,6 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     if args.seed is not None:
         m_updates["seed"] = args.seed
     if args.shots is not None:
-        if args.shots < 1:
-            raise ConfigValueError("shots", "shots must be >= 1")
         m_updates["shots"] = args.shots
     if m_updates:
         updates["measurement"] = dataclasses.replace(cfg.measurement, **m_updates)

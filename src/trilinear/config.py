@@ -23,6 +23,14 @@ EXPERIMENTS = ("modes", "oscillate", "crossing", "parity", "wigner", "converge")
 
 TWO_PI = 2 * math.pi
 
+# most rows of one output table (points squared for the Wigner grid), the
+# figure of `dynamics.MAX_STEPS`: a larger table is refused before any of it
+# is allocated
+MAX_ROWS = 1 << 22
+
+# most shots that numpy's binomial draw takes, the largest 64-bit integer
+MAX_SHOTS = (1 << 63) - 1
+
 
 class ConfigError(Exception):
     """Base class; stringifies to a machine-readable one-liner."""
@@ -275,8 +283,9 @@ def validate_config(cfg: RunConfig) -> None:
     m = cfg.measurement
     if not 0 < m.eta <= 1:
         raise ConfigValueError("measurement.eta", "eta must lie in (0, 1]")
-    if m.shots < 1:
-        raise ConfigValueError("measurement.shots", "shots must be >= 1")
+    if not 1 <= m.shots <= MAX_SHOTS:
+        raise ConfigValueError("measurement.shots",
+                               f"shots must lie in [1, MAX_SHOTS = {MAX_SHOTS}]")
     if m.seed < 0:
         raise ConfigValueError("measurement.seed", "seed must be >= 0")
     parse_descriptor(cfg.state)
@@ -293,6 +302,12 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigValueError("oscillation.envelope_tau_s", "must be positive")
     if cfg.crossing.span_hz <= 0 or cfg.crossing.points < 3:
         raise ConfigValueError("crossing", "need span_hz > 0 and points >= 3")
+    for path, rows in (("grid.points", cfg.grid.points ** 2),
+                       ("oscillation.hold_points", o.hold_points),
+                       ("crossing.points", cfg.crossing.points)):
+        if rows > MAX_ROWS:
+            raise ConfigValueError(
+                path, f"would write {rows} rows, more than MAX_ROWS = {MAX_ROWS}")
     c = cfg.converge
     if not c.radial_dims or any(
         int(d) < 4 for d in c.radial_dims

@@ -24,20 +24,20 @@ and each step is the exact exponential of it, computed from one
 eigendecomposition of the real matrix. Every step is exactly unitary;
 accuracy is certified by the step-halving convergence contract rather than
 by an adaptive integrator. One kernel, `_march`, does every step-by-step
-propagation: worker threads, one per usable core and owned by the call,
-diagonalize the step matrices a batch of steps at a time with batched
-eighs, while the calling thread advances the given columns of all its
-sectors together, so the Python-level cost per step is a few small array
-operations.
+propagation. It packs the sectors into bins and splits the bins into one
+share per usable core; the calling thread and worker threads owned by the
+call each march one share end to end, a batch of steps at a time: one
+batched eigh per sector size diagonalizes the batch's step matrices, and
+the given columns of all the share's sectors advance together, so the
+Python-level cost per step is a few small array operations.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections import deque
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -54,20 +54,15 @@ from .fock import (
     mode_operator,
 )
 
-# Memory for the propagation kernel's per-batch stacks: the decomposed
-# batches in flight (eigenvalues and eigenvectors of every sector, held by
-# the march or by the futures of its worker threads), the march's
-# eigenvector stack, and each batched eigh. The batch length follows from
-# it, so memory stays bounded whatever the ramp length.
-CHUNK_BYTES = 32 << 20
-
-# batches of steps whose decomposition the propagation kernel keeps
-# submitted to its worker threads ahead of the one the march works on
-PREFETCH = 1
+# Memory for the propagation kernel's stacks: the step matrices of a batch of
+# steps, their eigenvalues and eigenvectors, and the march's stacks. The
+# kernel's shares divide it, and each share's batch length follows from its
+# part, so memory stays bounded whatever the ramp length.
+CHUNK_BYTES = 12 << 20
 
 # eigh work, in s^3 per s x s matrix (about 7 ns each on one core of a
-# 2.1 GHz Xeon), that one batch must give each worker thread: a hand-over
-# between threads costs up to a millisecond on a 2-vCPU VM
+# 2.1 GHz Xeon), that a share of the propagation kernel must carry over its
+# whole march to be worth a thread of its own
 SHARE_WORK = 1 << 20
 
 # floor under the graded step grid's density exp(-t / (2 tau_rc))
@@ -297,53 +292,6 @@ def _split(costs, n: int) -> list[list[int]]:
     return [sorted(share) for share in shares]
 
 
-def _eighs(groups, xis, deltas) -> list:
-    """Eigenvalues and eigenvectors of the step matrices of the sector-size
-    `groups` ((couplings, n_c diagonals) pairs), with coupling strength
-    xis[t] and detuning deltas[t] at step t, one batched eigh per group."""
-    return [np.linalg.eigh(_hamiltonian_stack(coupling, n_c, xis, deltas))
-            for coupling, n_c in groups]
-
-
-def _decomposition(groups, xis, deltas, batch: int):
-    """Diagonalize the step matrices of the sector-size `groups` (as
-    `_eighs`) a batch of steps at a time, in shares balanced by the eigh
-    cost g s^3, one per usable core, each batch's shares as futures on a
-    thread pool that this generator owns, PREFETCH batches ahead of the one
-    it yields. A batch with less than SHARE_WORK of eigh work per share
-    would spend more on handing it between threads than it gains, so it
-    gets fewer shares; a single share runs in the calling thread. Yields,
-    per batch of steps in order, the pairs (group index, (eigenvalues,
-    eigenvectors)) of every group; a worker's exception is raised here, and
-    closing the generator cancels the batches not yet started."""
-    costs = [coupling.size * coupling.shape[1] for coupling, _ in groups]
-    shares = _split(costs, max(1, min(_worker_count(), len(groups),
-                                      batch * sum(costs) // SHARE_WORK)))
-    spans = [slice(lo, lo + batch) for lo in range(0, deltas.size, batch)]
-    if len(shares) == 1:
-        for span in spans:
-            yield list(enumerate(_eighs(groups, xis[span], deltas[span])))
-        return
-    pool = ThreadPoolExecutor(len(shares), thread_name_prefix="trilinear-eigh")
-
-    def results(jobs):
-        return [pair for share, job in zip(shares, jobs)
-                for pair in zip(share, job.result())]
-
-    try:
-        pending = deque()
-        for span in spans:
-            pending.append([pool.submit(_eighs, [groups[i] for i in share],
-                                        xis[span], deltas[span])
-                            for share in shares])
-            if len(pending) > PREFETCH:
-                yield results(pending.popleft())
-        while pending:
-            yield results(pending.popleft())
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def _march(blocks, xi: float, deltas, dts, cols, gammas=None):
     """Evolve, in lockstep, columns of several K sectors through the steps
     P_t^dag exp(-i dts[t] H_t) P_t, in order, with
@@ -353,21 +301,25 @@ def _march(blocks, xi: float, deltas, dts, cols, gammas=None):
     every twist is the identity and a step is exp(-i H(deltas[t]) dts[t]).
 
     `cols[j]` ((s_j,) or (s_j, m_j)) holds the start columns of `blocks[j]`;
-    the evolved columns come back in the same shapes. The step matrices are
-    diagonalized a batch of steps at a time, with one batched eigh per
-    sector size, as futures on a pool of worker threads, one per usable
-    core, that this call creates and shuts down and that run PREFETCH
-    batches ahead of the march (`_decomposition`). The march carries P_t
+    the evolved columns come back in the same shapes. The sectors are
+    packed, largest first, into bins of the largest sector's size, whose
+    eigenvector matrices are block diagonal, so two real matmuls on the
+    (bins, size, .) stack step every sector at once. The march carries P_t
     times the columns: with V_t the eigenvectors of H_t, a step multiplies
     by the diagonal P_t P_{t-1}^dag, changes to the eigenbasis with V_t^T,
     applies one phase per eigenvalue and changes back with V_t; P_T^dag
-    ends the march. The sectors are packed, largest first, into bins of the
-    largest sector's size, whose eigenvector matrices are block diagonal,
-    so two real matmuls on the (bins, size, .) stack step every sector at
-    once. The batch length keeps the batches in flight, the march's stacks
-    and each eigh stack within CHUNK_BYTES, so memory stays bounded
-    whatever the ramp length. Every matrix is decomposed and multiplied
-    alone, so the result does not depend on the number of workers.
+    ends the march.
+
+    The bins are split into shares of nearly equal eigh work (sectors times
+    size cubed), one per usable core and at least SHARE_WORK each. The
+    calling thread and a pool of threads that this call owns march one share
+    each, end to end, a batch of steps at a time: one batched eigh per
+    sector size decomposes the share's step matrices, and its bins step
+    through the batch. The shares divide CHUNK_BYTES, so memory stays
+    bounded whatever the ramp length. A share that raises stops the others
+    at their next batch, and its exception is raised here. Every matrix is
+    decomposed and every bin multiplied alone, so the result does not depend
+    on the number of shares.
     """
     n = len(blocks)
     if n == 0:
@@ -376,6 +328,7 @@ def _march(blocks, xi: float, deltas, dts, cols, gammas=None):
     dts = np.atleast_1d(np.asarray(dts, dtype=float))
     gammas = (np.zeros(deltas.size) if gammas is None
               else np.atleast_1d(np.asarray(gammas, dtype=float)))
+    xis = xi * np.sqrt(1 + gammas ** 2)
     # the twist angles, and their changes from step to step
     thetas = np.arctan(gammas)
     turns = np.diff(thetas, prepend=0.0)
@@ -393,25 +346,20 @@ def _march(blocks, xi: float, deltas, dts, cols, gammas=None):
         free[b] -= sizes[j]
     rows = [slice(offset[j], offset[j] + sizes[j]) for j in range(n)]
     n_bins = len(free)
+    # the shares, with the bins renumbered so that share i holds the bins
+    # ends[i]:ends[i + 1]
+    work = np.zeros(n_bins, dtype=int)
+    np.add.at(work, bin_of, sizes ** 3)
+    shares = _split(work, max(1, min(_worker_count(), n_bins,
+                                     deltas.size * int(work.sum()) // SHARE_WORK)))
+    bin_of = np.argsort(np.concatenate(shares))[bin_of]
+    ends = np.cumsum([0] + [len(share) for share in shares])
+    budget = CHUNK_BYTES // len(shares)
     # n_c of every row, which the twists act on (0 in unused rows)
     n_c = np.zeros((n_bins, width, 1), dtype=int)
     for j, b in enumerate(blocks):
         n_c[bin_of[j], rows[j], 0] = b.n_c_diag
-    # sectors of one size share an eigh call
-    members = [np.flatnonzero(sizes == s) for s in np.unique(sizes)]
-    groups = [(np.stack([blocks[j].coupling for j in m]),
-               np.stack([blocks[j].n_c_diag for j in m])) for m in members]
-    widest = max(coupling.size for coupling, _ in groups)
-    # bytes per step: decomposed, the eigenvalues and eigenvectors of every
-    # sector, of which the march holds one batch and the futures PREFETCH
-    # more, while the one submitted as the march asks for the next is in
-    # work with its stack of step matrices, plus one batch of headroom; and
-    # marched, the march's stacks of eigenvectors, eigenvalues and phases,
-    # with the phases' arguments and their sines and cosines
-    decomposed = 8 * int(np.sum(sizes * (sizes + 1)))
-    marched = 8 * n_bins * width * (width + 8)
-    batch = max(1, min(CHUNK_BYTES // ((PREFETCH + 4) * decomposed + marched),
-                       CHUNK_BYTES // (64 * widest), deltas.size))
+    levels = np.arange(n_c.max() + 1)
 
     cols = [np.asarray(col, dtype=complex) for col in cols]
     n_cols = [1 if col.ndim == 1 else col.shape[1] for col in cols]
@@ -419,31 +367,68 @@ def _march(blocks, xi: float, deltas, dts, cols, gammas=None):
     z = np.zeros((n_bins, width, max(n_cols)), dtype=complex)
     for j, col in enumerate(cols):
         z[bin_of[j], rows[j], :n_cols[j]] = col.reshape(sizes[j], -1)
-    # the same in the step's eigenbasis
-    y = np.empty_like(z)
-    basis = np.zeros((batch, n_bins, width, width))
-    basis_t = basis.transpose(0, 1, 3, 2)
-    angle = np.zeros((batch, n_bins, width))
+    failed = threading.Event()
 
-    with closing(_decomposition(groups, xi * np.sqrt(1 + gammas ** 2), deltas,
-                                batch)) as batches:
-        for lo, parts in zip(range(0, deltas.size, batch), batches):
-            c = min(batch, deltas.size - lo)
-            for i, (w, v) in parts:
-                for k, j in enumerate(members[i]):
-                    b, r = bin_of[j], rows[j]
-                    angle[:c, b, r] = w[k]
-                    basis[:c, b, r, r] = v[k]
-            arg = angle[:c] * dts[lo:lo + c, None, None]
-            phases = np.empty((c, n_bins, width, 1), dtype=complex)
-            phases.real[..., 0], phases.imag[..., 0] = np.cos(arg), -np.sin(arg)
-            # the twist P_t P_{t-1}^dag of row n_c is twists[t, n_c]
-            twists = np.exp(1j * turns[lo:lo + c, None] * np.arange(n_c.max() + 1))
-            for t in range(c):
-                np.multiply(z, twists[t, n_c], out=z)
-                np.matmul(basis_t[t], z.view(float), out=y.view(float))
-                np.multiply(y, phases[t], out=y)
-                np.matmul(basis[t], y.view(float), out=z.view(float))
+    def march(lo: int, hi: int) -> None:
+        """March bins lo:hi of z through every step, unless a share fails."""
+        try:
+            mine = [j for j in range(n) if lo <= bin_of[j] < hi]
+            # sectors of one size share an eigh call
+            groups = [[j for j in mine if sizes[j] == s]
+                      for s in np.unique(sizes[mine])]
+            stacks = [(np.stack([blocks[j].coupling for j in m]),
+                       np.stack([blocks[j].n_c_diag for j in m])) for m in groups]
+            # bytes per step: the eigh's stack of step matrices with its
+            # temporaries and its eigenvalues and eigenvectors, at most twice
+            # those of every sector; and the march's stacks of eigenvectors,
+            # eigenvalues, phases and twists, with the phases' arguments and
+            # their sines and cosines
+            decomposed = 16 * int(np.sum(sizes[mine] * (sizes[mine] + 1)))
+            marched = 8 * (hi - lo) * width * (width + 10)
+            widest = max(coupling.size for coupling, _ in stacks)
+            batch = max(1, min(budget // (decomposed + marched),
+                               budget // (64 * widest), deltas.size))
+            zs, rows_n_c = z[lo:hi], n_c[lo:hi]
+            # the same in the step's eigenbasis
+            y = np.empty_like(zs)
+            # both as real arrays, which the real eigenvectors multiply
+            zs_real, y_real = zs.view(float), y.view(float)
+            basis = np.zeros((batch, hi - lo, width, width))
+            basis_t = basis.transpose(0, 1, 3, 2)
+            angle = np.zeros((batch, hi - lo, width))
+            for first in range(0, deltas.size, batch):
+                if failed.is_set():
+                    return
+                span = slice(first, first + batch)
+                c = min(batch, deltas.size - first)
+                for m, (coupling, diag) in zip(groups, stacks):
+                    w, v = np.linalg.eigh(_hamiltonian_stack(
+                        coupling, diag, xis[span], deltas[span]))
+                    for k, j in enumerate(m):
+                        b, r = bin_of[j] - lo, rows[j]
+                        angle[:c, b, r] = w[k]
+                        basis[:c, b, r, r] = v[k]
+                arg = angle[:c] * dts[span, None, None]
+                phases = np.empty((c, hi - lo, width, 1), dtype=complex)
+                phases.real[..., 0], phases.imag[..., 0] = np.cos(arg), -np.sin(arg)
+                # the twist P_t P_{t-1}^dag of every row
+                twists = np.exp(1j * turns[span, None] * levels)[:, rows_n_c]
+                for t in range(c):
+                    np.multiply(zs, twists[t], out=zs)
+                    np.matmul(basis_t[t], zs_real, out=y_real)
+                    np.multiply(y, phases[t], out=y)
+                    np.matmul(basis[t], y_real, out=zs_real)
+        except BaseException:
+            failed.set()
+            raise
+
+    # a pool starts its threads as jobs are submitted: none for one share
+    with ThreadPoolExecutor(max(1, len(shares) - 1),
+                            thread_name_prefix="trilinear-eigh") as pool:
+        jobs = [pool.submit(march, lo, hi) for lo, hi in zip(ends[1:-1], ends[2:])]
+        march(0, ends[1])
+        for job in jobs:
+            job.result()
     # undo the last step's twist
     untwist = np.exp(-1j * (thetas[-1] if thetas.size else 0.0) * n_c)
     return [(z[bin_of[j], rows[j], :n_cols[j]] * untwist[bin_of[j], rows[j]]

@@ -350,6 +350,52 @@ def test_step_count_bound_exit_code(tmp_path, capsys, command):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command, source", [
+    ("wigner", "flag"), ("parity", "flag"), ("wigner", "yaml"),
+])
+def test_shots_past_the_binomial_limit_exit_code(tmp_path, capsys, command,
+                                                 source):
+    # 10^20 shots overflow numpy's binomial draw
+    args = [command, "--dims", "8x4", "--out", str(tmp_path)]
+    if source == "yaml":
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("measurement:\n  shots: 100000000000000000000\n")
+        args += ["--config", str(cfg)]
+    else:
+        args += ["--shots", "100000000000000000000"]
+    code, _, err = run(args, capsys)
+    assert code == 2
+    assert "path=measurement.shots" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_largest_shot_count_draws(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(SMALL_WIGNER)
+    code, _, _ = run(["wigner", "--config", str(cfg), "--shots",
+                      str(2 ** 63 - 1), "--out", str(tmp_path)], capsys)
+    assert code == 0
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("wigner", "grid", "points", 10 ** 6),
+    ("oscillate", "oscillation", "hold_points", 10 ** 12),
+    ("crossing", "crossing", "points", 10 ** 12),
+])
+def test_unallocatable_row_count_exit_code(tmp_path, capsys, command, section,
+                                           key, value):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({section: {key: value}}))
+    code, _, err = run([command, "--dims", "8x4", "--config", str(cfg),
+                        "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert f"path={section}.{key}" in err
+    assert "MAX_ROWS" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_converge_report(tmp_path, capsys):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(

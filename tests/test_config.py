@@ -8,6 +8,8 @@ from trilinear import FockDim
 from trilinear.config import (
     ConfigError,
     ConfigParseError,
+    MAX_ROWS,
+    MAX_SHOTS,
     ConfigValueError,
     RunConfig,
     StateSpec,
@@ -72,6 +74,30 @@ def test_parse_error_carries_line_and_column():
 def test_negative_shots_rejected():
     with pytest.raises(ConfigValueError):
         parse_config("measurement:\n  shots: -5\n")
+
+
+def test_shots_past_the_binomial_limit_rejected():
+    # numpy's binomial draw takes at most 2^63 - 1 shots
+    assert MAX_SHOTS == 2 ** 63 - 1
+    assert parse_config(f"measurement:\n  shots: {MAX_SHOTS}\n"
+                        ).measurement.shots == MAX_SHOTS
+    with pytest.raises(ConfigValueError) as err:
+        parse_config(f"measurement:\n  shots: {MAX_SHOTS + 1}\n")
+    assert err.value.path == "measurement.shots"
+
+
+@pytest.mark.parametrize("section, key, largest", [
+    ("grid", "points", math.isqrt(MAX_ROWS)),  # points^2 grid rows
+    ("oscillation", "hold_points", MAX_ROWS),
+    ("crossing", "points", MAX_ROWS),
+])
+def test_row_counts_past_the_cap_rejected(section, key, largest):
+    # validated, never allocated
+    cfg = parse_config(f"{section}:\n  {key}: {largest}\n")
+    assert getattr(getattr(cfg, section), key) == largest
+    with pytest.raises(ConfigValueError) as err:
+        parse_config(f"{section}:\n  {key}: {largest + 1}\n")
+    assert err.value.path == f"{section}.{key}"
 
 
 def test_wrong_types_rejected():

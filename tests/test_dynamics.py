@@ -35,6 +35,7 @@ from trilinear import (
     slow_sweep,
     sweep_unitaries,
     wigner_scan,
+    wigner_sweep_needed,
 )
 from trilinear import dynamics
 from trilinear.dynamics import apply_piecewise, piecewise_deltas
@@ -775,9 +776,24 @@ def test_lockstep_columns_match_per_step_reference(dr, da, data, sign, d0, d1,
     assert "unitaries" not in vars(sweep)
 
 
-# the decomposition runs in worker threads, each on a share of the sector
-# sizes; the share must not change a single bit of the result. A short
-# switch interval interleaves the threads as finely as the interpreter can.
+def counted_shares(monkeypatch):
+    """Wrap `dynamics._split` to record, per march, the number of bins and
+    the number of shares they are split into."""
+    split, calls = dynamics._split, []
+
+    def recorded(costs, n):
+        calls.append((len(costs), n))
+        return split(costs, n)
+
+    monkeypatch.setattr(dynamics, "_split", recorded)
+    return calls
+
+
+# each share of the bins runs in a thread of its own; the number of shares
+# must not change a single bit of the result. The sector set holds more rows
+# than two bins of the widest sector, so it fills at least three bins. A
+# short switch interval interleaves the threads as finely as the interpreter
+# can.
 @given(st.integers(4, 8), st.integers(3, 4), st.data(),
        st.sampled_from([1.0, -1.0]), st.floats(TWO_PI * 5e3, TWO_PI * 40e3),
        detunings, st.floats(10e-6, 40e-6), st.sampled_from([XI, XI / 1000]),
@@ -786,24 +802,35 @@ def test_lockstep_columns_match_per_step_reference(dr, da, data, sign, d0, d1,
 def test_sweep_does_not_depend_on_worker_count(dr, da, data, sign, d0, d1, tau,
                                                xi, budget):
     space = small_space(dr, da)
-    all_ks = block_decompose(space).k_values
-    ks = data.draw(st.lists(st.sampled_from(all_ks), min_size=1, unique=True))
+    size_of = {b.k: b.size for b in block_decompose(space).blocks}
+    widest = max(size_of.values())
+    ks = set(data.draw(st.lists(st.sampled_from(list(size_of)), unique=True)))
+    ks |= {k for k, s in size_of.items() if s == widest}
+    for k in size_of:
+        if sum(size_of[j] for j in ks) > 2 * widest:
+            break
+        ks.add(k)
+    ks = sorted(ks)
     sched = rc_ramp(sign * d0, d1, tau)
     sweeps = []
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)
-        for workers in (1, 3):
+        for workers in (1, 2, 3):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(dynamics, "CHUNK_BYTES", budget)
                 mp.setattr(dynamics, "SHARE_WORK", 1)
                 mp.setattr(dynamics, "_worker_count", lambda: workers)
+                shares = counted_shares(mp)
                 sweeps.append(sweep_unitaries(space, xi, sched, sector_ks=ks))
+            assert [n for _, n in shares] == [workers]
+            assert shares[0][0] >= 3
     finally:
         sys.setswitchinterval(interval)
-    one, three = sweeps
-    for k in ks:
-        assert np.array_equal(one.evolved[k], three.evolved[k])
+    one = sweeps[0]
+    for other in sweeps[1:]:
+        for k in ks:
+            assert np.array_equal(one.evolved[k], other.evolved[k])
 
 
 class SlowSubmit(ThreadPoolExecutor):
@@ -816,10 +843,10 @@ class SlowSubmit(ThreadPoolExecutor):
 
 
 def test_concurrent_sweeps_share_the_workers(monkeypatch):
-    # more marches than worker threads, started together and switching as
-    # often as the interpreter allows, a few batches each (so a worker
-    # outlives its first hand-over): each must finish and give the result
-    # of a march run alone
+    # more marches than cores, each with a worker thread of its own, started
+    # together and switching as often as the interpreter allows, a few
+    # batches each: each must finish and give the result of a march run
+    # alone
     monkeypatch.setattr(dynamics, "CHUNK_BYTES", 1 << 19)
     monkeypatch.setattr(dynamics, "SHARE_WORK", 1)
     monkeypatch.setattr(dynamics, "_worker_count", lambda: 2)
@@ -917,6 +944,38 @@ def eigh_threads():
             if t.name.startswith("trilinear-eigh")]
 
 
+def test_worker_error_stops_the_other_shares(monkeypatch):
+    # a share that raises stops the calling thread's share at its next
+    # batch: the caller finishes at most the batch it is in (and one more
+    # that it may start before the failure is posted), not its whole march
+    space = small_space(8, 4)
+    sched = rc_ramp(PARKING, -PARKING, 40e-6)
+    monkeypatch.setattr(dynamics, "CHUNK_BYTES", 64 * 16)
+    monkeypatch.setattr(dynamics, "SHARE_WORK", 1)
+    monkeypatch.setattr(dynamics, "_worker_count", lambda: 2)
+    eigh = np.linalg.eigh
+    caller = threading.current_thread()
+    failed, after = threading.Event(), []
+
+    def failing(a, *args, **kwargs):
+        if threading.current_thread() is caller:
+            if failed.is_set():
+                after.append(None)
+            else:
+                time.sleep(1e-3)
+        else:
+            failed.set()
+            raise np.linalg.LinAlgError("injected")
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(np.linalg.LinAlgError, match="injected"):
+        sweep_unitaries(space, XI, sched)
+    n_sizes = len({b.size for b in block_decompose(space).blocks})
+    assert len(after) <= 2 * n_sizes
+    assert not eigh_threads()
+
+
 def test_no_worker_thread_outlives_its_sweep(monkeypatch):
     # each call owns its worker threads and joins them before it returns,
     # whether it returns or raises
@@ -949,8 +1008,8 @@ def test_no_worker_thread_outlives_its_sweep(monkeypatch):
 
 
 def test_kernel_memory_stays_within_the_budget(monkeypatch):
-    # the workers run at most PREFETCH batches ahead of the march, so a ramp
-    # four times longer needs no more memory
+    # each share holds one batch of steps at a time, so a ramp four times
+    # longer needs no more memory
     monkeypatch.setattr(dynamics, "CHUNK_BYTES", 1 << 20)
     monkeypatch.setattr(dynamics, "SHARE_WORK", 1)
     monkeypatch.setattr(dynamics, "_worker_count", lambda: 2)
@@ -969,6 +1028,31 @@ def test_kernel_memory_stays_within_the_budget(monkeypatch):
             tracemalloc.stop()
     assert peaks[1] < 1.25 * peaks[0]
     assert peaks[1] < 1.5 * dynamics.CHUNK_BYTES
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_reference_sweep_stays_within_the_budget(monkeypatch, workers):
+    # the reference 40x20 sweep of the Wigner readout's 22 sectors: the
+    # kernel's stacks stay within CHUNK_BYTES, and within 12 MiB however
+    # CHUNK_BYTES is set, whatever the share count, beside the start and
+    # evolved columns and the sweep's own arrays
+    monkeypatch.setattr(dynamics, "_worker_count", lambda: workers)
+    space = TwoModeSpace(FockDim(40), FockDim(20))
+    ks = np.flatnonzero(wigner_sweep_needed(space))
+    assert ks.size == 22
+    sched = rc_ramp(PARKING, -PARKING, 2e-3)
+    tracemalloc.start()
+    try:
+        sweep = sweep_unitaries(space, XI, sched, sector_ks=ks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the columns, in and out, and the march's two stacks of them; the
+    # grid's three arrays and the endpoint bases
+    columns = 4 * 16 * space.dim * 2
+    arrays = 3 * sweep.dts.nbytes + sum(
+        v0.nbytes + v1.nbytes for v0, v1 in sweep.endpoint_bases.values())
+    assert peak <= min(dynamics.CHUNK_BYTES, 12 << 20) + columns + arrays
 
 
 def test_sweep_batches_eigh_in_bounded_chunks(monkeypatch):
