@@ -48,14 +48,23 @@ from .trap import YB171, mode_params
 TWO_PI = 2 * math.pi
 
 
+# the random streams of each experiment that draws shots
+STREAMS = {
+    "oscillate": "per-hold streams via SeedSequence(seed, hold_index, 0 for "
+                 "radial or 1 for axial)",
+    "parity": "one stream via SeedSequence(seed)",
+    "wigner": "per-point streams via SeedSequence(seed, point_index)",
+}
+
+
 def provenance(cfg: RunConfig, experiment: str) -> list[str]:
     s = cfg.simulation
     return [
         f"trilinear {__version__}",
         f"experiment: {experiment}",
         f"config-sha256: {config_hash(cfg)}",
-        f"seed: {cfg.measurement.seed} rng: PCG64, per-point streams via "
-        "SeedSequence(seed, point_index)",
+        f"seed: {cfg.measurement.seed} rng: PCG64, "
+        + STREAMS.get(experiment, "no shots drawn"),
         f"truncation: radial {s.radial_dim} guard {s.guard_band}, "
         f"axial {s.axial_dim} guard {s.guard_band}",
         "frame: interaction frame at omega_r (radial) and 2 omega_r (axial); "

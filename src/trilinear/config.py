@@ -17,6 +17,7 @@ from typing import Any
 import yaml
 
 from .fock import FockDim, StateVector, TwoModeSpace, cat_state, coherent_state, fock_state
+from .protocols import MAX_SHOTS
 from .trap import TrapConfig
 
 EXPERIMENTS = ("modes", "oscillate", "crossing", "parity", "wigner", "converge")
@@ -27,9 +28,6 @@ TWO_PI = 2 * math.pi
 # figure of `dynamics.MAX_STEPS`: a larger table is refused before any of it
 # is allocated
 MAX_ROWS = 1 << 22
-
-# most shots that numpy's binomial draw takes, the largest 64-bit integer
-MAX_SHOTS = (1 << 63) - 1
 
 
 class ConfigError(Exception):

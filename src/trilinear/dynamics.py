@@ -14,7 +14,8 @@ populations and eigenvalue differences -- everything this package reports --
 are unchanged, while step sizes are set by kHz scales.
 
 H commutes exactly with K = a^dag a + 2 c^dag c, so evolution is computed
-per K sector: dense full-space cost O(D^3) becomes a sum of small cubes.
+per K sector: dense full-space cost O(D^3) becomes a sum of small cubes,
+and the K index of `block_decompose` gives a state's sectors in one pass.
 
 Time-dependent detuning ramps are propagated step by step with the
 fourth-order Magnus exponent of two Gauss points (Blanes et al., Phys. Rep.
@@ -105,53 +106,46 @@ class SectorBlock:
 
 @dataclass(frozen=True)
 class BlockDecomposition:
+    """The K sectors of a space, in ascending K, with a K index built once:
+    `k_of` holds the K of every basis index and `by_k` finds a sector."""
+
     space: TwoModeSpace
     blocks: tuple[SectorBlock, ...]
+    k_of: np.ndarray = field(init=False, repr=False, compare=False)
+    _by_k: dict[int, SectorBlock] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        covered = np.concatenate([b.indices for b in self.blocks])
-        if not np.array_equal(np.sort(covered), np.arange(self.space.dim)):
+        k_of = np.full(self.space.dim, -1)
+        for b in self.blocks:
+            k_of[b.indices] = b.k
+        if (k_of < 0).any() or sum(b.size for b in self.blocks) != self.space.dim:
             raise ValueError("sectors do not partition the basis")
+        object.__setattr__(self, "k_of", k_of)
+        object.__setattr__(self, "_by_k", {b.k: b for b in self.blocks})
 
     @property
     def k_values(self) -> tuple[int, ...]:
         return tuple(b.k for b in self.blocks)
 
     def by_k(self, k: int) -> SectorBlock:
-        for b in self.blocks:
-            if b.k == k:
-                return b
-        raise KeyError(f"no K = {k} sector in this space")
+        if k not in self._by_k:
+            raise KeyError(f"no K = {k} sector in this space")
+        return self._by_k[k]
 
 
 @lru_cache(maxsize=32)
 def block_decompose(space: TwoModeSpace) -> BlockDecomposition:
     """Partition the basis by the conserved weight K = n_a + 2 n_c."""
-    dr, da = space.radial.dim, space.axial.dim
+    occ, k_of = space.occupations(), space.k_values()
     blocks = []
-    for k in range(dr - 1 + 2 * (da - 1) + 1):
-        j_lo = max(0, -(-(k - dr + 1) // 2))  # ceil((k - dr + 1) / 2)
-        j_hi = min(k // 2, da - 1)
-        js = np.arange(j_lo, j_hi + 1)
-        if js.size == 0:
-            continue
-        indices = np.array([space.index(k - 2 * j, j) for j in js])
-        coupling = np.zeros((js.size, js.size))
-        for pos in range(1, js.size):
-            j = js[pos]
-            n_a = k - 2 * j
-            # <n_a + 2, j - 1| a^dag^2 c |n_a, j>
-            amp = math.sqrt((n_a + 1) * (n_a + 2) * j)
-            coupling[pos - 1, pos] = amp
-            coupling[pos, pos - 1] = amp
-        blocks.append(
-            SectorBlock(
-                k=k,
-                indices=indices,
-                n_c_diag=js.astype(float),
-                coupling=coupling,
-            )
-        )
+    for k in np.unique(k_of):
+        # the sector's states by increasing n_c, hence decreasing index
+        indices = np.flatnonzero(k_of == k)[::-1].copy()
+        n_a, n_c = occ[indices].T
+        # <n_a + 2, n_c - 1| a^dag^2 c |n_a, n_c> beside the diagonal
+        amp = np.sqrt((n_a + 1) * (n_a + 2) * n_c)[1:]
+        blocks.append(SectorBlock(k=int(k), indices=indices, n_c_diag=n_c.astype(float),
+                                  coupling=np.diag(amp, 1) + np.diag(amp, -1)))
     return BlockDecomposition(space=space, blocks=tuple(blocks))
 
 
@@ -173,10 +167,6 @@ class RotatingFrameHamiltonian:
         m = self.delta * np.kron(np.eye(self.space.radial.dim), n_c)
         m = m + self.xi * (up + up.conj().T)
         return Operator(m, tag="hermitian")
-
-    @property
-    def blocks(self) -> BlockDecomposition:
-        return block_decompose(self.space)
 
 
 def build_hamiltonian(xi: float, delta: float,
@@ -524,10 +514,9 @@ def piecewise_deltas(schedule: RampSchedule, t0: float, t1: float,
 
 
 def _populated_blocks(amp: np.ndarray, space: TwoModeSpace) -> list[SectorBlock]:
-    return [
-        b for b in block_decompose(space).blocks
-        if np.any(np.abs(amp[b.indices]) > 0.0)
-    ]
+    """Sectors where `amp` is nonzero, in ascending K: one pass over the K index."""
+    decomp = block_decompose(space)
+    return [decomp.by_k(int(k)) for k in np.unique(decomp.k_of[np.abs(amp) > 0.0])]
 
 
 def _march_state(amp: np.ndarray, blocks, xi: float, deltas, dts,
@@ -730,8 +719,8 @@ class SweepResult:
         return self._unitaries_of([blocks.by_k(k) for k in self.endpoint_bases])
 
     def apply(self, state: StateVector) -> StateVector:
-        """The swept state; builds the unitaries of the sectors it
-        populates only."""
+        """The swept state; builds the unitaries of the sectors it populates
+        (found in one pass over the K index) only."""
         space = state.basis
         if space != self.space:
             raise ValueError("state does not live in the sweep's space")

@@ -65,6 +65,9 @@ READOUT_BIAS_TOLERANCE = 0.01
 # with ~1e-50 weight; dropping them perturbs the norm below 1e-24)
 AMPLITUDE_FLOOR = 1e-12
 
+# most shots that numpy's binomial draw takes, the largest 64-bit integer
+MAX_SHOTS = (1 << 63) - 1
+
 
 @dataclass(frozen=True)
 class MeasurementModel:
@@ -83,8 +86,8 @@ class MeasurementModel:
     def __post_init__(self):
         if not 0 < self.eta <= 1:
             raise ValueError("eta must lie in (0, 1]")
-        if self.shots < 1:
-            raise ValueError("shots must be a positive integer")
+        if not 1 <= self.shots <= MAX_SHOTS:
+            raise ValueError(f"shots must lie in [1, MAX_SHOTS = {MAX_SHOTS}]")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
         if not 0 <= self.dark_bright_prob < 1:

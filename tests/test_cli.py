@@ -139,6 +139,46 @@ def test_wigner_deterministic_rerun(tmp_path, capsys):
     assert sha_a == sha_b
 
 
+@pytest.mark.parametrize("command, streams", [
+    ("wigner", "per-point streams via SeedSequence(seed, point_index)"),
+    ("oscillate", "per-hold streams via SeedSequence(seed, hold_index, 0 for "
+                  "radial or 1 for axial)"),
+    ("parity", "one stream via SeedSequence(seed)"),
+    ("crossing", "no shots drawn"),
+])
+def test_provenance_names_the_random_streams(tmp_path, capsys, command, streams):
+    # each experiment's header states the streams its sampled columns are
+    # drawn from, which the draws below reproduce
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(SMALL_WIGNER + "oscillation:\n  hold_points: 9\n"
+                   "  hold_max_s: 1.0e-3\n")
+    code, _, _ = run([command, "--config", str(cfg), "--out", str(tmp_path)],
+                     capsys)
+    assert code == 0
+    name = {"oscillate": "oscillation"}.get(command, command)
+    text = (tmp_path / f"{name}.csv").read_text()
+    assert f"# seed: 99 rng: PCG64, {streams}" in text.splitlines()
+    rows = read_data_rows(tmp_path / f"{name}.csv")
+    header = rows[0].split(",")
+    body = [dict(zip(header, r.split(","))) for r in rows[1:]]
+    model = trilinear.MeasurementModel(eta=0.86, shots=50, seed=99)
+
+    def drawn(p1, *stream):
+        return model.rng(*stream).binomial(50, p1) / 50
+
+    if command == "wigner":
+        for i, row in enumerate(body):
+            assert float(row["p1_sampled"]) == drawn(float(row["p1_exact"]), i)
+    elif command == "oscillate":
+        for i, row in enumerate(body):
+            for col, sub in (("p_radial", 0), ("p_axial", 1)):
+                p1 = 0.86 * min(float(row[col]), 1.0)
+                assert float(row[f"{col}_sampled"]) == drawn(p1, i, sub)
+    elif command == "parity":
+        values = {row["key"]: row["value"] for row in body}
+        assert float(values["p1_sampled"]) == drawn(float(values["p1_exact"]))
+
+
 def test_wigner_reports_flagged_points(tmp_path, capsys):
     # 8x4 is far too small for the default grid: all rows but the origin's
     # leak, and stdout has to say so; the sweep itself reads out within

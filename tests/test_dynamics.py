@@ -132,6 +132,150 @@ def test_sectors_partition_basis(dr, da):
 
 
 # ---------------------------------------------------------------------------
+# the K index: which sectors a state populates
+
+
+def scanned_blocks(amp, space):
+    """The sectors holding a nonzero amplitude, by the per-block scan that
+    the K index replaced."""
+    return [b for b in block_decompose(space).blocks
+            if np.any(np.abs(amp[b.indices]) > 0.0)]
+
+
+# exact zeros, the smallest subnormal (its modulus is still above 0) and
+# ordinary amplitudes
+amplitude_values = st.sampled_from([0.0, 5e-324, -5e-324j, 1e-200, 1.0, 0.6 - 0.8j])
+
+
+@st.composite
+def sparse_states(draw, dims=(st.integers(2, 12), st.integers(2, 8))):
+    space = small_space(draw(dims[0]), draw(dims[1]))
+    amp = np.zeros(space.dim, dtype=complex)
+    for i, value in draw(st.dictionaries(st.integers(0, space.dim - 1),
+                                         amplitude_values, max_size=12)).items():
+        amp[i] = value
+    return space, amp
+
+
+def one_sector_state(dr, da, k, first=1.0):
+    """Sector K = k alone populated: `first` in its first state, the
+    smallest subnormal in the others."""
+    space = small_space(dr, da)
+    amp = np.zeros(space.dim, dtype=complex)
+    indices = block_decompose(space).by_k(k).indices
+    amp[indices] = 5e-324
+    amp[indices[0]] = first
+    return space, amp
+
+
+def normalized(space, amp):
+    norm = np.linalg.norm(amp)
+    assume(norm > 0)
+    return StateVector(amp / norm, space)
+
+
+def every_sector_state(dr, da):
+    space = small_space(dr, da)
+    return space, random_state(space).amplitudes
+
+
+@given(sparse_states())
+@example((small_space(2, 2), np.zeros(4, dtype=complex)))
+@example(one_sector_state(6, 4, 5, first=5e-324))
+@example(one_sector_state(12, 8, 0))
+@example(every_sector_state(12, 8))
+@example(every_sector_state(2, 5))
+@settings(max_examples=100, deadline=None)
+def test_populated_blocks_match_the_per_block_scan(state):
+    space, amp = state
+    found = dynamics._populated_blocks(amp, space)
+    expected = scanned_blocks(amp, space)
+    assert [b.k for b in found] == [b.k for b in expected]
+    assert all(f is e for f, e in zip(found, expected))
+
+
+@given(st.integers(2, 10), st.integers(2, 8))
+@settings(max_examples=30)
+def test_k_index_matches_the_blocks(dr, da):
+    space = small_space(dr, da)
+    decomp = block_decompose(space)
+    assert np.array_equal(decomp.k_of, space.k_values())
+    for b in decomp.blocks:
+        assert decomp.by_k(b.k) is b
+        assert decomp.by_k(np.int64(b.k)) is b
+        assert np.all(decomp.k_of[b.indices] == b.k)
+
+
+def test_by_k_refuses_a_missing_k():
+    decomp = block_decompose(small_space(4, 3))
+    top = max(decomp.k_values)
+    for k in (-1, top + 1, 100):
+        with pytest.raises(KeyError, match=f"no K = {k} sector"):
+            decomp.by_k(k)
+
+
+def march_scanned(amp, space, xi, deltas, dts, gammas=None):
+    """`amp` marched on the sectors the per-block scan finds: the
+    composition that apply_piecewise and propagate must reproduce."""
+    amp = amp.copy()
+    blocks = scanned_blocks(amp, space)
+    evolved = dynamics._march(blocks, xi, deltas, dts,
+                              [amp[b.indices] for b in blocks], gammas)
+    for b, sub in zip(blocks, evolved):
+        amp[b.indices] = sub
+    return amp
+
+
+@given(sparse_states((st.integers(4, 8), st.integers(3, 4))))
+@example(one_sector_state(6, 4, 5))
+@example(every_sector_state(6, 3))
+@settings(max_examples=15, deadline=None)
+def test_applying_steps_composes_the_scanned_sectors(state):
+    space, amp = state
+    psi = normalized(space, amp)
+    amp = psi.amplitudes
+    # the first 40 us of a ramp, about 40 graded steps; samples at 20, 50 us
+    sched = rc_ramp(PARKING, -PARKING, 100e-6)
+    deltas, dts, gammas = piecewise_deltas(sched, 0.0, 40e-6, 1e-6)
+    for twists in (gammas, None):
+        out = apply_piecewise(psi, XI, deltas, dts, twists)
+        assert np.array_equal(out.amplitudes,
+                              march_scanned(amp, space, XI, deltas, dts, twists))
+
+    # propagate marches each interval between samples on the same sectors
+    times = [0.0, 20e-6, 50e-6]
+    ham = build_hamiltonian(XI, PARKING, space)
+    traj = propagate(psi, ham, schedule=sched, step=1e-6, sample_times=times,
+                     t_final=times[-1], strict_leak=False)
+    const = propagate(psi, ham, times[-1], sample_times=times, strict_leak=False)
+    ramped, flat = amp, amp
+    for i, (t0, t1) in enumerate(zip(times, times[1:])):
+        ramped = march_scanned(ramped, space, XI,
+                               *piecewise_deltas(sched, t0, t1, 1e-6))
+        flat = march_scanned(flat, space, XI, [PARKING], [t1 - t0])
+        assert np.array_equal(traj.amplitudes[i + 1], ramped)
+        assert np.array_equal(const.amplitudes[i + 1], flat)
+
+
+@given(sparse_states((st.integers(4, 8), st.integers(3, 4))))
+@example(one_sector_state(6, 4, 5))
+@example(every_sector_state(6, 3))
+@settings(max_examples=15, deadline=None)
+def test_sweep_apply_composes_the_scanned_sectors(state):
+    # with every covered unitary marched first, apply multiplies exactly the
+    # populated sectors by them and leaves the others as they were
+    space, amp = state
+    psi = normalized(space, amp)
+    amp = psi.amplitudes
+    sweep = sweep_unitaries(space, XI, rc_ramp(PARKING, -PARKING, 20e-6))
+    unitaries = sweep.unitaries
+    expected = amp.copy()
+    for b in scanned_blocks(amp, space):
+        expected[b.indices] = unitaries[b.k] @ amp[b.indices]
+    assert np.array_equal(sweep.apply(psi).amplitudes, expected)
+
+
+# ---------------------------------------------------------------------------
 # constant-detuning propagation
 
 

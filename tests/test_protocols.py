@@ -148,6 +148,17 @@ def test_model_validation():
         MeasurementModel(seed=-5)
 
 
+def test_shots_past_the_binomial_limit_rejected():
+    # numpy's binomial draw takes at most 2^63 - 1 shots; one more used to
+    # construct and then die in the draw with an OverflowError
+    assert protocols.MAX_SHOTS == 2 ** 63 - 1
+    with pytest.raises(ValueError, match="MAX_SHOTS"):
+        MeasurementModel(shots=2 ** 63)
+    model = MeasurementModel(shots=2 ** 63 - 1, seed=1)
+    p1, p1_hat, _ = measurement_channel(0.3, model)
+    assert abs(p1_hat - p1) < 1e-6
+
+
 def test_dark_counts_default_off_but_available():
     model = MeasurementModel(eta=0.86, shots=100, seed=0)
     assert measurement_channel(0.0, model)[0] == 0.0
