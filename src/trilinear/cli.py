@@ -30,9 +30,9 @@ from .config import (
     parse_config,
     parse_descriptor,
 )
-from .dynamics import default_step, rc_ramp, sweep_unitaries
+from .dynamics import block_decompose, default_step, rc_ramp, sweep_unitaries
 from .errors import NumericalContractError, StepPolicyError
-from .fock import fock_state
+from .fock import StateVector, fock_state
 from .protocols import (
     MeasurementModel,
     adiabatic_parity,
@@ -274,11 +274,14 @@ def convergence_report(cfg: RunConfig) -> list[tuple]:
     fractions = [float(f) for f in cfg.converge.step_fractions]
     finals = []
     freqs = []
-    psi0 = embed_radial(fock_state(space.radial, 2), space)
+    psi0 = embed_radial(fock_state(space.radial, 2), space).amplitudes
+    b = block_decompose(space).by_k(2)
     for frac in fractions:
         sweep = sweep_unitaries(space, p.xi, schedule, base_step * frac,
                                 sector_ks=[2])
-        finals.append(sweep.apply(psi0))
+        amp = np.zeros(space.dim, dtype=complex)
+        amp[b.indices] = sweep.unitaries[2] @ psi0[b.indices]
+        finals.append(StateVector(amp, space))
         osc = oscillation_experiment(
             2, np.linspace(0, cfg.oscillation.hold_max_s, 33), p, model,
             space=space, parking=cfg.parking,

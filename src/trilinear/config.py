@@ -18,7 +18,7 @@ import yaml
 
 from .fock import FockDim, StateVector, TwoModeSpace, cat_state, coherent_state, fock_state
 from .protocols import MAX_SHOTS
-from .trap import TrapConfig
+from .trap import YB171, TrapConfig, mode_params
 
 EXPERIMENTS = ("modes", "oscillate", "crossing", "parity", "wigner", "converge")
 
@@ -266,7 +266,15 @@ def validate_config(cfg: RunConfig) -> None:
     t = cfg.trap
     if min(t.omega_x_hz, t.omega_y_hz, t.omega_z_hz) <= 0:
         raise ConfigValueError("trap", "frequencies must be positive (Hz)")
-    cfg.to_trap()
+    # every runner starts from the mode parameters: an overflow or a
+    # vanishing frequency on the way is a configuration error
+    try:
+        p = mode_params(YB171, cfg.to_trap())
+    except (ArithmeticError, ValueError) as e:
+        raise ConfigValueError(
+            "trap", f"mode parameters cannot be computed: {e}") from None
+    if not all(map(math.isfinite, (p.omega_s, p.omega_r, p.z0, p.xi, p.delta))):
+        raise ConfigValueError("trap", "mode parameters are not finite")
     s = cfg.simulation
     if s.radial_dim < 4 or s.axial_dim < 3:
         raise ConfigValueError(
@@ -278,6 +286,12 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigValueError("simulation", "time constants must be positive")
     if s.step_s is not None and s.step_s <= 0:
         raise ConfigValueError("simulation.step_s", "step must be positive")
+    # the radial levels outside the guard band
+    top = s.radial_dim - 1 - s.guard_band
+    if cfg.experiment == "converge" and top < 2:
+        raise ConfigValueError(
+            "simulation", f"radial levels 0..{top} cannot hold the two phonons "
+            "that the step sweep starts from")
     m = cfg.measurement
     if not 0 < m.eta <= 1:
         raise ConfigValueError("measurement.eta", "eta must lie in (0, 1]")
@@ -292,6 +306,10 @@ def validate_config(cfg: RunConfig) -> None:
     o = cfg.oscillation
     if o.n_initial not in (1, 2):
         raise ConfigValueError("oscillation.n_initial", "must be 1 or 2")
+    if cfg.experiment == "oscillate" and o.n_initial > top:
+        raise ConfigValueError(
+            "oscillation.n_initial",
+            f"{o.n_initial} phonons exceed the radial levels 0..{top}")
     if o.hold_max_s <= 0 or o.hold_points < 8:
         raise ConfigValueError(
             "oscillation", "need hold_max_s > 0 and hold_points >= 8"
@@ -360,9 +378,6 @@ def config_hash(cfg: RunConfig) -> str:
 class StateSpec:
     kind: str
     params: tuple
-
-    def describe(self) -> str:
-        return ":".join([self.kind, *map(str, self.params)])
 
 
 def _parse_complex(token: str, path: str) -> complex:

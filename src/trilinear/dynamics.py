@@ -679,14 +679,13 @@ class SweepResult:
     eigenvectors the readout needs: column 0 is U_k times the lowest one;
     unless the schedule starts above zero detuning, column 1 is U_k times
     the highest one (the label-0 state below zero). The full unitaries are
-    built only on demand: by `unitaries` for every covered sector, by
-    `apply` for the sectors its state populates, each sector once.
+    built only on demand, by `unitaries`.
 
     step is the finest step of the graded grid, which `piecewise_deltas`
     lays once for the sweep; deltas, dts and gammas hold that grid's
     fourth-order Magnus steps: the mean detuning of each step's two Gauss
     points, the step durations and the twists. `unitaries` marches the same
-    steps.
+    steps, and `apply_piecewise` applies them to any two-mode state.
     """
 
     space: TwoModeSpace
@@ -698,43 +697,16 @@ class SweepResult:
     gammas: np.ndarray
     evolved: dict[int, np.ndarray]
     endpoint_bases: dict[int, tuple[np.ndarray, np.ndarray]]
-    # the sector unitaries marched so far, by K
-    _marched: dict[int, np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-
-    def _unitaries_of(self, blocks) -> dict[int, np.ndarray]:
-        """Sweep unitaries of the sector `blocks`, marched together from
-        identity columns for those not marched before."""
-        todo = [b for b in blocks if b.k not in self._marched]
-        if todo:
-            u = _march(todo, self.xi, self.deltas, self.dts,
-                       [np.eye(b.size) for b in todo], self.gammas)
-            self._marched.update((b.k, uk) for b, uk in zip(todo, u))
-        return {b.k: self._marched[b.k] for b in blocks}
 
     @cached_property
     def unitaries(self) -> dict[int, np.ndarray]:
-        """Per-sector sweep unitaries of every covered sector."""
-        blocks = block_decompose(self.space)
-        return self._unitaries_of([blocks.by_k(k) for k in self.endpoint_bases])
-
-    def apply(self, state: StateVector) -> StateVector:
-        """The swept state; builds the unitaries of the sectors it populates
-        (found in one pass over the K index) only."""
-        space = state.basis
-        if space != self.space:
-            raise ValueError("state does not live in the sweep's space")
-        amp = state.amplitudes.copy()
-        blocks = _populated_blocks(amp, space)
-        for b in blocks:
-            if b.k not in self.endpoint_bases:
-                raise ValueError(
-                    f"state populates K = {b.k}, not covered by this sweep"
-                )
-        unitaries = self._unitaries_of(blocks)
-        for b in blocks:
-            amp[b.indices] = unitaries[b.k] @ amp[b.indices]
-        return StateVector(amp, space)
+        """Per-sector sweep unitaries of every covered sector, marched
+        together from identity columns."""
+        decomp = block_decompose(self.space)
+        blocks = [decomp.by_k(k) for k in self.endpoint_bases]
+        u = _march(blocks, self.xi, self.deltas, self.dts,
+                   [np.eye(b.size) for b in blocks], self.gammas)
+        return {b.k: uk for b, uk in zip(blocks, u)}
 
 
 def sweep_unitaries(space: TwoModeSpace, xi: float, schedule: RampSchedule,

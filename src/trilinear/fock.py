@@ -80,7 +80,8 @@ class TwoModeSpace:
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
+    """A read-only private copy: the caller's array stays its own."""
+    arr = np.array(arr, order="C")
     arr.setflags(write=False)
     return arr
 
@@ -155,10 +156,6 @@ class StateVector:
     def guard_leak(self) -> float:
         """Largest per-mode population inside the guard bands."""
         return guard_leak(self.amplitudes, self.basis)
-
-    def check_leak(self, threshold: float = GUARD_LEAK_THRESHOLD) -> bool:
-        """True when the guard band is clean (leak below threshold)."""
-        return self.guard_leak() < threshold
 
 
 def _basis_dim(basis: FockDim | TwoModeSpace) -> int:

@@ -43,7 +43,6 @@ from .fock import (
     StateVector,
     TwoModeSpace,
     displaced_amplitudes,
-    fock_state,
     GUARD_LEAK_THRESHOLD,
 )
 from .trap import ModeParams
@@ -180,24 +179,6 @@ def _label_basis(vecs: np.ndarray, delta: float) -> np.ndarray:
     return v * (np.abs(lead) / lead)
 
 
-def normal_mode_embedding(state_r: StateVector, space: TwoModeSpace,
-                          sweep: SweepResult) -> StateVector:
-    """Radial normal-mode state (axial normal mode empty) as a two-mode
-    state at the sweep's starting detuning."""
-    if not isinstance(state_r.basis, FockDim) or state_r.basis != space.radial:
-        raise ValueError("state must live on the radial mode of the space")
-    delta0 = float(sweep.schedule.delta_at(0.0))
-    amp = np.zeros(space.dim, dtype=complex)
-    blocks = block_decompose(space)
-    for k in np.nonzero(np.abs(state_r.amplitudes) > AMPLITUDE_FLOOR)[0]:
-        bases = sweep.endpoint_bases.get(int(k))
-        if bases is None:
-            raise ValueError(f"sweep does not cover the populated K = {k}")
-        b = blocks.by_k(int(k))
-        amp[b.indices] += state_r.amplitudes[k] * _label_basis(bases[0], delta0)[:, 0]
-    return StateVector(amp, space)
-
-
 def normal_mode_populations(state: StateVector, sweep: SweepResult) -> np.ndarray:
     """Populations of the normal-mode occupation labels at the sweep's final
     detuning, as a full-space array indexed like the bare basis."""
@@ -328,6 +309,18 @@ class _SectorReadout:
         return self._weights(amplitudes, self.swept) @ self.axial
 
 
+def _check_sweep(sweep: SweepResult, space: TwoModeSpace, xi: float,
+                 schedule: RampSchedule, step: float | None) -> None:
+    """ValueError unless a sweep passed in was built for this space,
+    coupling and ramp, and for `step` when one is given."""
+    for name, built, asked in (("space", sweep.space, space),
+                               ("coupling", sweep.xi, xi),
+                               ("ramp", sweep.schedule, schedule),
+                               ("step", sweep.step, step)):
+        if asked is not None and built != asked:
+            raise ValueError(f"the sweep was built for another {name}")
+
+
 def _flags(leak: bool, wigner_bias: float) -> tuple[str, ...]:
     return (("leak",) if leak else ()) + (
         ("diabatic",) if abs(wigner_bias) > READOUT_BIAS_TOLERANCE else ())
@@ -433,6 +426,10 @@ def oscillation_experiment(n_initial: int, hold_times, params: ModeParams,
     if n_initial not in (1, 2):
         raise ValueError("the conversion experiment starts with 1 or 2 phonons")
     space = space or default_space()
+    if n_initial > space.radial.top_physical:
+        raise ValueError(
+            f"fock occupation {n_initial} exceeds physical range "
+            f"0..{space.radial.top_physical}")
     hold_times = np.asarray(hold_times, float)
 
     down = rc_ramp(parking, 0.0, tau_fast)
@@ -440,18 +437,21 @@ def oscillation_experiment(n_initial: int, hold_times, params: ModeParams,
     u_down = sweep_unitaries(space, params.xi, down, step, sector_ks=[n_initial])
     u_up = sweep_unitaries(space, params.xi, up, step, sector_ks=[n_initial])
 
-    psi0 = normal_mode_embedding(fock_state(space.radial, n_initial), space, u_down)
+    # the whole sequence stays in sector K = n_initial: its label-0 state
+    # at the parking detuning, swept down, held, swept up
+    label0 = _label_basis(u_down.endpoint_bases[n_initial][0], parking)[:, 0]
     b = block_decompose(space).by_k(n_initial)
     w, v = np.linalg.eigh(b.hamiltonian(params.xi, 0.0))
-    after_down = u_down.apply(psi0)
+    after_down = u_down.unitaries[n_initial] @ label0
+    up_unitary = u_up.unitaries[n_initial]
 
     p_rad = np.empty(hold_times.size)
     p_ax = np.empty(hold_times.size)
     for i, tau in enumerate(hold_times):
-        amp = after_down.amplitudes.copy()
-        amp[b.indices] = v @ (np.exp(-1j * w * tau) * (v.conj().T @ amp[b.indices]))
-        final = u_up.apply(StateVector(amp, space))
-        label_pops = normal_mode_populations(final, u_up)
+        held = v @ (np.exp(-1j * w * tau) * (v.conj().T @ after_down))
+        amp = np.zeros(space.dim, dtype=complex)
+        amp[b.indices] = up_unitary @ held
+        label_pops = normal_mode_populations(StateVector(amp, space), u_up)
         radial_labels, axial_labels = _label_marginals(label_pops, space)
         p_rad[i] = 1.0 - radial_labels[0]
         p_ax[i] = 1.0 - axial_labels[0]
@@ -575,8 +575,8 @@ def adiabatic_parity(state_r: StateVector, xi: float, space: TwoModeSpace,
             int(k) for k in np.nonzero(np.abs(state_r.amplitudes) > AMPLITUDE_FLOOR)[0]
         )
         sweep = sweep_unitaries(space, xi, schedule, step, sector_ks=populated)
-    elif sweep.space != space:
-        raise ValueError("the sweep was built for another space")
+    else:
+        _check_sweep(sweep, space, xi, schedule, step)
     readout = _SectorReadout.of(sweep)
     amplitudes = state_r.amplitudes[None, :]
     # the axial distribution needs every populated sector swept
@@ -685,11 +685,12 @@ def wigner_scan(state_r: StateVector, alphas, xi: float, space: TwoModeSpace,
     """Displace, sweep, map, estimate: W(alpha) = (2/pi) <P>.
 
     The sweep is computed once and shared across grid points (and across
-    scans when passed in). Without one, the scan sweeps only the K sectors
-    that some displaced grid state populates above AMPLITUDE_FLOOR and
-    whose readout depends on the sweep (`wigner_sweep_needed`): an odd
-    sector with no guard-band state reads radial0 = 0 and guard = 0
-    exactly, swept or not, so a sweep passed in may lack it too. Because
+    scans when passed in, built for the same space, coupling, ramp and
+    step). Without one, the scan sweeps only the K sectors that some
+    displaced grid state populates above AMPLITUDE_FLOOR and whose readout
+    depends on the sweep (`wigner_sweep_needed`): an odd sector with no
+    guard-band state reads radial0 = 0 and guard = 0 exactly, swept or
+    not, so a sweep passed in may lack it too. Because
     the readout acts on each K sector separately, a point needs only its
     displaced radial populations: the grid is displaced and read out in
     blocks of points, with the figures of each sector computed once per
@@ -702,8 +703,8 @@ def wigner_scan(state_r: StateVector, alphas, xi: float, space: TwoModeSpace,
     dim_r = state_r.basis
     if not isinstance(dim_r, FockDim) or dim_r != space.radial:
         raise ValueError("state must live on the radial mode of the space")
-    if sweep is not None and sweep.space != space:
-        raise ValueError("the sweep was built for another space")
+    if sweep is not None:
+        _check_sweep(sweep, space, xi, schedule, step)
     populated = np.zeros(dim_r.dim, dtype=bool)
     for _, disp in _displaced_blocks(state_r, alphas):
         populated |= (np.abs(disp) > AMPLITUDE_FLOOR).any(axis=0)

@@ -38,13 +38,10 @@ from trilinear import (
 )
 from trilinear.cli import main
 from trilinear.dynamics import apply_piecewise, default_step, piecewise_deltas
-from trilinear.protocols import (
-    _label_marginals,
-    normal_mode_embedding,
-    normal_mode_populations,
-)
+from trilinear.protocols import normal_mode_populations
 from trilinear.report import read_data_rows
 
+from sector_reference import apply_sweep, normal_mode_embedding
 from wigner_kernel import pinned_grid_wigner
 
 TWO_PI = 2 * math.pi
@@ -138,7 +135,7 @@ def test_criterion_4_adiabatic_parity(space40, sweep40):
     fast = rc_ramp(PARKING, -PARKING, 20e-6)
     usweep = sweep_unitaries(space40, PARAMS.xi, fast, sector_ks=[2])
     psi = normal_mode_embedding(fock_state(space40.radial, 2), space40, usweep)
-    pops = normal_mode_populations(usweep.apply(psi), usweep)
+    pops = normal_mode_populations(apply_sweep(usweep, psi), usweep)
     change = 1.0 - float(pops[space40.index(2, 0)])
 
     ok = worst_parity_err <= 0.02 and worst_axial >= 0.99 and change < 0.05

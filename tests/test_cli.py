@@ -474,6 +474,47 @@ def test_converge_dims_too_small_for_the_guard_band_exit_code(tmp_path, capsys,
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command, path", [
+    ("oscillate", "oscillation.n_initial"),
+    ("converge", "simulation"),
+])
+def test_two_phonons_past_the_radial_levels_exit_code(tmp_path, capsys,
+                                                      command, path):
+    # 4x4 with the 2-level guard band keeps radial levels 0..1: too few for
+    # the two phonons that oscillate and the step sweep of converge start from
+    code, _, err = run([command, "--dims", "4x4", "--out", str(tmp_path)],
+                       capsys)
+    assert code == 2
+    assert f"path={path}" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_one_phonon_oscillation_fits_the_radial_levels(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("oscillation:\n  n_initial: 1\n  hold_points: 9\n")
+    code, _, _ = run(["oscillate", "--dims", "4x4", "--config", str(cfg),
+                      "--out", str(tmp_path)], capsys)
+    assert code == 0
+
+
+@pytest.mark.parametrize("trap", [
+    {"omega_x_hz": 1.0e300, "omega_y_hz": 1.0e300},  # omega_x^2 overflows
+    {"omega_z_hz": 1.0e-300},  # omega_z^2 underflows to 0
+])
+@pytest.mark.parametrize("command", ["modes", "oscillate"])
+def test_trap_without_finite_mode_parameters_exit_code(tmp_path, capsys,
+                                                       command, trap):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({"trap": trap}))
+    code, _, err = run([command, "--config", str(cfg), "--out", str(tmp_path)],
+                       capsys)
+    assert code == 2
+    assert "path=trap" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_convergence_flags_divergence_not_rounding():
     settings = ["coarse", "mid", "fine", "finest"]
     # a 1e-13 Hz wobble on a kHz observable is rounding, not divergence

@@ -42,6 +42,8 @@ from trilinear.dynamics import apply_piecewise, piecewise_deltas
 from trilinear.errors import NumericalContractError, StepPolicyError
 from trilinear.trap import mode_params
 
+from sector_reference import apply_sweep
+
 TWO_PI = 2 * math.pi
 XI = mode_params().xi
 PARKING = TWO_PI * 35e3
@@ -255,24 +257,6 @@ def test_applying_steps_composes_the_scanned_sectors(state):
         flat = march_scanned(flat, space, XI, [PARKING], [t1 - t0])
         assert np.array_equal(traj.amplitudes[i + 1], ramped)
         assert np.array_equal(const.amplitudes[i + 1], flat)
-
-
-@given(sparse_states((st.integers(4, 8), st.integers(3, 4))))
-@example(one_sector_state(6, 4, 5))
-@example(every_sector_state(6, 3))
-@settings(max_examples=15, deadline=None)
-def test_sweep_apply_composes_the_scanned_sectors(state):
-    # with every covered unitary marched first, apply multiplies exactly the
-    # populated sectors by them and leaves the others as they were
-    space, amp = state
-    psi = normalized(space, amp)
-    amp = psi.amplitudes
-    sweep = sweep_unitaries(space, XI, rc_ramp(PARKING, -PARKING, 20e-6))
-    unitaries = sweep.unitaries
-    expected = amp.copy()
-    for b in scanned_blocks(amp, space):
-        expected[b.indices] = unitaries[b.k] @ amp[b.indices]
-    assert np.array_equal(sweep.apply(psi).amplitudes, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -764,32 +748,16 @@ def test_sweep_adiabatic_theorem_low_sectors():
         assert abs(np.vdot(v_last[:, 0], sweep.evolved[k][:, 0])) ** 2 >= 0.99
 
 
-def test_sweep_apply_requires_covered_sectors():
-    space = small_space()
-    sched = rc_ramp(PARKING, -PARKING, 2e-3)
-    sweep = sweep_unitaries(space, XI, sched, sector_ks=[0, 1])
-    psi = product_state(space, 2, 0)
-    with pytest.raises(ValueError):
-        sweep.apply(psi)
-
-
-def test_apply_builds_only_the_populated_unitaries():
-    # a state in K = 2 alone marches the K = 2 unitary alone, and it agrees
-    # with the one marched together with every covered sector
+def test_one_sector_unitary_agrees_with_the_covered_set():
+    # a sweep over K = 2 alone marches the K = 2 unitary alone, and it
+    # agrees with the one marched together with every covered sector
     space = TwoModeSpace(FockDim(10), FockDim(6))
     sched = rc_ramp(PARKING, -PARKING, 2e-3)
-    sweep = sweep_unitaries(space, XI, sched, sector_ks=range(8))
-    psi = embed_radial(fock_state(space.radial, 2), space)
-    out = sweep.apply(psi)
-    assert "unitaries" not in vars(sweep)
-    assert list(sweep._marched) == [2]
-    b = block_decompose(space).by_k(2)
+    alone = sweep_unitaries(space, XI, sched, sector_ks=[2]).unitaries
     full = sweep_unitaries(space, XI, sched, sector_ks=range(8)).unitaries
+    assert list(alone) == [2]
     assert len(full) == 8
-    assert np.abs(out.amplitudes[b.indices]
-                  - full[2] @ psi.amplitudes[b.indices]).max() < 1e-12
-    # a covered sector marched once serves the full set too
-    assert sweep.unitaries[2] is sweep._marched[2]
+    assert np.abs(alone[2] - full[2]).max() < 1e-12
 
 
 def test_sweep_matches_propagate():
@@ -798,7 +766,7 @@ def test_sweep_matches_propagate():
     ham = build_hamiltonian(XI, PARKING, space)
     psi = embed_radial(fock_state(space.radial, 2), space)
     sweep = sweep_unitaries(space, XI, sched)
-    via_sweep = sweep.apply(psi)
+    via_sweep = apply_sweep(sweep, psi)
     via_prop = propagate(psi, ham, schedule=sched,
                          sample_times=[sched.duration]).final
     assert abs(1 - via_sweep.fidelity(via_prop)) < 1e-10

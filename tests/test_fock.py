@@ -173,6 +173,24 @@ def test_state_overlap_and_fidelity():
     assert a.overlap(c) == pytest.approx(np.conj(coherent_series(0.6, 3)), abs=1e-10)
 
 
+def test_states_and_operators_keep_their_own_memory():
+    # a caller's array, written after construction, changes neither object,
+    # and the caller may still write it
+    amp = np.zeros(4, dtype=complex)
+    amp[1] = 1.0
+    psi = StateVector(amp, FockDim(4))
+    amp[0] = 5.0
+    assert not np.shares_memory(psi.amplitudes, amp)
+    assert np.linalg.norm(psi.amplitudes) == 1.0
+    assert not psi.amplitudes.flags.writeable
+    m = np.eye(3, dtype=complex)
+    op = Operator(m, tag="unitary")
+    assert op.matrix is not m and m.flags.writeable
+    m[0, 0] = 2.0
+    assert op.matrix[0, 0] == 1.0
+    assert not op.matrix.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # displacement
 

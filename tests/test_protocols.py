@@ -15,6 +15,7 @@ from trilinear import (
     TwoModeSpace,
     adiabatic_parity,
     avoided_crossing_spectrum,
+    block_decompose,
     cat_state,
     coherent_state,
     decoherence_envelope,
@@ -44,11 +45,12 @@ from trilinear.protocols import (
     READOUT_BIAS_TOLERANCE,
     ParityResult,
     binomial_stderr,
-    normal_mode_embedding,
     normal_mode_populations,
     phase_space_grid,
     spectrum_to_csv,
 )
+
+from sector_reference import apply_sweep, normal_mode_embedding
 
 TWO_PI = 2 * math.pi
 TWO_OVER_PI = 2 / math.pi
@@ -228,6 +230,63 @@ def test_oscillation_rejects_other_occupations(space):
                                MeasurementModel(seed=0), space=space)
 
 
+def per_state_oscillation(n, holds, space, model, envelope_tau):
+    """The conversion sequence composed on full two-mode states: embed
+    |n>, sweep down, hold, sweep up, read the labels, shape, sample."""
+    down = rc_ramp(PARKING, 0.0, protocols.TAU_FAST)
+    up = rc_ramp(0.0, PARKING, protocols.TAU_FAST)
+    u_down = sweep_unitaries(space, PARAMS.xi, down, sector_ks=[n])
+    u_up = sweep_unitaries(space, PARAMS.xi, up, sector_ks=[n])
+    after_down = apply_sweep(
+        u_down, normal_mode_embedding(fock_state(space.radial, n), space, u_down))
+    b = block_decompose(space).by_k(n)
+    w, v = np.linalg.eigh(b.hamiltonian(PARAMS.xi, 0.0))
+    p_rad, p_ax = np.empty(holds.size), np.empty(holds.size)
+    for i, tau in enumerate(holds):
+        amp = after_down.amplitudes.copy()
+        amp[b.indices] = v @ (np.exp(-1j * w * tau) * (v.conj().T @ amp[b.indices]))
+        final = apply_sweep(u_up, StateVector(amp, space))
+        grid = normal_mode_populations(final, u_up).reshape(
+            space.radial.dim, space.axial.dim)
+        p_rad[i], p_ax[i] = 1.0 - grid.sum(axis=1)[0], 1.0 - grid.sum(axis=0)[0]
+    if envelope_tau is not None:
+        env = np.exp(-holds / envelope_tau)
+        for trace in (p_rad, p_ax):
+            center = 0.5 * (trace.max() + trace.min())
+            trace[:] = center + (trace - center) * env
+    sampled = np.array([[measurement_channel(p, model, stream=(i, j))[1]
+                         for j, p in enumerate(pair)]
+                        for i, pair in enumerate(zip(p_rad, p_ax))])
+    return p_rad, p_ax, sampled[:, 0], sampled[:, 1]
+
+
+@pytest.mark.parametrize("dims", [(8, 4), (12, 6)])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("envelope_tau", [None, 0.8e-3])
+def test_oscillation_matches_per_state_composition(dims, n, envelope_tau):
+    # the sector-local sequence gives, bit for bit, what the full-space one
+    # gives
+    space = TwoModeSpace(FockDim(dims[0]), FockDim(dims[1]))
+    model = MeasurementModel(eta=0.86, shots=400, seed=7)
+    holds = np.linspace(0, 1e-3, 17)
+    res = oscillation_experiment(n, holds, PARAMS, model,
+                                 envelope_tau=envelope_tau, space=space)
+    ref = per_state_oscillation(n, holds, space, model, envelope_tau)
+    for got, want in zip((res.p_radial, res.p_axial, res.p_radial_sampled,
+                          res.p_axial_sampled), ref):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.optimize.OptimizeWarning")
+def test_oscillation_refuses_a_start_in_the_guard_band():
+    # radial levels 0..1 hold one phonon, not two
+    space = TwoModeSpace(FockDim(4), FockDim(4))
+    model = MeasurementModel(seed=0)
+    oscillation_experiment(1, [0.0, 1e-4], PARAMS, model, space=space)
+    with pytest.raises(ValueError, match="exceeds physical range 0..1"):
+        oscillation_experiment(2, [0.0, 1e-4], PARAMS, model, space=space)
+
+
 def test_oscillation_csv_schema(space, tmp_path):
     model = MeasurementModel(eta=0.86, shots=400, seed=11)
     res = oscillation_experiment(2, np.linspace(0, 5e-4, 9), PARAMS, model,
@@ -337,20 +396,26 @@ def test_fast_ramp_flags_the_two_phonon_state_diabatic():
 
 
 def test_normal_mode_embedding_reduces_to_bare_at_weak_coupling():
-    # with xi 1000x smaller the dressing must be indistinguishable from bare
+    # with xi 1000x smaller the dressing must be indistinguishable from bare:
+    # the label-0 start state of every sector, which the conversion
+    # experiment starts from, is the bare |k, 0>
     small = TwoModeSpace(FockDim(16), FockDim(8))
     sched = slow_sweep()
     weak = sweep_unitaries(small, PARAMS.xi / 1000, sched,
                            sector_ks=range(small.radial.dim))
-    psi = normal_mode_embedding(coherent_state(small.radial, 1.0), small, weak)
-    bare = np.zeros(small.dim, dtype=complex)
-    bare[:: small.axial.dim] = coherent_state(small.radial, 1.0).amplitudes
-    assert np.abs(np.abs(np.vdot(bare, psi.amplitudes)) - 1) < 1e-6
+    delta0 = float(sched.delta_at(0.0))
+    for k in range(small.radial.dim):
+        label0 = protocols._label_basis(weak.endpoint_bases[k][0], delta0)[:, 0]
+        bare = np.zeros(small.dim)
+        bare[small.index(k, 0)] = 1.0
+        psi = np.zeros(small.dim)
+        psi[block_decompose(small).by_k(k).indices] = label0
+        assert np.abs(np.abs(np.vdot(bare, psi)) - 1) < 1e-6
 
 
 def test_normal_mode_populations_sum_to_one(space, sweep):
     psi = normal_mode_embedding(coherent_state(space.radial, 1.2), space, sweep)
-    pops = normal_mode_populations(sweep.apply(psi), sweep)
+    pops = normal_mode_populations(apply_sweep(sweep, psi), sweep)
     assert pops.sum() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -632,7 +697,7 @@ def per_point_reference(state, alphas, space, sweep, model):
     for i, alpha in enumerate(alphas):
         disp = _displacement_matrix(-alpha, dim) @ state.amplitudes
         psi0 = normal_mode_embedding(StateVector(disp, dim), space, sweep)
-        final = sweep.apply(psi0)
+        final = apply_sweep(sweep, psi0)
         pops = normal_mode_populations(final, sweep)
         radial0 = pops.reshape(space.radial.dim, space.axial.dim)[0].sum()
         p_phonon = min(max(1.0 - radial0, 0.0), 1.0)
@@ -745,3 +810,37 @@ def test_wigner_negativity_with_shot_noise(space, schedule, sweep):
                                sweep=sweep)
         negatives += res.sampled.parity < 0
     assert negatives == 50
+
+
+# a sweep passed in must have been built for the arguments it is used with
+SWEEP_USERS = {
+    "wigner_scan": lambda state, xi, space, sched, model, step, sweep: wigner_scan(
+        state, [0.0], xi, space, sched, model, exact=True, step=step, sweep=sweep),
+    "adiabatic_parity": lambda state, xi, space, sched, model, step, sweep:
+        adiabatic_parity(state, xi, space, sched, model, step=step, sweep=sweep),
+    "radial_cut": lambda state, xi, space, sched, model, step, sweep: radial_cut(
+        state, [0.5], xi, space, sched, model, step=step, sweep=sweep),
+}
+
+
+@pytest.mark.parametrize("user", sorted(SWEEP_USERS))
+def test_a_sweep_built_for_other_arguments_is_refused(user):
+    space = TwoModeSpace(FockDim(8), FockDim(4))
+    sched = rc_ramp(PARKING, -PARKING, 100e-6)
+    sweep = sweep_unitaries(space, PARAMS.xi, sched, sector_ks=range(8))
+    state = fock_state(space.radial, 2)
+    model = MeasurementModel(eta=0.86, seed=3)
+    call = SWEEP_USERS[user]
+    # its own arguments, with or without the step
+    for step in (None, sweep.step):
+        call(state, PARAMS.xi, space, sched, model, step, sweep)
+    others = {
+        "space": (PARAMS.xi, TwoModeSpace(FockDim(8), FockDim(5)), sched,
+                  sweep.step),
+        "coupling": (10 * PARAMS.xi, space, sched, None),
+        "ramp": (PARAMS.xi, space, rc_ramp(PARKING, -PARKING, 50e-6), None),
+        "step": (PARAMS.xi, space, sched, sweep.step / 2),
+    }
+    for name, (xi, other_space, other_sched, step) in others.items():
+        with pytest.raises(ValueError, match=f"built for another {name}$"):
+            call(state, xi, other_space, other_sched, model, step, sweep)
