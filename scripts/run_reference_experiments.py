@@ -51,7 +51,7 @@ def main() -> None:
     }
     for k, v in rows.items():
         print(f"  {k:24s} {v:.6g}")
-    write_csv(args.out / "modes.csv", list(rows), [list(rows.values())])
+    write_csv(args.out / "modes.csv", list(rows), [[v] for v in rows.values()])
 
     print("== conversion oscillation ==")
     holds = np.linspace(0, 3e-3, 121)
@@ -74,18 +74,22 @@ def main() -> None:
     print("== adiabatic parity, fock 0..6 ==")
     schedule = slow_sweep()
     sweep = sweep_unitaries(space, params.xi, schedule, sector_ks=range(13))
-    rows = []
+    results = []
     for n in range(7):
         res = adiabatic_parity(fock_state(space.radial, n), params.xi, space,
                                schedule, model, sweep=sweep, stream=(n,))
-        rows.append((n, res.exact.parity, res.sampled.parity,
-                     res.sampled.stderr, res.readout_bias,
-                     ";".join(res.flags)))
+        results.append(res)
         print(f"  n={n}: parity {res.exact.parity:+.4f} "
               f"(sampled {res.sampled.parity:+.3f})")
     write_csv(args.out / "parity_fock.csv",
               ["n", "parity_exact", "parity_sampled", "stderr",
-               "readout_bias", "flags"], rows)
+               "readout_bias", "flags"],
+              [list(range(len(results))),
+               [r.exact.parity for r in results],
+               [r.sampled.parity for r in results],
+               [r.sampled.stderr for r in results],
+               [r.readout_bias for r in results],
+               [";".join(r.flags) for r in results]])
     print(f"artifacts in {args.out}")
 
 

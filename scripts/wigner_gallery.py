@@ -83,8 +83,7 @@ def main() -> None:
                          schedule, model, sweep=sweep)
         closed = [fock_wigner_closed_form(n, r) for r in radii]
         write_csv(args.out / f"fock{n}_radial_cut.csv",
-                  ["r", "wigner", "closed_form"],
-                  list(zip(radii, cut, closed)))
+                  ["r", "wigner", "closed_form"], [radii, cut, closed])
         print(f"  fock({n}) cut: W(0) = {cut[0]:+.4f} "
               f"(closed form {closed[0]:+.4f})")
     print(f"artifacts in {args.out}")

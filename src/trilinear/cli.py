@@ -42,7 +42,7 @@ from .protocols import (
     spectrum_to_csv,
     wigner_scan,
 )
-from .report import write_csv
+from .report import format_column, write_csv
 from .trap import YB171, mode_params
 
 TWO_PI = 2 * math.pi
@@ -104,8 +104,8 @@ def run_modes(cfg: RunConfig, out: Path) -> None:
         print(f"{key} = {value:.6g}")
     write_csv(
         out / "modes.csv",
-        list(report.keys()),
-        [list(report.values())],
+        list(report),
+        [[value] for value in report.values()],
         provenance(cfg, "modes"),
     )
 
@@ -152,21 +152,19 @@ def run_parity(cfg: RunConfig, out: Path) -> None:
         state, p.xi, space, _slow_schedule(cfg), _model(cfg),
         step=cfg.simulation.step_s,
     )
-    rows = [
-        ("state", cfg.state),
-        ("p_phonon", res.p_phonon),
-        ("p1_exact", res.exact.p1),
-        ("p1_sampled", res.sampled.p1),
-        ("parity_exact", res.exact.parity),
-        ("parity_sampled", res.sampled.parity),
-        ("stderr", res.sampled.stderr),
-        ("readout_bias", res.readout_bias),
-        ("flags", ";".join(res.flags)),
+    keys = ["state", "p_phonon", "p1_exact", "p1_sampled", "parity_exact",
+            "parity_sampled", "stderr", "readout_bias", "flags"]
+    keys += [f"axial_p{n}" for n in range(res.axial_distribution.size)]
+    values = [
+        cfg.state,
+        *format_column([res.p_phonon, res.exact.p1, res.sampled.p1,
+                        res.exact.parity, res.sampled.parity,
+                        res.sampled.stderr, res.readout_bias]),
+        ";".join(res.flags),
+        *format_column(res.axial_distribution),
     ]
-    rows += [
-        (f"axial_p{n}", prob) for n, prob in enumerate(res.axial_distribution)
-    ]
-    write_csv(out / "parity.csv", ["key", "value"], rows, provenance(cfg, "parity"))
+    write_csv(out / "parity.csv", ["key", "value"], [keys, values],
+              provenance(cfg, "parity"))
     parity = res.exact.parity if cfg.exact else res.sampled.parity
     print(f"parity = {parity:.6g}")
     print(f"max_readout_bias = {abs(res.readout_bias):.3g}")
@@ -187,9 +185,8 @@ def run_wigner(cfg: RunConfig, out: Path) -> None:
     origin = int(np.argmin(np.abs(scan.alphas)))
     print(f"wigner_at_origin = {scan.wigner[origin]:.6g}")
     print(f"negative_points = {int(np.sum(scan.wigner < 0))} / {scan.wigner.size}")
-    flags = [set(f.split(";")) for f in scan.flags]
-    print(f"flagged_points = leak {sum('leak' in f for f in flags)}, "
-          f"diabatic {sum('diabatic' in f for f in flags)} of {len(flags)}")
+    print(f"flagged_points = leak {int(scan.leak.sum())}, "
+          f"diabatic {int(scan.diabatic.sum())} of {scan.alphas.size}")
     print(f"max_readout_bias = {np.abs(scan.readout_bias).max():.3g}")
     _print_sweep_steps(scan.sweep_dts)
     # odd sectors without a guard-band state read out exactly unswept
@@ -201,7 +198,7 @@ def run_converge(cfg: RunConfig, out: Path) -> None:
     write_csv(
         out / "converge.csv",
         ["kind", "setting", "observable", "value", "delta_vs_finest", "flag"],
-        rows,
+        list(zip(*rows)),
         provenance(cfg, "converge"),
     )
     for row in rows:

@@ -577,12 +577,11 @@ class Trajectory:
     def to_csv(self, path, comments=()) -> None:
         from .report import write_csv
 
-        cols = ["t_s"] + [f"p_{na}_{nc}" for na, nc in self.tracked]
-        cols += ["norm", "K_expect"]
-        rows = np.column_stack(
-            [self.times, self.populations, self.norms, self.k_expect]
-        )
-        write_csv(path, cols, rows, comments)
+        header = ["t_s"] + [f"p_{na}_{nc}" for na, nc in self.tracked]
+        header += ["norm", "K_expect"]
+        write_csv(path, header,
+                  [self.times, *self.populations.T, self.norms, self.k_expect],
+                  comments)
 
 
 def propagate(state: StateVector, hamiltonian: RotatingFrameHamiltonian,

@@ -345,17 +345,11 @@ class OscillationResult:
     def to_csv(self, path, comments=()) -> None:
         from .report import write_csv
 
-        rows = np.column_stack([
-            self.hold_times * 1e3,
-            self.p_radial,
-            self.p_axial,
-            self.p_radial_sampled,
-            self.p_axial_sampled,
-        ])
         write_csv(
             path,
             ["t_ms", "p_radial", "p_axial", "p_radial_sampled", "p_axial_sampled"],
-            rows,
+            [self.hold_times * 1e3, self.p_radial, self.p_axial,
+             self.p_radial_sampled, self.p_axial_sampled],
             comments,
         )
 
@@ -522,12 +516,9 @@ def spectrum_to_csv(spec: SpectrumBranch, path, comments=()) -> None:
     from .report import write_csv
 
     two_pi = 2 * math.pi
-    rows = np.column_stack([
-        spec.deltas / two_pi,
-        spec.branches[:, 0] / two_pi,
-        spec.branches[:, 1] / two_pi,
-    ])
-    write_csv(path, ["delta_hz", "branch0_hz", "branch1_hz"], rows, comments)
+    write_csv(path, ["delta_hz", "branch0_hz", "branch1_hz"],
+              [spec.deltas / two_pi, spec.branches[:, 0] / two_pi,
+               spec.branches[:, 1] / two_pi], comments)
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +617,9 @@ class WignerScan:
     # parity (2/pi) <P> that the sweep's readout makes (`_SectorReadout.
     # read`); dark counts, if modelled, come on top
     readout_bias: np.ndarray | None = field(default=None, compare=False)
+    # per point, the masks behind the 'leak' and 'diabatic' flags
+    leak: np.ndarray | None = field(default=None, compare=False)
+    diabatic: np.ndarray | None = field(default=None, compare=False)
     # (swept, populated): of the K sectors some displaced grid state
     # populates, how many the readout took from the sweep's march; the
     # others it reads exactly without one (`wigner_sweep_needed`)
@@ -642,20 +636,13 @@ class WignerScan:
     def to_csv(self, path, comments=()) -> None:
         from .report import write_csv
 
-        rows = [
-            (
-                a.real, a.imag, p1e, p1s, par, w, se, fl,
-            )
-            for a, p1e, p1s, par, w, se, fl in zip(
-                self.alphas, self.p1_exact, self.p1_sampled, self.parity,
-                self.wigner, self.stderr, self.flags,
-            )
-        ]
         write_csv(
             path,
             ["re_alpha", "im_alpha", "p1_exact", "p1_sampled", "parity",
              "wigner", "stderr", "flags"],
-            rows,
+            [self.alphas.real, self.alphas.imag, self.p1_exact,
+             self.p1_sampled, self.parity, self.wigner, self.stderr,
+             self.flags],
             comments,
         )
 
@@ -724,8 +711,9 @@ def wigner_scan(state_r: StateVector, alphas, xi: float, space: TwoModeSpace,
         disp_leak = (np.abs(disp[:, dim_r.top_physical + 1:]) ** 2).sum(axis=1)
         leak[span] |= disp_leak >= GUARD_LEAK_THRESHOLD
     bias *= 4.0 / math.pi
-    flags = tuple(";".join(_flags(lk, b))
-                  for lk, b in zip(leak.tolist(), bias.tolist()))
+    diabatic = np.abs(bias) > READOUT_BIAS_TOLERANCE
+    flags = np.where(leak, np.where(diabatic, "leak;diabatic", "leak"),
+                     np.where(diabatic, "diabatic", ""))
 
     if exact:
         p1_exact = _bright_probability(p_phonon, model)
@@ -756,10 +744,12 @@ def wigner_scan(state_r: StateVector, alphas, xi: float, space: TwoModeSpace,
         parity=parity,
         wigner=2.0 / math.pi * parity,
         stderr=2.0 / math.pi * 2.0 * stderr / model.eta,
-        flags=flags,
+        flags=tuple(flags.tolist()),
         meta=scan_meta,
         sweep_dts=sweep.dts,
         readout_bias=bias,
+        leak=leak,
+        diabatic=diabatic,
         sweep_sectors=(int((populated & readout.swept).sum()),
                        int(populated.sum())),
     )

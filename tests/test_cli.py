@@ -1,5 +1,6 @@
 """CLI integration: exit codes, provenance headers, determinism."""
 
+import csv
 import math
 import os
 import subprocess
@@ -100,6 +101,23 @@ def test_parity_runs(tmp_path, capsys):
     keys = {r.split(",")[0] for r in rows[1:]}
     assert {"p_phonon", "parity_exact", "readout_bias"} <= keys
     assert any(l.startswith("max_readout_bias = ") for l in out.splitlines())
+
+
+def test_parity_state_with_a_line_break_stays_one_cell(tmp_path, capsys):
+    # the descriptor parser accepts a trailing newline; the writer quotes
+    # the cell, so the table still reads back as key/value pairs
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text('state: "fock:1\\n"\nsimulation:\n  radial_dim: 8\n'
+                   '  axial_dim: 4\n')
+    code, _, _ = run(["parity", "--config", str(cfg), "--out", str(tmp_path)],
+                     capsys)
+    assert code == 0
+    with open(tmp_path / "parity.csv", newline="") as f:
+        table = list(csv.reader(ln for ln in f if not ln.startswith("#")))
+    assert all(len(row) == 2 for row in table)
+    assert table[0] == ["key", "value"]
+    assert table[1] == ["state", "fock:1\n"]
+    assert table[2][0] == "p_phonon"
 
 
 @pytest.mark.parametrize("command", ["wigner", "parity"])

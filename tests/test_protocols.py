@@ -783,6 +783,26 @@ def test_scan_csv_schema(space, schedule, sweep, tmp_path):
     assert len(lines) == 2 + 2
 
 
+def test_scan_flags_follow_the_leak_and_diabatic_masks():
+    # the slow 8x4 scan leaks at its rim; the 20 us ramp makes every point
+    # of |2> diabatic; together they give all four flag cells
+    small = TwoModeSpace(FockDim(8), FockDim(4))
+    fast = rc_ramp(PARKING, -PARKING, 20e-6)
+    model = MeasurementModel(eta=1.0, seed=5)
+    seen = set()
+    for state, ramp in ((0, slow_sweep()), (0, fast), (2, fast)):
+        scan = wigner_scan(fock_state(small.radial, state),
+                           phase_space_grid(2.5, 7), PARAMS.xi, small, ramp,
+                           model, exact=True)
+        assert np.array_equal(scan.diabatic,
+                              np.abs(scan.readout_bias) > READOUT_BIAS_TOLERANCE)
+        assert scan.flags == tuple(
+            ";".join(protocols._flags(lk, b))
+            for lk, b in zip(scan.leak.tolist(), scan.readout_bias.tolist()))
+        seen |= set(scan.flags)
+    assert seen == {"", "leak", "diabatic", "leak;diabatic"}
+
+
 def test_scan_bound_validation():
     from trilinear.protocols import WignerScan
 
