@@ -34,6 +34,7 @@ from .dynamics import block_decompose, default_step, rc_ramp, sweep_unitaries
 from .errors import NumericalContractError, StepPolicyError
 from .fock import StateVector, fock_state
 from .protocols import (
+    STREAMS,
     MeasurementModel,
     adiabatic_parity,
     avoided_crossing_spectrum,
@@ -46,15 +47,6 @@ from .report import format_column, write_csv
 from .trap import YB171, mode_params
 
 TWO_PI = 2 * math.pi
-
-
-# the random streams of each experiment that draws shots
-STREAMS = {
-    "oscillate": "per-hold streams via SeedSequence(seed, hold_index, 0 for "
-                 "radial or 1 for axial)",
-    "parity": "one stream via SeedSequence(seed)",
-    "wigner": "per-point streams via SeedSequence(seed, point_index)",
-}
 
 
 def provenance(cfg: RunConfig, experiment: str) -> list[str]:

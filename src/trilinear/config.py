@@ -123,6 +123,12 @@ class RunConfig:
     exact: bool = False
     output: str = "out"
 
+    def __post_init__(self):
+        # one spelling per state for the hash and parity.csv's state cell:
+        # no whitespace around the descriptor's fields
+        object.__setattr__(self, "state", ":".join(
+            part.strip() for part in str(self.state).split(":")))
+
     # -- derived objects ---------------------------------------------------
 
     def to_trap(self) -> TrapConfig:

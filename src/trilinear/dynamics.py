@@ -81,15 +81,16 @@ MAX_STEPS = 1 << 22
 class SectorBlock:
     """Basis slice of one K = n_a + 2 n_c sector.
 
-    States are ordered by increasing n_c; `coupling` holds the matrix of
-    (a^dag^2 c + a^2 c^dag) restricted to the sector and `n_c_diag` the
-    diagonal of c^dag c.
+    States are ordered by increasing n_c, which rises by one from state to
+    state, so the sector matrix is tridiagonal: `n_c_diag` holds the
+    diagonal of c^dag c and `coupling_offdiag` the off-diagonal of the
+    symmetric (a^dag^2 c + a^2 c^dag).
     """
 
     k: int
     indices: np.ndarray
     n_c_diag: np.ndarray
-    coupling: np.ndarray
+    coupling_offdiag: np.ndarray
 
     @property
     def size(self) -> int:
@@ -100,8 +101,10 @@ class SectorBlock:
 
     def hamiltonians(self, xi: float, deltas) -> np.ndarray:
         """Stack (len(deltas), s, s) of the sector matrix at each detuning."""
-        return _hamiltonian_stack(self.coupling[None], self.n_c_diag[None], xi,
-                                  np.asarray(deltas, dtype=float))[0]
+        deltas = np.asarray(deltas, dtype=float)
+        return _step_matrices(np.empty(deltas.size * self.size ** 2),
+                              self.coupling_offdiag[None], self.n_c_diag[None],
+                              np.full(deltas.size, xi), deltas)[0]
 
 
 @dataclass(frozen=True)
@@ -145,7 +148,7 @@ def block_decompose(space: TwoModeSpace) -> BlockDecomposition:
         # <n_a + 2, n_c - 1| a^dag^2 c |n_a, n_c> beside the diagonal
         amp = np.sqrt((n_a + 1) * (n_a + 2) * n_c)[1:]
         blocks.append(SectorBlock(k=int(k), indices=indices, n_c_diag=n_c.astype(float),
-                                  coupling=np.diag(amp, 1) + np.diag(amp, -1)))
+                                  coupling_offdiag=amp))
     return BlockDecomposition(space=space, blocks=tuple(blocks))
 
 
@@ -249,17 +252,19 @@ def _check_step(step: float, schedule: RampSchedule | None = None) -> None:
 # propagation
 
 
-def _hamiltonian_stack(coupling: np.ndarray, n_c: np.ndarray,
-                       xi: float | np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """Stack (g, len(deltas), s, s) of the matrices of g sectors of equal
-    size s (couplings (g, s, s), n_c diagonals (g, s)) at each detuning,
-    with the coupling strength `xi`, one for all or one per detuning."""
-    g, s, _ = coupling.shape
-    h = np.empty((g, deltas.size, s, s))
-    h[:] = coupling[:, None] * np.broadcast_to(xi, deltas.shape)[:, None, None]
-    h.reshape(g, deltas.size, s * s)[..., ::s + 1] += (
-        n_c[:, None, :] * deltas[None, :, None])
-    return h
+def _step_matrices(buffer: np.ndarray, offdiag: np.ndarray, n_c: np.ndarray,
+                   xis: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """Stack (g, len(deltas), s, s) of the matrices deltas[t] N + xis[t] C
+    of g sectors of equal size s, a view of the front of the flat `buffer`.
+    The sector matrices are tridiagonal, so after zeroing that view only
+    their two diagonals are written: the n_c diagonals N (g, s) and the
+    coupling off-diagonals (g, s - 1) of C."""
+    (g, s), c = n_c.shape, deltas.size
+    flat = buffer[:g * c * s * s].reshape(g, c, s * s)
+    flat.fill(0.0)
+    flat[..., ::s + 1] += n_c[:, None, :] * deltas[None, :, None]
+    flat[..., 1::s + 1] = flat[..., s::s + 1] = offdiag[:, None, :] * xis[None, :, None]
+    return flat.reshape(g, c, s, s)
 
 
 def _worker_count() -> int:
@@ -303,13 +308,14 @@ def _march(blocks, xi: float, deltas, dts, cols, gammas=None):
     The bins are split into shares of nearly equal eigh work (sectors times
     size cubed), one per usable core and at least SHARE_WORK each. The
     calling thread and a pool of threads that this call owns march one share
-    each, end to end, a batch of steps at a time: one batched eigh per
-    sector size decomposes the share's step matrices, and its bins step
-    through the batch. The shares divide CHUNK_BYTES, so memory stays
-    bounded whatever the ramp length. A share that raises stops the others
-    at their next batch, and its exception is raised here. Every matrix is
-    decomposed and every bin multiplied alone, so the result does not depend
-    on the number of shares.
+    each, end to end, a batch of steps at a time: `_step_matrices` writes
+    the step matrices of the share's sectors of one size from their two
+    diagonals into the share's one buffer, one batched eigh decomposes
+    them, and the bins step through the batch. The shares divide
+    CHUNK_BYTES, so memory stays bounded whatever the ramp length. A share
+    that raises stops the others at their next batch, and its exception is
+    raised here. Every matrix is decomposed and every bin multiplied alone,
+    so the result does not depend on the number of shares.
     """
     n = len(blocks)
     if n == 0:
@@ -366,8 +372,8 @@ def _march(blocks, xi: float, deltas, dts, cols, gammas=None):
             # sectors of one size share an eigh call
             groups = [[j for j in mine if sizes[j] == s]
                       for s in np.unique(sizes[mine])]
-            stacks = [(np.stack([blocks[j].coupling for j in m]),
-                       np.stack([blocks[j].n_c_diag for j in m])) for m in groups]
+            diagonals = [(np.stack([blocks[j].coupling_offdiag for j in m]),
+                          np.stack([blocks[j].n_c_diag for j in m])) for m in groups]
             # bytes per step: the eigh's stack of step matrices with its
             # temporaries and its eigenvalues and eigenvectors, at most twice
             # those of every sector; and the march's stacks of eigenvectors,
@@ -375,9 +381,11 @@ def _march(blocks, xi: float, deltas, dts, cols, gammas=None):
             # their sines and cosines
             decomposed = 16 * int(np.sum(sizes[mine] * (sizes[mine] + 1)))
             marched = 8 * (hi - lo) * width * (width + 10)
-            widest = max(coupling.size for coupling, _ in stacks)
+            widest = max(len(m) * sizes[m[0]] ** 2 for m in groups)
             batch = max(1, min(budget // (decomposed + marched),
                                budget // (64 * widest), deltas.size))
+            # the step matrices, of every size group and batch in turn
+            steps = np.empty(batch * widest)
             zs, rows_n_c = z[lo:hi], n_c[lo:hi]
             # the same in the step's eigenbasis
             y = np.empty_like(zs)
@@ -391,9 +399,9 @@ def _march(blocks, xi: float, deltas, dts, cols, gammas=None):
                     return
                 span = slice(first, first + batch)
                 c = min(batch, deltas.size - first)
-                for m, (coupling, diag) in zip(groups, stacks):
-                    w, v = np.linalg.eigh(_hamiltonian_stack(
-                        coupling, diag, xis[span], deltas[span]))
+                for m, (offdiag, diag) in zip(groups, diagonals):
+                    w, v = np.linalg.eigh(_step_matrices(
+                        steps, offdiag, diag, xis[span], deltas[span]))
                     for k, j in enumerate(m):
                         b, r = bin_of[j] - lo, rows[j]
                         angle[:c, b, r] = w[k]

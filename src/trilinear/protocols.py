@@ -19,9 +19,8 @@ estimates may leave [-1, 1] (the estimator stays unbiased). The same
 "n_r >= 1" Bernoulli channel is reused for non-swept diagnostics with higher
 occupation, a documented simplification.
 
-Randomness: every sampled quantity draws from a PCG64 generator seeded with
-(seed, *stream indices), so grid points are independent work items whose
-results do not depend on evaluation order.
+Randomness: every shot is drawn in `measurement_channel`, which states the
+stream layout.
 """
 
 from __future__ import annotations
@@ -96,31 +95,45 @@ class MeasurementModel:
         return np.random.default_rng([self.seed, *stream])
 
 
-def binomial_stderr(p: float, shots: int) -> float:
-    return math.sqrt(max(p * (1.0 - p), 0.0) / shots)
+# The random streams of each experiment that draws shots: the value at
+# index (i, ...) of the array `measurement_channel` samples draws from the
+# PCG64 stream SeedSequence(seed, *stream, i, ...).
+STREAMS = {
+    "oscillate": "per-hold streams via SeedSequence(seed, hold_index, 0 for "
+                 "radial or 1 for axial)",
+    "parity": "one stream via SeedSequence(seed)",
+    "wigner": "per-point streams via SeedSequence(seed, point_index)",
+}
 
 
-def measurement_channel(p_phonon: float, model: MeasurementModel,
-                        stream: tuple[int, ...] = ()) -> tuple[float, float, float]:
-    """Bright-state probability through the eta-limited mapping.
+def measurement_channel(p_phonon, model: MeasurementModel,
+                        stream: tuple[int, ...] = (),
+                        exact: bool = False) -> tuple[np.ndarray, ...]:
+    """Bright-state probabilities through the eta-limited mapping, for an
+    array of p_phonon values (a scalar is a 0-d array).
 
-    Returns (p1_exact, p1_sampled, stderr): p1_exact = eta * p_phonon plus
-    the dark-count term, p1_sampled a Binomial(shots, p1_exact)/shots draw
-    from the seeded generator, stderr the binomial error at the sampled
-    estimate.
+    Returns arrays (p1_exact, p1_sampled, stderr) of p_phonon's shape:
+    p1_exact = eta * p_phonon plus the dark-count term, p1_sampled a
+    Binomial(shots, p1_exact) / shots draw and stderr the binomial error
+    at the sampled estimate. The value at index idx draws from the
+    generator seeded with (seed, *stream, *idx) (`STREAMS`), so each value
+    is an independent work item. With `exact` nothing is drawn: p1_sampled
+    is p1_exact and stderr is 0.
     """
-    if not 0.0 <= p_phonon <= 1.0 + 1e-12:
-        raise ValueError(f"p_phonon = {p_phonon} outside [0, 1]")
-    p1 = _bright_probability(min(p_phonon, 1.0), model)
-    k = model.rng(*stream).binomial(model.shots, p1)
-    p1_hat = k / model.shots
-    return p1, p1_hat, binomial_stderr(p1_hat, model.shots)
-
-
-def _bright_probability(p_phonon, model: MeasurementModel):
-    """p1_exact of the mapping channel, for one p_phonon in [0, 1] or an
-    array of them."""
-    return model.eta * p_phonon + model.dark_bright_prob * (1.0 - p_phonon)
+    p = np.asarray(p_phonon, dtype=float)
+    outside = ~((p >= 0.0) & (p <= 1.0 + 1e-12))
+    if outside.any():
+        raise ValueError(f"p_phonon = {p[outside].flat[0]} outside [0, 1]")
+    p = np.minimum(p, 1.0)
+    p1 = model.eta * p + model.dark_bright_prob * (1.0 - p)
+    if exact:
+        return p1, p1.copy(), np.zeros(p.shape)
+    shots = model.shots
+    p1_hat = np.fromiter(
+        (model.rng(*stream, *idx).binomial(shots, x) / shots
+         for idx, x in zip(np.ndindex(p.shape), p1.ravel().tolist())),
+        dtype=float, count=p.size).reshape(p.shape)
+    return p1, p1_hat, np.sqrt(np.maximum(p1_hat * (1.0 - p1_hat), 0.0) / shots)
 
 
 def parity_estimate(p1: float, eta: float) -> float:
@@ -197,12 +210,6 @@ def normal_mode_populations(state: StateVector, sweep: SweepResult) -> np.ndarra
         basis = _label_basis(bases[1], delta1)
         pops[b.indices] = np.abs(basis.conj().T @ sub) ** 2
     return pops
-
-
-def _label_marginals(pops: np.ndarray,
-                     space: TwoModeSpace) -> tuple[np.ndarray, np.ndarray]:
-    grid = pops.reshape(space.radial.dim, space.axial.dim)
-    return grid.sum(axis=1), grid.sum(axis=0)
 
 
 def wigner_sweep_needed(space: TwoModeSpace) -> np.ndarray:
@@ -439,36 +446,32 @@ def oscillation_experiment(n_initial: int, hold_times, params: ModeParams,
     after_down = u_down.unitaries[n_initial] @ label0
     up_unitary = u_up.unitaries[n_initial]
 
-    p_rad = np.empty(hold_times.size)
-    p_ax = np.empty(hold_times.size)
+    # per hold, the radial and the axial excitation probability
+    p = np.empty((hold_times.size, 2))
     for i, tau in enumerate(hold_times):
         held = v @ (np.exp(-1j * w * tau) * (v.conj().T @ after_down))
         amp = np.zeros(space.dim, dtype=complex)
         amp[b.indices] = up_unitary @ held
-        label_pops = normal_mode_populations(StateVector(amp, space), u_up)
-        radial_labels, axial_labels = _label_marginals(label_pops, space)
-        p_rad[i] = 1.0 - radial_labels[0]
-        p_ax[i] = 1.0 - axial_labels[0]
+        labels = normal_mode_populations(StateVector(amp, space), u_up).reshape(
+            space.radial.dim, space.axial.dim)
+        p[i] = 1.0 - labels.sum(axis=1)[0], 1.0 - labels.sum(axis=0)[0]
 
     if envelope_tau is not None:
         env = np.exp(-hold_times / envelope_tau)
-        for trace in (p_rad, p_ax):
+        for trace in p.T:
             center = 0.5 * (trace.max() + trace.min())
             trace[:] = center + (trace - center) * env
 
-    p_rad_s = np.empty_like(p_rad)
-    p_ax_s = np.empty_like(p_ax)
-    for i in range(hold_times.size):
-        _, p_rad_s[i], _ = measurement_channel(p_rad[i], model, stream=(i, 0))
-        _, p_ax_s[i], _ = measurement_channel(p_ax[i], model, stream=(i, 1))
+    # hold i draws from the streams (i, 0) and (i, 1)
+    _, sampled, _ = measurement_channel(p, model)
 
-    omega, omega_err, ok = _fit_tone(hold_times, p_ax, decay=envelope_tau is not None)
+    omega, omega_err, ok = _fit_tone(hold_times, p[:, 1], decay=envelope_tau is not None)
     return OscillationResult(
         hold_times=hold_times,
-        p_radial=p_rad,
-        p_axial=p_ax,
-        p_radial_sampled=p_rad_s,
-        p_axial_sampled=p_ax_s,
+        p_radial=p[:, 0],
+        p_axial=p[:, 1],
+        p_radial_sampled=sampled[:, 0],
+        p_axial_sampled=sampled[:, 1],
         fit_frequency=omega,
         fit_frequency_err=omega_err,
         fit_ok=ok,
@@ -499,9 +502,7 @@ def avoided_crossing_spectrum(deltas, xi: float) -> SpectrumBranch:
     block = block_decompose(
         TwoModeSpace(FockDim(4, guard_band=0), FockDim(2, guard_band=0))
     ).by_k(2)
-    branches = np.empty((deltas.size, 2))
-    for i, d in enumerate(deltas):
-        branches[i] = np.linalg.eigvalsh(block.hamiltonian(xi, float(d)))
+    branches = np.linalg.eigvalsh(block.hamiltonians(xi, deltas))
     gaps = branches[:, 1] - branches[:, 0]
     i_min = int(np.argmin(gaps))
     return SpectrumBranch(
@@ -575,7 +576,7 @@ def adiabatic_parity(state_r: StateVector, xi: float, space: TwoModeSpace,
     p_phonon, leak, bias = readout.read(amplitudes)
     p_phonon = float(p_phonon[0])
     parity_bias = 2.0 * float(bias[0])
-    p1, p1_hat, stderr = measurement_channel(p_phonon, model, stream=stream)
+    p1, p1_hat, stderr = map(float, measurement_channel(p_phonon, model, stream=stream))
     exact = ParityResult(
         p1=p1, parity=parity_estimate(p1, model.eta), shots=0, stderr=0.0,
         eta=model.eta,
@@ -715,17 +716,8 @@ def wigner_scan(state_r: StateVector, alphas, xi: float, space: TwoModeSpace,
     flags = np.where(leak, np.where(diabatic, "leak;diabatic", "leak"),
                      np.where(diabatic, "diabatic", ""))
 
-    if exact:
-        p1_exact = _bright_probability(p_phonon, model)
-        p1_sampled = p1_exact.copy()
-        stderr = np.zeros(n)
-    else:
-        p1_exact = np.empty(n)
-        p1_sampled = np.empty(n)
-        stderr = np.empty(n)
-        for i, p in enumerate(p_phonon.tolist()):
-            p1_exact[i], p1_sampled[i], stderr[i] = measurement_channel(
-                p, model, stream=(i,))
+    p1_exact, p1_sampled, stderr = measurement_channel(p_phonon, model,
+                                                       exact=exact)
     parity = 1.0 - 2.0 * p1_sampled / model.eta
     scan_meta = {
         "eta": model.eta,

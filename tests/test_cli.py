@@ -104,8 +104,9 @@ def test_parity_runs(tmp_path, capsys):
 
 
 def test_parity_state_with_a_line_break_stays_one_cell(tmp_path, capsys):
-    # the descriptor parser accepts a trailing newline; the writer quotes
-    # the cell, so the table still reads back as key/value pairs
+    # the config strips the whitespace around the descriptor, so a trailing
+    # line break leaves a plain `fock:1` cell and the table still reads back
+    # as key/value pairs
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text('state: "fock:1\\n"\nsimulation:\n  radial_dim: 8\n'
                    '  axial_dim: 4\n')
@@ -116,7 +117,7 @@ def test_parity_state_with_a_line_break_stays_one_cell(tmp_path, capsys):
         table = list(csv.reader(ln for ln in f if not ln.startswith("#")))
     assert all(len(row) == 2 for row in table)
     assert table[0] == ["key", "value"]
-    assert table[1] == ["state", "fock:1\n"]
+    assert table[1] == ["state", "fock:1"]
     assert table[2][0] == "p_phonon"
 
 

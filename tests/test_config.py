@@ -1,5 +1,7 @@
 """Run-configuration parsing, validation, canonical serialization."""
 
+import dataclasses
+import json
 import math
 
 import pytest
@@ -140,6 +142,19 @@ def test_config_hash_tracks_content():
     assert config_hash(base) == config_hash(parse_config(EXAMPLE))
     other = parse_config(EXAMPLE.replace("seed: 7", "seed: 8"))
     assert config_hash(other) != config_hash(base)
+
+
+@pytest.mark.parametrize("spelling", ["fock:1\n", " fock : 1 ", "\tfock:1"])
+def test_state_descriptor_whitespace_hashes_the_same(spelling):
+    # the whitespace around the descriptor and its fields is not part of
+    # the run: YAML, RunConfig and dataclasses.replace all give `fock:1`
+    canonical = RunConfig(state="fock:1")
+    # a JSON string is a YAML double-quoted scalar
+    for cfg in (RunConfig(state=spelling),
+                parse_config(f"state: {json.dumps(spelling)}"),
+                dataclasses.replace(RunConfig(), state=spelling)):
+        assert cfg.state == "fock:1"
+        assert config_hash(cfg) == config_hash(canonical)
 
 
 # ---------------------------------------------------------------------------

@@ -833,7 +833,8 @@ def reference_sweep(space, xi, schedule, step):
     out = {}
     for b in block_decompose(space).blocks:
         n_c = np.diag(b.n_c_diag)
-        commutator = b.coupling @ n_c - n_c @ b.coupling
+        coupling = b.hamiltonian(1.0, 0.0)
+        commutator = coupling @ n_c - n_c @ coupling
         u = np.eye(b.size, dtype=complex)
         for delta, dt, gamma in zip(deltas, dts, gammas):
             h_eff = b.hamiltonian(xi, float(delta)) + 1j * gamma * xi * commutator

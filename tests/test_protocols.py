@@ -44,7 +44,6 @@ from trilinear.fock import (
 from trilinear.protocols import (
     READOUT_BIAS_TOLERANCE,
     ParityResult,
-    binomial_stderr,
     normal_mode_populations,
     phase_space_grid,
     spectrum_to_csv,
@@ -89,6 +88,82 @@ def cat_wigner_closed_form(gamma: complex, alpha: float, sign: int) -> float:
 # measurement channel and parity estimator
 
 
+def scalar_channel(p_phonon: float, model: MeasurementModel,
+                   stream: tuple[int, ...] = ()) -> tuple[float, float, float]:
+    """The channel one value at a time, the reference for the array channel:
+    (p1_exact, p1_sampled, stderr), drawn from the stream (seed, *stream)."""
+    if not 0.0 <= p_phonon <= 1.0 + 1e-12:
+        raise ValueError(f"p_phonon = {p_phonon} outside [0, 1]")
+    p = min(p_phonon, 1.0)
+    p1 = model.eta * p + model.dark_bright_prob * (1.0 - p)
+    p1_hat = model.rng(*stream).binomial(model.shots, p1) / model.shots
+    return p1, p1_hat, math.sqrt(max(p1_hat * (1.0 - p1_hat), 0.0) / model.shots)
+
+
+PROBABILITIES = st.floats(0.0, 1.0) | st.just(1.0 + 1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(PROBABILITIES, min_size=1, max_size=6),
+       layout=st.sampled_from(["scalar", "flat", "pairs"]),
+       eta=st.floats(0.01, 1.0),
+       dark=st.just(0.0) | st.floats(0.0, 0.99),
+       shots=st.integers(1, 1000) | st.integers(1, protocols.MAX_SHOTS),
+       seed=st.integers(0, 2 ** 64),
+       stream=st.lists(st.integers(0, 2 ** 32), max_size=2))
+@example(values=[1.0 + 1e-13, 0.0, 1.0], layout="pairs", eta=0.86, dark=0.02,
+         shots=protocols.MAX_SHOTS, seed=0, stream=[3])
+@example(values=[0.37], layout="scalar", eta=0.86, dark=0.0, shots=500,
+         seed=42, stream=[5])
+def test_channel_matches_the_per_element_reference(values, layout, eta, dark,
+                                                   shots, seed, stream):
+    # each value of the array draws what the scalar channel draws from the
+    # stream (seed, *stream, *index), bit for bit; an exact call draws
+    # nothing and returns p1_exact with no error
+    p = {"scalar": values[0], "flat": np.array(values),
+         "pairs": np.array(values + values).reshape(-1, 2)}[layout]
+    model = MeasurementModel(eta=eta, shots=shots, seed=seed,
+                             dark_bright_prob=dark)
+    got = measurement_channel(p, model, stream=tuple(stream))
+    assert all(np.shape(g) == np.shape(p) for g in got)
+    for idx in np.ndindex(np.shape(p)):
+        want = scalar_channel(float(np.asarray(p)[idx]), model, (*stream, *idx))
+        assert tuple(float(np.asarray(g)[idx]) for g in got) == want
+    p1, p1_sampled, stderr = measurement_channel(p, model, exact=True)
+    assert np.array_equal(p1, got[0]) and np.array_equal(p1_sampled, got[0])
+    assert np.all(stderr == 0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(bad=st.floats(max_value=-1e-300) | st.floats(min_value=1.0 + 2e-12)
+       | st.just(math.nan),
+       at=st.integers(0, 3), exact=st.booleans())
+def test_channel_refuses_a_probability_outside_the_unit_interval(bad, at, exact):
+    p = np.full(4, 0.5)
+    p[at] = bad
+    model = MeasurementModel(seed=1)
+    with pytest.raises(ValueError, match="outside"):
+        measurement_channel(p, model, exact=exact)
+    with pytest.raises(ValueError, match="outside"):
+        scalar_channel(bad, model)
+
+
+def test_exact_scan_draws_nothing(monkeypatch):
+    def draw(*stream):
+        raise AssertionError("an exact scan drew shots")
+
+    monkeypatch.setattr(MeasurementModel, "rng", draw)
+    space = TwoModeSpace(FockDim(8), FockDim(4))
+    scan = wigner_scan(fock_state(space.radial, 1), phase_space_grid(1.0, 5),
+                       PARAMS.xi, space, slow_sweep(), MeasurementModel(seed=3),
+                       exact=True)
+    assert np.array_equal(scan.p1_sampled, scan.p1_exact)
+    assert np.all(scan.stderr == 0.0)
+    with pytest.raises(AssertionError, match="drew"):
+        wigner_scan(fock_state(space.radial, 1), [0.0], PARAMS.xi, space,
+                    slow_sweep(), MeasurementModel(seed=3))
+
+
 def test_channel_full_phonon_at_paper_efficiency():
     model = MeasurementModel(eta=0.86, shots=10**6, seed=3)
     p1, p1_hat, _ = measurement_channel(1.0, model)
@@ -103,7 +178,12 @@ def test_channel_zero_phonon():
 
 
 def test_binomial_stderr_value():
-    assert binomial_stderr(0.5, 400) == pytest.approx(0.025, abs=1e-15)
+    # the channel's stderr is the binomial error at the sampled estimate,
+    # 0.025 for an estimate of 0.5 from 400 shots
+    model = MeasurementModel(eta=1.0, shots=400, seed=5)
+    _, p1_hat, stderr = measurement_channel(np.full(200, 0.5), model)
+    assert np.array_equal(stderr, np.sqrt(p1_hat * (1 - p1_hat) / 400))
+    assert stderr[p1_hat == 0.5] == pytest.approx(0.025, abs=1e-15)
 
 
 def test_channel_is_deterministic_per_seed_and_stream():
@@ -254,7 +334,7 @@ def per_state_oscillation(n, holds, space, model, envelope_tau):
         for trace in (p_rad, p_ax):
             center = 0.5 * (trace.max() + trace.min())
             trace[:] = center + (trace - center) * env
-    sampled = np.array([[measurement_channel(p, model, stream=(i, j))[1]
+    sampled = np.array([[scalar_channel(p, model, stream=(i, j))[1]
                          for j, p in enumerate(pair)]
                         for i, pair in enumerate(zip(p_rad, p_ax))])
     return p_rad, p_ax, sampled[:, 0], sampled[:, 1]
@@ -515,7 +595,7 @@ def test_sampled_wigner_stderr_matches_binomial(space, schedule, sweep):
                                sweep=sweep)
         values.append(TWO_OVER_PI * res.sampled.parity)
     empirical = float(np.std(values, ddof=1))
-    predicted = TWO_OVER_PI * 2 * binomial_stderr(p1, shots) / 0.86
+    predicted = TWO_OVER_PI * 2 * math.sqrt(p1 * (1 - p1) / shots) / 0.86
     assert empirical == pytest.approx(predicted, rel=0.15)
 
 
@@ -524,8 +604,8 @@ def test_scan_stderr_column_is_the_wigner_error(space, schedule, sweep):
     model = MeasurementModel(eta=0.86, shots=500, seed=7)
     scan = wigner_scan(fock_state(space.radial, 1), [0.0, 0.5, 1.0j], PARAMS.xi,
                        space, schedule, model, sweep=sweep)
-    predicted = [TWO_OVER_PI * 2 * binomial_stderr(p, 500) / 0.86
-                 for p in scan.p1_sampled]
+    p = scan.p1_sampled
+    predicted = TWO_OVER_PI * 2 * np.sqrt(p * (1 - p) / 500) / 0.86
     assert np.abs(scan.stderr - predicted).max() < 1e-15
     assert scan.stderr.min() > 0
 
@@ -701,7 +781,7 @@ def per_point_reference(state, alphas, space, sweep, model):
         pops = normal_mode_populations(final, sweep)
         radial0 = pops.reshape(space.radial.dim, space.axial.dim)[0].sum()
         p_phonon = min(max(1.0 - radial0, 0.0), 1.0)
-        p1, p1_hat, _ = measurement_channel(p_phonon, model, stream=(i,))
+        p1, p1_hat, _ = scalar_channel(p_phonon, model, stream=(i,))
         leak = (guard_leak(disp, dim) >= GUARD_LEAK_THRESHOLD
                 or guard_leak(final.amplitudes, space) >= GUARD_LEAK_THRESHOLD)
         w_point = TWO_OVER_PI * parity_estimate(p1, model.eta)
