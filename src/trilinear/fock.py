@@ -420,13 +420,7 @@ def fock_wigner_closed_form(n: int, r: float) -> float:
     """Closed-form Wigner value of |n> at radius r = |alpha|:
     2 (-1)^n exp(-2 r^2) L_n(4 r^2) / pi.
     """
-    # imported here: scipy costs start-up time and memory, and only this
-    # oracle needs it
-    from scipy.special import eval_laguerre
-
     if n < 0:
         raise ValueError("fock occupation must be >= 0")
-    x = 4.0 * r * r
-    return 2.0 / math.pi * (-1.0) ** n * math.exp(-2.0 * r * r) * float(
-        eval_laguerre(n, x)
-    )
+    laguerre_n = np.polynomial.laguerre.lagval(4.0 * r * r, [0] * n + [1])
+    return 2.0 / math.pi * (-1.0) ** n * math.exp(-2.0 * r * r) * float(laguerre_n)

@@ -362,50 +362,50 @@ class OscillationResult:
 
 
 def _fit_tone(t, y, decay: bool):
-    """Least-squares cosine fit; returns (omega, omega_err, ok)."""
-    # imported here: scipy costs start-up time and memory, and only the fit
-    # needs it
-    from scipy.optimize import curve_fit
+    """Least-squares fit of c + a e^(-kt) cos(2 pi f t + phi), with k = 0
+    without decay, by variable projection (Golub & Pereyra 1973): each trial
+    (f, k) solves the offset and both quadratures linearly, so only f and k
+    iterate. Returns (omega, omega_err, ok, rss); omega_err is the 1-sigma
+    of (J^T J)^-1 rss / (n - p), as curve_fit reports it."""
+    t, y = np.asarray(t, float), np.asarray(y, float)
 
-    t = np.asarray(t, float)
-    y = np.asarray(y, float)
-    yc = y - y.mean()
-    dt = np.mean(np.diff(t))
-    spec = np.abs(np.fft.rfft(yc))
-    freqs = np.fft.rfftfreq(t.size, d=dt)
-    f0 = float(freqs[np.argmax(spec[1:]) + 1]) if spec.size > 1 else 1.0 / t[-1]
-    a0 = float(y.max() - y.min()) / 2
-    c0 = float(y.mean())
+    def project(f, k=0.0):
+        # Jacobian columns: d/dc, d/dp, d/dq of c + e^(-kt) (p cos - q sin),
+        # then d/df and, with decay, d/dk
+        env = np.exp(-k * t)
+        cos, sin = env * np.cos(2 * np.pi * f * t), env * np.sin(2 * np.pi * f * t)
+        basis = np.column_stack([np.ones_like(t), cos, -sin])
+        c, p, q = np.linalg.lstsq(basis, y, rcond=None)[0]
+        resid = y - basis @ [c, p, q]
+        jac = np.column_stack([basis, -2 * np.pi * t * (p * sin + q * cos)]
+                              + ([-t * (p * cos - q * sin)] if decay else []))
+        return float(resid @ resid), resid, jac
 
-    if decay:
-        def model(tt, c, a, f, phi, tau):
-            return c + a * np.exp(-tt / tau) * np.cos(2 * np.pi * f * tt + phi)
-        extra = [t[-1]]
-        bounds = ([-np.inf, 0, 0, -2 * np.pi, 1e-6],
-                  [np.inf, np.inf, np.inf, 2 * np.pi, np.inf])
+    # seed f at the best of the three largest FFT bins, each refined over
+    # +-1 bin on the projected residual
+    bin_hz = 1.0 / (t.size * np.mean(np.diff(t)))
+    peaks = bin_hz * (np.argsort(np.abs(np.fft.rfft(y - y.mean()))[1:])[-3:] + 1)
+    trials = (peaks[:, None] + bin_hz * np.linspace(-1, 1, 21)).ravel()
+    k0 = [1.0 / t[-1]] if decay else []
+    x = np.array([min(trials, key=lambda f: project(f, *k0)[0])] + k0)
+    rss, resid, jac = project(*x)
+    for _ in range(100):  # Gauss-Newton; the linear part is re-solved per step
+        step = np.linalg.lstsq(jac, resid, rcond=None)[0][3:]
+        for _ in range(30):  # halve the step until the residual does not grow
+            trial = project(*(x + step))
+            if trial[0] <= rss:
+                break
+            step /= 2
+        else:
+            break  # no step lowers the residual: x is its minimum to rounding
+        x, (rss, resid, jac) = x + step, trial
+        if np.abs(step).max() * t[-1] <= 1e-12:
+            break
     else:
-        def model(tt, c, a, f, phi):
-            return c + a * np.cos(2 * np.pi * f * tt + phi)
-        extra = []
-        bounds = ([-np.inf, 0, 0, -2 * np.pi], [np.inf, np.inf, np.inf, 2 * np.pi])
-
-    best = None
-    for phi0 in (0.0, np.pi / 2, np.pi, 3 * np.pi / 2):
-        try:
-            popt, pcov = curve_fit(
-                model, t, y, p0=[c0, a0, f0, phi0, *extra], bounds=bounds,
-                maxfev=20000,
-            )
-        except (RuntimeError, ValueError):
-            continue
-        resid = float(np.sum((model(t, *popt) - y) ** 2))
-        if best is None or resid < best[0]:
-            best = (resid, popt, pcov)
-    if best is None:
-        return math.nan, math.nan, False
-    _, popt, pcov = best
-    f_err = math.sqrt(abs(pcov[2, 2])) if np.isfinite(pcov[2, 2]) else math.nan
-    return 2 * math.pi * popt[2], 2 * math.pi * f_err, True
+        return math.nan, math.nan, False, rss
+    row, dof = np.linalg.pinv(jac)[3], t.size - jac.shape[1]
+    f_err = math.sqrt(row @ row * rss / dof) if dof > 0 else math.nan
+    return 2 * math.pi * x[0], 2 * math.pi * f_err, bool(x[0] > 0), rss
 
 
 def oscillation_experiment(n_initial: int, hold_times, params: ModeParams,
@@ -465,7 +465,8 @@ def oscillation_experiment(n_initial: int, hold_times, params: ModeParams,
     # hold i draws from the streams (i, 0) and (i, 1)
     _, sampled, _ = measurement_channel(p, model)
 
-    omega, omega_err, ok = _fit_tone(hold_times, p[:, 1], decay=envelope_tau is not None)
+    omega, omega_err, ok, _ = _fit_tone(hold_times, p[:, 1],
+                                       decay=envelope_tau is not None)
     return OscillationResult(
         hold_times=hold_times,
         p_radial=p[:, 0],

@@ -545,19 +545,35 @@ def test_convergence_flags_divergence_not_rounding():
     assert [r[5] for r in rows] == ["", "", "non-monotone", ""]
 
 
-def test_wigner_run_loads_no_scipy(tmp_path):
-    # scipy serves only the oscillation fit and the closed-form oracle; a
-    # Wigner run must not pay its import time and memory
+SMALL_RUNS = {
+    "oscillate": "simulation:\n  radial_dim: 8\n  axial_dim: 4\n"
+                 "oscillation:\n  hold_points: 33\n  hold_max_s: 1.5e-3\n",
+    "converge": "simulation:\n  radial_dim: 10\n  axial_dim: 5\n"
+                "converge:\n  radial_dims: [8, 10]\n  step_fractions: [1.0, 0.5]\n"
+                "oscillation:\n  hold_max_s: 1.0e-3\n",
+}
+
+
+@pytest.mark.parametrize(
+    "command", ["modes", "crossing", "parity", "wigner", "oscillate", "converge"])
+def test_run_loads_no_scipy(tmp_path, command):
+    # no module of the package needs scipy: with its import blocked, every
+    # subcommand still runs and writes its table
+    args = [command, "--out", str(tmp_path)]
+    if command in ("parity", "wigner"):
+        args += ["--dims", "8x4", "--exact"]
+    if command in SMALL_RUNS:
+        (tmp_path / "cfg.yaml").write_text(SMALL_RUNS[command])
+        args += ["--config", str(tmp_path / "cfg.yaml")]
     script = (
         "import sys\n"
+        "sys.modules['scipy'] = None\n"
         "import trilinear.cli\n"
-        "code = trilinear.cli.main(['wigner', '--dims', '8x4', '--exact', "
-        f"'--out', {str(tmp_path)!r}])\n"
-        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        f"sys.exit(trilinear.cli.main({args!r}))\n"
     )
     src = Path(trilinear.__file__).resolve().parents[1]
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=300, env={**os.environ, "PYTHONPATH": str(src)})
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "0 []"
-    assert (tmp_path / "wigner.csv").exists()
+    table = "oscillation" if command == "oscillate" else command
+    assert (tmp_path / f"{table}.csv").stat().st_size > 0

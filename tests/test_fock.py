@@ -377,6 +377,19 @@ def test_fock_wigner_closed_form_values():
     assert fock_wigner_closed_form(1, 0.49) < 0 < fock_wigner_closed_form(1, 0.51)
 
 
+@pytest.mark.parametrize("n", range(41))
+def test_fock_wigner_closed_form_matches_scipy_laguerre(n):
+    # numpy's Laguerre series against scipy's L_n; near a root of L_n the
+    # comparison is absolute, at the rounding of W's 2/pi scale
+    from scipy.special import eval_laguerre
+
+    radii = np.linspace(0.0, 3.0, 301)
+    want = (TWO_OVER_PI * (-1.0) ** n * np.exp(-2 * radii**2)
+            * eval_laguerre(n, 4 * radii**2))
+    got = [fock_wigner_closed_form(n, r) for r in radii]
+    assert got == pytest.approx(want, rel=1e-10, abs=1e-14)
+
+
 @pytest.mark.parametrize("n", range(7))
 def test_wigner_oracle_matches_closed_form(n):
     d = FockDim(40)

@@ -49,6 +49,7 @@ from trilinear.protocols import (
     spectrum_to_csv,
 )
 
+from fit_reference import reference_fit_tone
 from sector_reference import apply_sweep, normal_mode_embedding
 
 TWO_PI = 2 * math.pi
@@ -310,6 +311,69 @@ def test_oscillation_rejects_other_occupations(space):
                                MeasurementModel(seed=0), space=space)
 
 
+# ---------------------------------------------------------------------------
+# conversion-tone fit against curve_fit (fit_reference.py)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(16, 2001), position=st.floats(0, 1),
+       duration=st.floats(1e-3, 1e-2), phase=st.floats(0, TWO_PI),
+       offset=st.floats(-1, 1), amp=st.floats(0.1, 1),
+       noise=st.sampled_from([0.0, 1e-3, 2e-2]), decay=st.booleans(),
+       efolds=st.floats(0.1, 2), seed=st.integers(0, 2**32 - 1))
+def test_tone_fit_matches_curve_fit(n, position, duration, phase, offset, amp,
+                                    noise, decay, efolds, seed):
+    # a tone between 2 FFT bins and n/4, decaying by up to e^-2 over the
+    # record with decay on
+    t = np.linspace(0, duration, n)
+    bin_hz = (n - 1) / (n * duration)
+    f = bin_hz * (2 + position * (n / 4 - 2))
+    k = efolds / duration if decay else 0.0
+    y = (offset + amp * np.exp(-k * t) * np.cos(TWO_PI * f * t + phase)
+         + noise * np.random.default_rng(seed).standard_normal(n))
+    omega, err, ok, rss = protocols._fit_tone(t, y, decay)
+    ref_omega, ref_err, _, ref_rss = reference_fit_tone(t, y, decay)
+    # above the Nyquist frequency a tone fits the samples exactly as its
+    # alias below it does, and curve_fit may wander there
+    sampling = TWO_PI / (t[1] - t[0])
+    ref_omega = abs((ref_omega + sampling / 2) % sampling - sampling / 2)
+    assert ok
+    # a noiseless tone leaves a residual of rounding only: its phase runs
+    # up to 2 pi n / 4, whose rounding reaches 1e-13 of the signal
+    rounding = n * (1e-12 * np.abs(y).max()) ** 2
+    assert rss <= ref_rss * (1 + 1e-9) + rounding
+    # where curve_fit stops short of the minimum (its tolerances are 1e-8),
+    # its frequency and error belong to another point
+    if ref_err < 1e-3 * ref_omega and ref_rss <= rss * (1 + 1e-6) + rounding:
+        assert abs(omega - ref_omega) <= max(1e-8 * ref_omega, 1e-2 * ref_err)
+        if noise:  # without noise both errors are rounding
+            assert err == pytest.approx(ref_err, rel=0.01)
+
+
+@pytest.mark.parametrize("hold_max, holds", [(4e-3, 8001), (2e-3, 81)])
+def test_tone_fit_of_the_conversion_matches_curve_fit(hold_max, holds):
+    # the oscillate-holds record and the default oscillate run: both fits
+    # find 2 sqrt(2) xi to rounding
+    t = np.linspace(0, hold_max, holds)
+    res = oscillation_experiment(2, t, PARAMS, MeasurementModel(seed=0))
+    omega, err, ok, rss = protocols._fit_tone(t, res.p_axial, decay=False)
+    ref_omega, _, _, ref_rss = reference_fit_tone(t, res.p_axial, decay=False)
+    assert ok and res.fit_frequency == omega
+    assert omega / TWO_PI == pytest.approx(2962.760729312, rel=1e-12)
+    assert omega == pytest.approx(ref_omega, rel=1e-12)
+    assert omega == pytest.approx(PARAMS.conversion_rate, rel=1e-12)
+    assert rss <= ref_rss + holds * 1e-26
+    assert err < 1e-9 * omega
+
+
+def test_tone_fit_of_a_sub_period_record():
+    # 33 holds over 0.3 ms, less than one 0.34 ms conversion period
+    t = np.linspace(0, 3e-4, 33)
+    res = oscillation_experiment(2, t, PARAMS, MeasurementModel(seed=0))
+    assert res.fit_ok
+    assert res.fit_frequency == pytest.approx(PARAMS.conversion_rate, rel=1e-6)
+
+
 def per_state_oscillation(n, holds, space, model, envelope_tau):
     """The conversion sequence composed on full two-mode states: embed
     |n>, sweep down, hold, sweep up, read the labels, shape, sample."""
@@ -357,7 +421,6 @@ def test_oscillation_matches_per_state_composition(dims, n, envelope_tau):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.optimize.OptimizeWarning")
 def test_oscillation_refuses_a_start_in_the_guard_band():
     # radial levels 0..1 hold one phonon, not two
     space = TwoModeSpace(FockDim(4), FockDim(4))
