@@ -30,9 +30,9 @@ from .config import (
     parse_config,
     parse_descriptor,
 )
-from .dynamics import block_decompose, default_step, rc_ramp, sweep_unitaries
+from .dynamics import default_step, rc_ramp
 from .errors import NumericalContractError, StepPolicyError
-from .fock import StateVector, fock_state
+from .fock import FockDim, TwoModeSpace
 from .protocols import (
     STREAMS,
     MeasurementModel,
@@ -218,71 +218,40 @@ def convergence_rows(kind: str, observable: str, settings, values) -> list[tuple
 
 
 def convergence_report(cfg: RunConfig) -> list[tuple]:
-    """Truncation and step sweeps for the configured state.
+    """Truncation and step sweeps of the configured state's W(0).
 
-    Reports, per setting, the key observable and its deviation from the
-    finest setting; non-monotone convergence is flagged.
+    Both groups read W(0) through the exact Wigner scan: the truncation
+    group once per `converge.radial_dims` at the configured step, the step
+    group once per `converge.step_fractions` on the configured space. Each
+    row gives the value and its deviation from the finest setting;
+    non-monotone convergence is flagged.
     """
-    from .fock import FockDim, TwoModeSpace, embed_radial
-
     p = mode_params(YB171, cfg.to_trap())
     model = _model(cfg)
     spec = parse_descriptor(cfg.state)
     schedule = _slow_schedule(cfg)
-    rows: list[tuple] = []
+    c = cfg.converge
 
-    # truncation sweep: Wigner at the origin through the full protocol
-    dims = [int(d) for d in cfg.converge.radial_dims]
-    w0 = []
-    for d in dims:
-        space = TwoModeSpace(
-            FockDim(d, cfg.simulation.guard_band),
-            FockDim(cfg.converge.axial_dim(d), cfg.simulation.guard_band),
-        )
+    def wigner_origin(space: TwoModeSpace, step: float | None) -> float:
         state = build_radial_state(spec, space.radial)
-        scan = wigner_scan(
-            state, np.array([0j]), p.xi, space, schedule, model, exact=True,
-            step=cfg.simulation.step_s,
-        )
-        w0.append(float(scan.wigner[0]))
-    rows += convergence_rows("truncation", "wigner_origin",
-                             [f"{d}x{cfg.converge.axial_dim(d)}" for d in dims],
-                             w0)
+        scan = wigner_scan(state, np.array([0j]), p.xi, space, schedule, model,
+                           exact=True, step=step)
+        return float(scan.wigner[0])
 
-    # truncation sweep: the two-phonon gap (exactly dimension-independent,
-    # the sector closes at two basis states)
-    gap_hz = avoided_crossing_spectrum(
-        np.array([-p.xi, 0.0, p.xi]), p.xi
-    ).min_gap / TWO_PI
-    rows += convergence_rows("truncation", "gap_hz", [str(d) for d in dims],
-                             [gap_hz for _ in dims])
-
-    # step sweep: sweep-propagation fidelity and oscillation frequency
-    space = cfg.to_space()
+    # the configured space first: a state it cannot hold is refused before
+    # the truncation sweep runs
     base_step = cfg.simulation.step_s or default_step(p.xi, schedule)
-    fractions = [float(f) for f in cfg.converge.step_fractions]
-    finals = []
-    freqs = []
-    psi0 = embed_radial(fock_state(space.radial, 2), space).amplitudes
-    b = block_decompose(space).by_k(2)
-    for frac in fractions:
-        sweep = sweep_unitaries(space, p.xi, schedule, base_step * frac,
-                                sector_ks=[2])
-        amp = np.zeros(space.dim, dtype=complex)
-        amp[b.indices] = sweep.unitaries[2] @ psi0[b.indices]
-        finals.append(StateVector(amp, space))
-        osc = oscillation_experiment(
-            2, np.linspace(0, cfg.oscillation.hold_max_s, 33), p, model,
-            space=space, parking=cfg.parking,
-            tau_fast=cfg.simulation.tau_fast_s,
-            step=cfg.simulation.tau_fast_s / 50 * frac,
-        )
-        freqs.append(osc.fit_frequency / TWO_PI)
-    settings = [f"{base_step * fr:.3e}" for fr in fractions]
-    rows += convergence_rows("step", "sweep_infidelity", settings,
-                             [1.0 - f.fidelity(finals[-1]) for f in finals])
-    rows += convergence_rows("step", "oscillation_freq_hz", settings, freqs)
-    return rows
+    steps = [base_step * fr for fr in c.step_fractions]
+    by_step = [wigner_origin(cfg.to_space(), step) for step in steps]
+    g = cfg.simulation.guard_band
+    by_dim = [wigner_origin(TwoModeSpace(FockDim(d, g), FockDim(c.axial_dim(d), g)),
+                            cfg.simulation.step_s)
+              for d in c.radial_dims]
+    return (convergence_rows("truncation", "wigner_origin",
+                             [f"{d}x{c.axial_dim(d)}" for d in c.radial_dims],
+                             by_dim)
+            + convergence_rows("step", "wigner_origin",
+                               [f"{step:.3e}" for step in steps], by_step))
 
 
 RUNNERS = {

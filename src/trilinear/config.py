@@ -100,8 +100,8 @@ class CrossingSection:
 
 @dataclass(frozen=True)
 class ConvergeSection:
-    radial_dims: tuple = (20, 30, 40)
-    step_fractions: tuple = (1.0, 0.5, 0.25)
+    radial_dims: tuple[int, ...] = (20, 30, 40)
+    step_fractions: tuple[float, ...] = (1.0, 0.5, 0.25)
 
     @staticmethod
     def axial_dim(radial_dim: int) -> int:
@@ -175,11 +175,17 @@ def _coerce(value: Any, f, path: str):
         if "None" in str(target):
             return None
         raise ConfigValueError(path, "null is not allowed here")
-    if target in ("tuple", tuple) or str(target).startswith("tuple"):
+    base = str(target).split(" | ")[0]
+    if base.startswith("tuple["):
+        # each entry follows the rule of a scalar field of the entry's type
         if not isinstance(value, (list, tuple)):
             raise ConfigValueError(path, f"expected a list, got {value!r}")
-        return tuple(value)
-    base = str(target).split(" | ")[0]
+        entry = base.removeprefix("tuple[").split(",")[0]
+        return tuple(_coerce_scalar(x, entry, path) for x in value)
+    return _coerce_scalar(value, base, path)
+
+
+def _coerce_scalar(value: Any, base: str, path: str):
     if base == "bool":
         if not isinstance(value, bool):
             raise ConfigValueError(path, f"expected true/false, got {value!r}")
@@ -294,10 +300,6 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigValueError("simulation.step_s", "step must be positive")
     # the radial levels outside the guard band
     top = s.radial_dim - 1 - s.guard_band
-    if cfg.experiment == "converge" and top < 2:
-        raise ConfigValueError(
-            "simulation", f"radial levels 0..{top} cannot hold the two phonons "
-            "that the step sweep starts from")
     m = cfg.measurement
     if not 0 < m.eta <= 1:
         raise ConfigValueError("measurement.eta", "eta must lie in (0, 1]")
@@ -331,24 +333,21 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigValueError(
                 path, f"would write {rows} rows, more than MAX_ROWS = {MAX_ROWS}")
     c = cfg.converge
-    if not c.radial_dims or any(
-        int(d) < 4 for d in c.radial_dims
-    ) or list(c.radial_dims) != sorted(set(int(d) for d in c.radial_dims)):
+    dims = list(c.radial_dims)
+    if not dims or any(d < 4 for d in dims) or dims != sorted(set(dims)):
         raise ConfigValueError(
             "converge.radial_dims", "must be a strictly increasing list of dims >= 4"
         )
-    for d in (int(d) for d in c.radial_dims):
+    for d in dims:
         a = c.axial_dim(d)
         if s.guard_band > min(d, a) - 2:
             raise ConfigValueError(
                 "converge.radial_dims",
                 f"{d}x{a} cannot hold guard band {s.guard_band} in both modes",
             )
-    if not c.step_fractions or any(
-        not 0 < float(fr) <= 1 for fr in c.step_fractions
-    ) or list(c.step_fractions) != sorted(
-        (float(fr) for fr in c.step_fractions), reverse=True
-    ):
+    fractions = list(c.step_fractions)
+    if not fractions or any(not 0 < fr <= 1 for fr in fractions) or (
+            fractions != sorted(fractions, reverse=True)):
         raise ConfigValueError(
             "converge.step_fractions", "must be a decreasing list in (0, 1]"
         )

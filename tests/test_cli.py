@@ -455,12 +455,21 @@ def test_unallocatable_row_count_exit_code(tmp_path, capsys, command, section,
     assert not list(tmp_path.glob("*.csv"))
 
 
+CONVERGE_10x5 = ("simulation:\n  radial_dim: 10\n  axial_dim: 5\n"
+                 "converge:\n  radial_dims: [8, 10]\n"
+                 "  step_fractions: [1, 0.5, 0.25]\n")
+
+
+def converge_stdout_rows(out: str) -> list[list[str]]:
+    """converge prints each row with its values at full precision."""
+    return [line.split(",") for line in out.splitlines()]
+
+
 def test_converge_report(tmp_path, capsys):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(
         "simulation:\n  radial_dim: 10\n  axial_dim: 5\n"
         "converge:\n  radial_dims: [8, 10]\n  step_fractions: [1.0, 0.5]\n"
-        "oscillation:\n  hold_max_s: 1.0e-3\n"
     )
     code, out, _ = run(["converge", "--config", str(cfg), "--out",
                         str(tmp_path)], capsys)
@@ -468,15 +477,100 @@ def test_converge_report(tmp_path, capsys):
     rows = read_data_rows(tmp_path / "converge.csv")
     assert rows[0] == "kind,setting,observable,value,delta_vs_finest,flag"
     table = [r.split(",") for r in rows[1:]]
-    observables = {r[2] for r in table}
-    assert {"wigner_origin", "gap_hz", "sweep_infidelity",
-            "oscillation_freq_hz"} <= observables
-    # the gap is truncation-independent: deltas vs finest are exactly zero
-    gap_rows = [r for r in table if r[2] == "gap_hz"]
-    assert all(float(r[4]) == 0.0 for r in gap_rows)
-    # step-halving infidelity stays inside the convergence contract
-    inf_rows = [r for r in table if r[2] == "sweep_infidelity"]
-    assert all(float(r[3]) < 1e-8 for r in inf_rows)
+    assert [r[0] for r in table] == ["truncation"] * 2 + ["step"] * 2
+    # both groups read the state's W(0); the rows that could not move
+    # (the K = 2 gap, the conversion tone, the sweep infidelity) are gone
+    assert {r[2] for r in table} == {"wigner_origin"}
+    # the coarsest step sits a Magnus step error away from the finest
+    coarsest = next(r for r in converge_stdout_rows(out) if r[0] == "step")
+    assert 0 < float(coarsest[4]) < 1e-7
+
+
+def test_converge_values_are_the_wigner_scan_at_each_setting(tmp_path, capsys):
+    from trilinear.config import parse_config
+    from trilinear.fock import FockDim, TwoModeSpace, fock_state
+    from trilinear.protocols import MeasurementModel, wigner_scan
+
+    (tmp_path / "cfg.yaml").write_text(CONVERGE_10x5)
+    code, out, _ = run(["converge", "--config", str(tmp_path / "cfg.yaml"),
+                        "--out", str(tmp_path)], capsys)
+    assert code == 0
+    cfg = parse_config(CONVERGE_10x5)
+    xi = mode_params(trilinear.YB171, cfg.to_trap()).xi
+    sched = rc_ramp(cfg.parking, -cfg.parking, cfg.simulation.tau_slow_s)
+    steps = [default_step(xi, sched) * fr for fr in (1, 0.5, 0.25)]
+    m = cfg.measurement
+    model = MeasurementModel(eta=m.eta, shots=m.shots, seed=m.seed)
+
+    def w0(space, step):
+        return float(wigner_scan(fock_state(space.radial, 2), np.array([0j]),
+                                 xi, space, sched, model, exact=True,
+                                 step=step).wigner[0])
+
+    rows = converge_stdout_rows(out)
+    assert [r[:3] for r in rows] == [
+        ["truncation", "8x4", "wigner_origin"],
+        ["truncation", "10x5", "wigner_origin"],
+        *(["step", f"{step:.3e}", "wigner_origin"] for step in steps)]
+    truncation = [w0(TwoModeSpace(FockDim(r, 2), FockDim(a, 2)), None)
+                  for r, a in ((8, 4), (10, 5))]
+    assert [float(r[3]) for r in rows] == truncation + [
+        w0(cfg.to_space(), step) for step in steps]
+    # fourth order: each halving cuts the step's W(0) error 16-fold
+    d_coarse, d_mid, d_finest = (float(r[4]) for r in rows[2:])
+    assert d_finest == 0 and 8 < d_coarse / d_mid < 32
+    assert not any(r[5] for r in rows)
+
+
+def test_converge_runs_no_conversion_or_spectrum(tmp_path, capsys, monkeypatch):
+    from trilinear import cli
+    from trilinear.dynamics import SweepResult
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("converge reads W(0) alone")
+
+    monkeypatch.setattr(cli, "oscillation_experiment", refuse)
+    monkeypatch.setattr(cli, "avoided_crossing_spectrum", refuse)
+    monkeypatch.setattr(SweepResult, "unitaries", property(refuse))
+    (tmp_path / "cfg.yaml").write_text(CONVERGE_10x5)
+    code, _, _ = run(["converge", "--config", str(tmp_path / "cfg.yaml"),
+                      "--out", str(tmp_path)], capsys)
+    assert code == 0
+
+
+def test_converge_of_one_phonon_fits_the_radial_levels(tmp_path, capsys):
+    # 4x4 keeps radial levels 0..1: room for fock:1 on the configured space
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("state: fock:1\n")
+    code, _, _ = run(["converge", "--dims", "4x4", "--config", str(cfg),
+                      "--out", str(tmp_path)], capsys)
+    assert code == 0
+
+
+@pytest.mark.parametrize("key, entries", [
+    pytest.param("radial_dims", ["abc"], id="dims-abc"),
+    pytest.param("radial_dims", [[8]], id="dims-list"),
+    pytest.param("radial_dims", ["1e400"], id="dims-1e400"),  # a YAML string
+    pytest.param("radial_dims", [8.7, 10], id="dims-8.7"),
+    pytest.param("radial_dims", [True, 10], id="dims-true"),
+    pytest.param("step_fractions", ["x"], id="fractions-x"),
+    pytest.param("step_fractions", [True], id="fractions-true"),
+])
+@pytest.mark.parametrize("command", ["modes", "converge"])
+def test_bad_converge_list_entry_exit_code(tmp_path, capsys, command, key,
+                                           entries):
+    # every subcommand validates the converge section, entry by entry with
+    # the rule of a scalar field of the entry's type
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(yaml.safe_dump({"converge": {key: entries}}))
+    code, _, err = run([command, "--config", str(cfg), "--out", str(tmp_path)],
+                       capsys)
+    assert code == 2
+    assert f"path=converge.{key}" in err
+    assert ("expected an integer" if key == "radial_dims"
+            else "expected a number") in err
+    assert len(err.strip().splitlines()) == 1
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("dims", [[4, 6], [6, 8]])
@@ -495,12 +589,12 @@ def test_converge_dims_too_small_for_the_guard_band_exit_code(tmp_path, capsys,
 
 @pytest.mark.parametrize("command, path", [
     ("oscillate", "oscillation.n_initial"),
-    ("converge", "simulation"),
+    ("converge", "state"),
 ])
 def test_two_phonons_past_the_radial_levels_exit_code(tmp_path, capsys,
                                                       command, path):
     # 4x4 with the 2-level guard band keeps radial levels 0..1: too few for
-    # the two phonons that oscillate and the step sweep of converge start from
+    # the two phonons that oscillate and the default fock:2 state start from
     code, _, err = run([command, "--dims", "4x4", "--out", str(tmp_path)],
                        capsys)
     assert code == 2
@@ -543,6 +637,12 @@ def test_convergence_flags_divergence_not_rounding():
     # a deviation that grows as the setting gets finer is flagged
     rows = convergence_rows("step", "freq", settings, [1.3, 1.1, 1.2, 1.0])
     assert [r[5] for r in rows] == ["", "", "non-monotone", ""]
+
+
+def test_every_experiment_has_a_subcommand():
+    from trilinear import cli, config
+
+    assert config.EXPERIMENTS == tuple(cli.RUNNERS)
 
 
 SMALL_RUNS = {
