@@ -72,8 +72,7 @@ def main() -> None:
     }
     for name, state in gallery.items():
         scan = wigner_scan(state, grid, params.xi, space, schedule, model,
-                           exact=args.exact, sweep=sweep,
-                           meta={"state": name})
+                           exact=args.exact, sweep=sweep)
         scan.to_csv(args.out / f"wigner_{name}.csv")
         print(f"  {name}: W(0) = {scan.wigner[np.argmin(np.abs(grid))]:+.4f}, "
               f"{int(np.sum(scan.wigner < 0))} negative points")

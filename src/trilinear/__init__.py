@@ -51,7 +51,6 @@ from .dynamics import (
     RotatingFrameHamiltonian,
     Trajectory,
     block_decompose,
-    build_hamiltonian,
     default_step,
     propagate,
     rc_ramp,

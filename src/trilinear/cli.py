@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 from datetime import datetime, timezone
@@ -30,7 +31,7 @@ from .config import (
     parse_config,
     parse_descriptor,
 )
-from .dynamics import default_step, rc_ramp
+from .dynamics import default_step
 from .errors import NumericalContractError, StepPolicyError
 from .fock import FockDim, TwoModeSpace
 from .protocols import (
@@ -40,6 +41,7 @@ from .protocols import (
     avoided_crossing_spectrum,
     oscillation_experiment,
     phase_space_grid,
+    slow_sweep,
     spectrum_to_csv,
     wigner_scan,
 )
@@ -69,10 +71,6 @@ def provenance(cfg: RunConfig, experiment: str) -> list[str]:
 def _model(cfg: RunConfig) -> MeasurementModel:
     m = cfg.measurement
     return MeasurementModel(eta=m.eta, shots=m.shots, seed=m.seed)
-
-
-def _slow_schedule(cfg: RunConfig):
-    return rc_ramp(cfg.parking, -cfg.parking, cfg.simulation.tau_slow_s)
 
 
 def _print_sweep_steps(dts: np.ndarray) -> None:
@@ -141,8 +139,8 @@ def run_parity(cfg: RunConfig, out: Path) -> None:
     space = cfg.to_space()
     state = build_radial_state(parse_descriptor(cfg.state), space.radial)
     res = adiabatic_parity(
-        state, p.xi, space, _slow_schedule(cfg), _model(cfg),
-        step=cfg.simulation.step_s,
+        state, p.xi, space, slow_sweep(cfg.parking, cfg.simulation.tau_slow_s),
+        _model(cfg), step=cfg.simulation.step_s,
     )
     keys = ["state", "p_phonon", "p1_exact", "p1_sampled", "parity_exact",
             "parity_sampled", "stderr", "readout_bias", "flags"]
@@ -169,9 +167,8 @@ def run_wigner(cfg: RunConfig, out: Path) -> None:
     state = build_radial_state(parse_descriptor(cfg.state), space.radial)
     grid = phase_space_grid(cfg.grid.extent, cfg.grid.points)
     scan = wigner_scan(
-        state, grid, p.xi, space, _slow_schedule(cfg), _model(cfg),
-        exact=cfg.exact, step=cfg.simulation.step_s,
-        meta={"state": cfg.state},
+        state, grid, p.xi, space, slow_sweep(cfg.parking, cfg.simulation.tau_slow_s),
+        _model(cfg), exact=cfg.exact, step=cfg.simulation.step_s,
     )
     scan.to_csv(out / "wigner.csv", provenance(cfg, "wigner"))
     origin = int(np.argmin(np.abs(scan.alphas)))
@@ -222,17 +219,19 @@ def convergence_report(cfg: RunConfig) -> list[tuple]:
 
     Both groups read W(0) through the exact Wigner scan: the truncation
     group once per `converge.radial_dims` at the configured step, the step
-    group once per `converge.step_fractions` on the configured space. Each
-    row gives the value and its deviation from the finest setting;
-    non-monotone convergence is flagged.
+    group once per `converge.step_fractions` on the configured space. A
+    setting both groups share, such as the configured space at the
+    configured step, is scanned once. Each row gives the value and its
+    deviation from the finest setting; non-monotone convergence is flagged.
     """
     p = mode_params(YB171, cfg.to_trap())
     model = _model(cfg)
     spec = parse_descriptor(cfg.state)
-    schedule = _slow_schedule(cfg)
+    schedule = slow_sweep(cfg.parking, cfg.simulation.tau_slow_s)
     c = cfg.converge
 
-    def wigner_origin(space: TwoModeSpace, step: float | None) -> float:
+    @functools.cache
+    def wigner_origin(space: TwoModeSpace, step: float) -> float:
         state = build_radial_state(spec, space.radial)
         scan = wigner_scan(state, np.array([0j]), p.xi, space, schedule, model,
                            exact=True, step=step)
@@ -245,7 +244,7 @@ def convergence_report(cfg: RunConfig) -> list[tuple]:
     by_step = [wigner_origin(cfg.to_space(), step) for step in steps]
     g = cfg.simulation.guard_band
     by_dim = [wigner_origin(TwoModeSpace(FockDim(d, g), FockDim(c.axial_dim(d), g)),
-                            cfg.simulation.step_s)
+                            base_step)
               for d in c.radial_dims]
     return (convergence_rows("truncation", "wigner_origin",
                              [f"{d}x{c.axial_dim(d)}" for d in c.radial_dims],

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any
 
 import yaml
@@ -156,17 +156,9 @@ class RunConfig:
         return TWO_PI * self.simulation.parking_hz
 
 
-_SECTION_TYPES = {
-    "trap": TrapSection,
-    "simulation": SimulationSection,
-    "measurement": MeasurementSection,
-    "grid": GridSection,
-    "oscillation": OscillationSection,
-    "crossing": CrossingSection,
-    "converge": ConvergeSection,
-}
-
-_SCALAR_COERCE = {float: float, int: int, str: str, bool: bool}
+# the RunConfig fields that are sections, each with its dataclass
+SECTIONS = {f.name: f.default_factory for f in fields(RunConfig)
+            if is_dataclass(f.default_factory)}
 
 
 def _coerce(value: Any, f, path: str):
@@ -247,8 +239,8 @@ def parse_config(text: str) -> RunConfig:
     for key, value in data.items():
         if key not in top_fields:
             raise UnknownKeyError(key, "unknown key")
-        if key in _SECTION_TYPES:
-            kwargs[key] = _section_from_dict(_SECTION_TYPES[key], value, key)
+        if key in SECTIONS:
+            kwargs[key] = _section_from_dict(SECTIONS[key], value, key)
         else:
             kwargs[key] = _coerce(value, top_fields[key], key)
     cfg = RunConfig(**kwargs)
@@ -261,7 +253,7 @@ def _check_finite(cfg: RunConfig) -> None:
     for top in fields(cfg):
         value = getattr(cfg, top.name)
         items = ([(f"{top.name}.{f.name}", getattr(value, f.name))
-                  for f in fields(value)] if top.name in _SECTION_TYPES
+                  for f in fields(value)] if top.name in SECTIONS
                  else [(top.name, value)])
         for path, item in items:
             for x in item if isinstance(item, tuple) else (item,):

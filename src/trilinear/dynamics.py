@@ -96,9 +96,6 @@ class SectorBlock:
     def size(self) -> int:
         return self.indices.size
 
-    def hamiltonian(self, xi: float, delta: float) -> np.ndarray:
-        return self.hamiltonians(xi, [delta])[0]
-
     def hamiltonians(self, xi: float, deltas) -> np.ndarray:
         """Stack (len(deltas), s, s) of the sector matrix at each detuning."""
         deltas = np.asarray(deltas, dtype=float)
@@ -172,11 +169,6 @@ class RotatingFrameHamiltonian:
         return Operator(m, tag="hermitian")
 
 
-def build_hamiltonian(xi: float, delta: float,
-                      space: TwoModeSpace) -> RotatingFrameHamiltonian:
-    return RotatingFrameHamiltonian(xi=xi, delta=delta, space=space)
-
-
 # ---------------------------------------------------------------------------
 # detuning ramps
 
@@ -215,12 +207,10 @@ class RampSchedule:
         )
 
 
-def rc_ramp(delta_start: float, delta_end: float, tau_rc: float,
-            duration: float | None = None) -> RampSchedule:
-    if duration is None:
-        duration = 5 * tau_rc
+def rc_ramp(delta_start: float, delta_end: float, tau_rc: float) -> RampSchedule:
+    """The ramp that runs for 5 tau_rc, where it has settled below 1%."""
     return RampSchedule(delta_start=delta_start, delta_end=delta_end,
-                        tau_rc=tau_rc, duration=duration)
+                        tau_rc=tau_rc, duration=5 * tau_rc)
 
 
 def default_step(xi: float, schedule: RampSchedule) -> float:

@@ -347,7 +347,6 @@ class OscillationResult:
     fit_frequency: float  # rad/s
     fit_frequency_err: float  # rad/s, 1 sigma from the fit covariance
     fit_ok: bool
-    envelope_tau: float | None
 
     def to_csv(self, path, comments=()) -> None:
         from .report import write_csv
@@ -442,7 +441,7 @@ def oscillation_experiment(n_initial: int, hold_times, params: ModeParams,
     # at the parking detuning, swept down, held, swept up
     label0 = _label_basis(u_down.endpoint_bases[n_initial][0], parking)[:, 0]
     b = block_decompose(space).by_k(n_initial)
-    w, v = np.linalg.eigh(b.hamiltonian(params.xi, 0.0))
+    w, v = np.linalg.eigh(b.hamiltonians(params.xi, [0.0])[0])
     after_down = u_down.unitaries[n_initial] @ label0
     up_unitary = u_up.unitaries[n_initial]
 
@@ -476,7 +475,6 @@ def oscillation_experiment(n_initial: int, hold_times, params: ModeParams,
         fit_frequency=omega,
         fit_frequency_err=omega_err,
         fit_ok=ok,
-        envelope_tau=envelope_tau,
     )
 
 
@@ -612,7 +610,7 @@ class WignerScan:
     wigner: np.ndarray
     stderr: np.ndarray
     flags: tuple[str, ...]
-    meta: dict = field(compare=False)
+    eta: float  # the model's detection efficiency, which sets the bound on W
     # the step durations of the sweep's grid
     sweep_dts: np.ndarray | None = field(default=None, compare=False)
     # per point, the error of the exact W against the ideal displaced
@@ -628,8 +626,7 @@ class WignerScan:
     sweep_sectors: tuple[int, int] | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        eta = self.meta.get("eta", 1.0)
-        bound = (2 / math.pi) * (1 + 2 * (1 - eta) / eta) + 1e-9
+        bound = (2 / math.pi) * (1 + 2 * (1 - self.eta) / self.eta) + 1e-9
         if np.abs(self.wigner).max() > bound:
             raise ValueError(
                 f"Wigner estimate exceeds the eta-corrected bound {bound:.4f}"
@@ -669,8 +666,7 @@ def _displaced_blocks(state_r: StateVector, alphas: np.ndarray):
 def wigner_scan(state_r: StateVector, alphas, xi: float, space: TwoModeSpace,
                 schedule: RampSchedule, model: MeasurementModel,
                 exact: bool = False, step: float | None = None,
-                sweep: SweepResult | None = None,
-                meta: dict | None = None) -> WignerScan:
+                sweep: SweepResult | None = None) -> WignerScan:
     """Displace, sweep, map, estimate: W(alpha) = (2/pi) <P>.
 
     The sweep is computed once and shared across grid points (and across
@@ -720,16 +716,6 @@ def wigner_scan(state_r: StateVector, alphas, xi: float, space: TwoModeSpace,
     p1_exact, p1_sampled, stderr = measurement_channel(p_phonon, model,
                                                        exact=exact)
     parity = 1.0 - 2.0 * p1_sampled / model.eta
-    scan_meta = {
-        "eta": model.eta,
-        "shots": 0 if exact else model.shots,
-        "seed": model.seed,
-        "exact": exact,
-        "radial_dim": space.radial.dim,
-        "axial_dim": space.axial.dim,
-        "tau_rc_s": schedule.tau_rc,
-    }
-    scan_meta.update(meta or {})
     return WignerScan(
         alphas=alphas,
         p1_exact=p1_exact,
@@ -738,7 +724,7 @@ def wigner_scan(state_r: StateVector, alphas, xi: float, space: TwoModeSpace,
         wigner=2.0 / math.pi * parity,
         stderr=2.0 / math.pi * 2.0 * stderr / model.eta,
         flags=tuple(flags.tolist()),
-        meta=scan_meta,
+        eta=model.eta,
         sweep_dts=sweep.dts,
         readout_bias=bias,
         leak=leak,
@@ -750,14 +736,14 @@ def wigner_scan(state_r: StateVector, alphas, xi: float, space: TwoModeSpace,
 
 def radial_cut(state_r: StateVector, radii, xi: float, space: TwoModeSpace,
                schedule: RampSchedule, model: MeasurementModel,
-               n_phases: int = 8, step: float | None = None,
+               step: float | None = None,
                sweep: SweepResult | None = None) -> np.ndarray:
-    """Phase-averaged exact W(|alpha|) on the given radii (n_phases points
-    per circle; states with rotation-symmetric W make this a consistency
+    """Phase-averaged exact W(|alpha|) on the given radii (8 points per
+    circle; states with rotation-symmetric W make this a consistency
     average rather than new information)."""
     radii = np.asarray(radii, float)
-    phases = np.exp(2j * np.pi * np.arange(n_phases) / n_phases)
+    phases = np.exp(2j * np.pi * np.arange(8) / 8)
     alphas = (radii[:, None] * phases[None, :]).ravel()
     scan = wigner_scan(state_r, alphas, xi, space, schedule, model,
                        exact=True, step=step, sweep=sweep)
-    return scan.wigner.reshape(radii.size, n_phases).mean(axis=1)
+    return scan.wigner.reshape(radii.size, 8).mean(axis=1)

@@ -15,10 +15,10 @@ import scipy.linalg
 from trilinear import (
     FockDim,
     MeasurementModel,
+    RotatingFrameHamiltonian,
     TwoModeSpace,
     adiabatic_parity,
     avoided_crossing_spectrum,
-    build_hamiltonian,
     cat_state,
     coherent_state,
     decoherence_envelope,
@@ -215,7 +215,7 @@ def test_criterion_8_property_suite(tmp_path):
     # K conservation and unitarity along a ramped trajectory
     space = TwoModeSpace(FockDim(16), FockDim(8))
     schedule = slow_sweep()
-    ham = build_hamiltonian(PARAMS.xi, PARKING, space)
+    ham = RotatingFrameHamiltonian(PARAMS.xi, PARKING, space)
     psi = embed_radial(coherent_state(space.radial, 1.0), space)
     traj = propagate(psi, ham, schedule=schedule,
                      sample_times=np.linspace(0, schedule.duration, 21))
@@ -226,7 +226,7 @@ def test_criterion_8_property_suite(tmp_path):
 
     # block/dense equivalence on an 8 x 5 space
     small = TwoModeSpace(FockDim(8), FockDim(5))
-    ham_s = build_hamiltonian(PARAMS.xi, 0.4 * PARAMS.xi, small)
+    ham_s = RotatingFrameHamiltonian(PARAMS.xi, 0.4 * PARAMS.xi, small)
     worst_block = 0.0
     t = 2.0 / PARAMS.xi
     for seed in range(3):

@@ -522,6 +522,41 @@ def test_converge_values_are_the_wigner_scan_at_each_setting(tmp_path, capsys):
     assert not any(r[5] for r in rows)
 
 
+def test_converge_scans_each_setting_once(tmp_path, capsys, monkeypatch):
+    from trilinear import cli
+    from trilinear.config import RunConfig
+    from trilinear.fock import FockDim, TwoModeSpace, fock_state
+    from trilinear.protocols import MeasurementModel, slow_sweep
+
+    scan, settings = cli.wigner_scan, []
+
+    def counted(state, alphas, xi, space, schedule, model, **kwargs):
+        settings.append((space, kwargs["step"]))
+        return scan(state, alphas, xi, space, schedule, model, **kwargs)
+
+    monkeypatch.setattr(cli, "wigner_scan", counted)
+    code, out, _ = run(["converge", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    # the configured 40x20 space at the configured step is both the finest
+    # truncation row and the coarsest step row
+    assert len(settings) == len(set(settings)) == 5
+    cfg = RunConfig()
+    xi = mode_params(trilinear.YB171, cfg.to_trap()).xi
+    sched = slow_sweep(cfg.parking, cfg.simulation.tau_slow_s)
+    base = default_step(xi, sched)
+    m = cfg.measurement
+    model = MeasurementModel(eta=m.eta, shots=m.shots, seed=m.seed)
+
+    def w0(radial, step):
+        space = TwoModeSpace(FockDim(radial, 2), FockDim(radial // 2, 2))
+        return float(scan(fock_state(space.radial, 2), np.array([0j]), xi,
+                          space, sched, model, exact=True, step=step).wigner[0])
+
+    assert [(r[0], r[1], float(r[3])) for r in converge_stdout_rows(out)] == [
+        *(("truncation", f"{r}x{r // 2}", w0(r, None)) for r in (20, 30, 40)),
+        *(("step", f"{base * fr:.3e}", w0(40, base * fr)) for fr in (1, 0.5, 0.25))]
+
+
 def test_converge_runs_no_conversion_or_spectrum(tmp_path, capsys, monkeypatch):
     from trilinear import cli
     from trilinear.dynamics import SweepResult

@@ -5,6 +5,7 @@ import json
 import math
 
 import pytest
+import yaml
 
 from trilinear import FockDim
 from trilinear.config import (
@@ -12,6 +13,7 @@ from trilinear.config import (
     ConfigParseError,
     MAX_ROWS,
     MAX_SHOTS,
+    SECTIONS,
     ConfigValueError,
     RunConfig,
     StateSpec,
@@ -65,6 +67,43 @@ def test_unknown_key_rejected_with_path():
     assert "trap.omega_q_hz" in str(err.value)
     with pytest.raises(UnknownKeyError):
         parse_config("fraapulation: 3\n")
+
+
+# a valid value other than the default for every field of every section
+SECTION_VALUES = {
+    "trap": {"omega_x_hz": 1.0e6, "omega_y_hz": 0.91e6, "omega_z_hz": 0.74e6},
+    "simulation": {"radial_dim": 12, "axial_dim": 6, "guard_band": 1,
+                   "parking_hz": 30e3, "tau_slow_s": 1e-3, "tau_fast_s": 10e-6,
+                   "step_s": 1e-6},
+    "measurement": {"eta": 0.9, "shots": 100, "seed": 7},
+    "grid": {"extent": 2.0, "points": 11},
+    "oscillation": {"n_initial": 1, "hold_max_s": 1e-3, "hold_points": 17,
+                    "envelope_tau_s": 5e-3},
+    "crossing": {"span_hz": 10e3, "points": 11},
+    "converge": {"radial_dims": [8, 12], "step_fractions": [1.0, 0.5]},
+}
+
+
+@pytest.mark.parametrize("section", sorted(SECTIONS))
+def test_every_section_field_parses(section):
+    # a section added to RunConfig must be added to SECTION_VALUES too
+    values = SECTION_VALUES[section]
+    defaults = SECTIONS[section]()
+    assert set(values) == {f.name for f in dataclasses.fields(defaults)}
+    parsed = getattr(parse_config(yaml.safe_dump({section: values})), section)
+    for name, value in values.items():
+        want = tuple(value) if isinstance(value, list) else value
+        assert getattr(parsed, name) == want != getattr(defaults, name)
+
+
+@pytest.mark.parametrize("section", sorted(SECTIONS))
+def test_unknown_section_key_exit_code(tmp_path, capsys, section):
+    from trilinear.cli import main
+
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"{section}:\n  bogus: 1\n")
+    assert main(["modes", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert f"path={section}.bogus" in capsys.readouterr().err
 
 
 def test_parse_error_carries_line_and_column():

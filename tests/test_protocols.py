@@ -384,7 +384,7 @@ def per_state_oscillation(n, holds, space, model, envelope_tau):
     after_down = apply_sweep(
         u_down, normal_mode_embedding(fock_state(space.radial, n), space, u_down))
     b = block_decompose(space).by_k(n)
-    w, v = np.linalg.eigh(b.hamiltonian(PARAMS.xi, 0.0))
+    w, v = np.linalg.eigh(b.hamiltonians(PARAMS.xi, [0.0])[0])
     p_rad, p_ax = np.empty(holds.size), np.empty(holds.size)
     for i, tau in enumerate(holds):
         amp = after_down.amplitudes.copy()
@@ -959,7 +959,7 @@ def test_scan_bound_validation():
             wigner=np.array([5.0]),  # beyond the eta-corrected bound
             stderr=np.zeros(n),
             flags=("",),
-            meta={"eta": 0.86},
+            eta=0.86,
         )
 
 

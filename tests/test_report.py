@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from trilinear import FockDim, TwoModeSpace, build_hamiltonian, cli
+from trilinear import FockDim, RotatingFrameHamiltonian, TwoModeSpace, cli
 from trilinear import product_state, propagate
 from trilinear.config import RunConfig
 from trilinear.report import format_column, write_csv
@@ -228,7 +228,7 @@ def test_converge_table_bytes(tmp_path, monkeypatch, capsys):
 
 def test_trajectory_table_bytes(tmp_path):
     space = TwoModeSpace(FockDim(8), FockDim(5))
-    traj = propagate(product_state(space, 2, 0), build_hamiltonian(1e3, 0.0, space),
+    traj = propagate(product_state(space, 2, 0), RotatingFrameHamiltonian(1e3, 0.0, space),
                      1e-3, sample_times=np.linspace(0, 1e-3, 9),
                      tracked=((2, 0), (0, 1), (4, 0)))
     traj.to_csv(tmp_path / "new.csv")
