@@ -3,8 +3,8 @@ oscillator at the single-phonon level, from trap parameters to sampled
 measurement records.
 
 Modules: fock (truncated two-mode algebra and Wigner oracles), trap
-(parameters to mode frequencies and coupling), dynamics (block-diagonal
-propagation under detuning ramps), protocols (conversion oscillation,
+(parameters to mode frequencies and coupling), dynamics (K-sector sweep
+propagators under detuning ramps), protocols (conversion oscillation,
 avoided crossing, adiabatic parity, Wigner tomography), config/cli
 (YAML-driven experiment runner with CSV provenance).
 """
@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .errors import (
     NumericalContractError,
     StepPolicyError,
-    TruncationLeakError,
     TruncationLeakWarning,
 )
 from .fock import (
@@ -24,13 +23,9 @@ from .fock import (
     TwoModeSpace,
     cat_state,
     coherent_state,
-    displacement_operator,
-    embed,
-    embed_radial,
     fock_state,
     fock_wigner_closed_form,
     mode_operator,
-    product_state,
     wigner_oracle,
 )
 from .trap import (
@@ -49,10 +44,8 @@ from .dynamics import (
     BlockDecomposition,
     RampSchedule,
     RotatingFrameHamiltonian,
-    Trajectory,
     block_decompose,
     default_step,
-    propagate,
     rc_ramp,
     sweep_unitaries,
 )
@@ -63,8 +56,6 @@ from .protocols import (
     WignerScan,
     adiabatic_parity,
     avoided_crossing_spectrum,
-    decoherence_envelope,
-    displacement_calibration,
     measurement_channel,
     oscillation_experiment,
     parity_estimate,

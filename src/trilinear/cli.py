@@ -5,8 +5,9 @@ provenance comment header (config hash, tool version, seed, truncation,
 frame note). Identical configuration and seed reproduce the data rows
 byte for byte.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical-contract
-violation (truncation leak, step policy).
+Exit codes: 0 success, 2 configuration error (an unreadable config file
+or output directory included), 3 numerical-contract violation (step
+policy).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from . import __version__
 from .config import (
     ConfigError,
+    ConfigIOError,
     ConfigValueError,
     RunConfig,
     build_radial_state,
@@ -317,22 +319,32 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     return cfg
 
 
+def _read_config(path: Path) -> RunConfig:
+    """The configuration in the UTF-8 file at `path`."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigIOError(str(path), str(e)) from None
+    return parse_config(text)
+
+
+def _output_dir(path: Path) -> Path:
+    """The output directory, made if it does not exist."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigIOError(str(path), str(e)) from None
+    return path
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.config is not None:
-            cfg = parse_config(Path(args.config).read_text())
-        else:
-            cfg = RunConfig()
+        cfg = RunConfig() if args.config is None else _read_config(args.config)
         cfg = _apply_overrides(cfg, args)
-        out = Path(cfg.output)
-        out.mkdir(parents=True, exist_ok=True)
-        RUNNERS[args.command](cfg, out)
+        RUNNERS[args.command](cfg, _output_dir(Path(cfg.output)))
     except ConfigError as e:
         print(e, file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
-        print(f"config-error kind=io path={e.filename}: {e}", file=sys.stderr)
         return 2
     except (NumericalContractError, StepPolicyError) as e:
         print(f"numerical-contract violation: {e}", file=sys.stderr)

@@ -29,6 +29,11 @@ TWO_PI = 2 * math.pi
 # is allocated
 MAX_ROWS = 1 << 22
 
+# most levels of one mode: one kernel step of a MAX_LEVELS x MAX_LEVELS space
+# holds about 150 MiB of stacks, and they grow with the cube of the dims, so
+# a larger dim is refused before anything is allocated
+MAX_LEVELS = 1 << 8
+
 
 class ConfigError(Exception):
     """Base class; stringifies to a machine-readable one-liner."""
@@ -51,6 +56,12 @@ class UnknownKeyError(ConfigError):
 
 class ConfigValueError(ConfigError):
     kind = "value"
+
+
+class ConfigIOError(ConfigError):
+    """The config file cannot be read, or the output directory made."""
+
+    kind = "io"
 
 
 @dataclass(frozen=True)
@@ -249,7 +260,9 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _check_finite(cfg: RunConfig) -> None:
-    """ConfigValueError for a NaN or infinite number in any field or list."""
+    """ConfigValueError for a NaN or infinite number in any field or list,
+    or a frequency f whose angular value 2 pi f, which a runner works in,
+    overflows."""
     for top in fields(cfg):
         value = getattr(cfg, top.name)
         items = ([(f"{top.name}.{f.name}", getattr(value, f.name))
@@ -259,6 +272,8 @@ def _check_finite(cfg: RunConfig) -> None:
             for x in item if isinstance(item, tuple) else (item,):
                 if isinstance(x, float) and not math.isfinite(x):
                     raise ConfigValueError(path, f"must be a finite number, got {x}")
+                if path.endswith("_hz") and not math.isfinite(TWO_PI * x):
+                    raise ConfigValueError(path, f"2 pi x {x} Hz overflows a float")
 
 
 def validate_config(cfg: RunConfig) -> None:
@@ -284,6 +299,10 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigValueError(
             "simulation", "need radial_dim >= 4 and axial_dim >= 3"
         )
+    for name in ("radial_dim", "axial_dim"):
+        if getattr(s, name) > MAX_LEVELS:
+            raise ConfigValueError(f"simulation.{name}",
+                                   f"more than MAX_LEVELS = {MAX_LEVELS} levels")
     if s.guard_band < 0 or s.guard_band >= min(s.radial_dim, s.axial_dim):
         raise ConfigValueError("simulation.guard_band", "invalid guard band")
     if s.parking_hz <= 0 or s.tau_slow_s <= 0 or s.tau_fast_s <= 0:
@@ -330,6 +349,9 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigValueError(
             "converge.radial_dims", "must be a strictly increasing list of dims >= 4"
         )
+    if dims[-1] > MAX_LEVELS:
+        raise ConfigValueError("converge.radial_dims",
+                               f"{dims[-1]} is more than MAX_LEVELS = {MAX_LEVELS} levels")
     for d in dims:
         a = c.axial_dim(d)
         if s.guard_band > min(d, a) - 2:

@@ -14,8 +14,7 @@ populations and eigenvalue differences -- everything this package reports --
 are unchanged, while step sizes are set by kHz scales.
 
 H commutes exactly with K = a^dag a + 2 c^dag c, so evolution is computed
-per K sector: dense full-space cost O(D^3) becomes a sum of small cubes,
-and the K index of `block_decompose` gives a state's sectors in one pass.
+per K sector: dense full-space cost O(D^3) becomes a sum of small cubes.
 
 Time-dependent detuning ramps are propagated step by step with the
 fourth-order Magnus exponent of two Gauss points (Blanes et al., Phys. Rep.
@@ -44,16 +43,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import NumericalContractError, StepPolicyError, TruncationLeakError
-from .fock import (
-    GUARD_LEAK_THRESHOLD,
-    FockDim,
-    Operator,
-    StateVector,
-    TwoModeSpace,
-    guard_leak,
-    mode_operator,
-)
+from .errors import StepPolicyError
+from .fock import Operator, TwoModeSpace, mode_operator
 
 # Memory for the propagation kernel's stacks: the step matrices of a batch of
 # steps, their eigenvalues and eigenvectors, and the march's stacks. The
@@ -106,21 +97,19 @@ class SectorBlock:
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """The K sectors of a space, in ascending K, with a K index built once:
-    `k_of` holds the K of every basis index and `by_k` finds a sector."""
+    """The K sectors of a space, in ascending K, with an index built once:
+    `by_k` finds a sector."""
 
     space: TwoModeSpace
     blocks: tuple[SectorBlock, ...]
-    k_of: np.ndarray = field(init=False, repr=False, compare=False)
     _by_k: dict[int, SectorBlock] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        k_of = np.full(self.space.dim, -1)
+        covered = np.zeros(self.space.dim, dtype=bool)
         for b in self.blocks:
-            k_of[b.indices] = b.k
-        if (k_of < 0).any() or sum(b.size for b in self.blocks) != self.space.dim:
+            covered[b.indices] = True
+        if not covered.all() or sum(b.size for b in self.blocks) != self.space.dim:
             raise ValueError("sectors do not partition the basis")
-        object.__setattr__(self, "k_of", k_of)
         object.__setattr__(self, "_by_k", {b.k: b for b in self.blocks})
 
     @property
@@ -511,155 +500,6 @@ def piecewise_deltas(schedule: RampSchedule, t0: float, t1: float,
             (math.sqrt(3) / 12) * dts * (later - earlier))
 
 
-def _populated_blocks(amp: np.ndarray, space: TwoModeSpace) -> list[SectorBlock]:
-    """Sectors where `amp` is nonzero, in ascending K: one pass over the K index."""
-    decomp = block_decompose(space)
-    return [decomp.by_k(int(k)) for k in np.unique(decomp.k_of[np.abs(amp) > 0.0])]
-
-
-def _march_state(amp: np.ndarray, blocks, xi: float, deltas, dts,
-                 gammas=None) -> None:
-    """Evolve the full-space amplitudes `amp` in place on `blocks`."""
-    evolved = _march(blocks, xi, deltas, dts, [amp[b.indices] for b in blocks],
-                     gammas)
-    for b, sub in zip(blocks, evolved):
-        amp[b.indices] = sub
-
-
-def apply_piecewise(state: StateVector, xi: float, deltas, dts,
-                    gammas=None) -> StateVector:
-    """Apply, in sequence, the steps of `_march` with detunings `deltas`,
-    durations `dts` and twists `gammas` (as `piecewise_deltas` gives them)
-    to a two-mode state. Without `gammas` the steps are the exact
-    piecewise-constant evolution exp(-i H(delta_k) dt_k). The steps in
-    reverse order with negated dt values and the same gammas undo them."""
-    space = state.basis
-    if not isinstance(space, TwoModeSpace):
-        raise ValueError("apply_piecewise needs a two-mode state")
-    amp = state.amplitudes.copy()
-    _march_state(amp, _populated_blocks(amp, space), xi, deltas, dts, gammas)
-    return StateVector(amp, space)
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Sampled evolution record; construction enforces the unitarity and
-    K-conservation contracts (1e-9) at every sample."""
-
-    times: np.ndarray
-    amplitudes: np.ndarray  # (n_samples, dim)
-    space: TwoModeSpace
-    tracked: tuple[tuple[int, int], ...]
-    populations: np.ndarray  # (n_samples, len(tracked))
-    k_expect: np.ndarray
-    norms: np.ndarray
-    max_leak: float
-
-    def __post_init__(self):
-        if np.abs(self.norms - 1.0).max() >= 1e-9:
-            raise NumericalContractError(
-                f"norm drifted by {np.abs(self.norms - 1.0).max():.2e}"
-            )
-        if self.k_expect.size and np.ptp(self.k_expect) >= 1e-9:
-            raise NumericalContractError(
-                f"<K> drifted by {np.ptp(self.k_expect):.2e}"
-            )
-
-    def states(self) -> list[StateVector]:
-        return [StateVector(a, self.space) for a in self.amplitudes]
-
-    @property
-    def final(self) -> StateVector:
-        return StateVector(self.amplitudes[-1], self.space)
-
-    def to_csv(self, path, comments=()) -> None:
-        from .report import write_csv
-
-        header = ["t_s"] + [f"p_{na}_{nc}" for na, nc in self.tracked]
-        header += ["norm", "K_expect"]
-        write_csv(path, header,
-                  [self.times, *self.populations.T, self.norms, self.k_expect],
-                  comments)
-
-
-def propagate(state: StateVector, hamiltonian: RotatingFrameHamiltonian,
-              t_final: float | None = None, *,
-              schedule: RampSchedule | None = None,
-              step: float | None = None,
-              sample_times=None,
-              tracked: tuple[tuple[int, int], ...] = (),
-              strict_leak: bool = True) -> Trajectory:
-    """Propagate a two-mode state under constant detuning or a ramp.
-
-    Constant mode (schedule None): evolve under `hamiltonian` for t_final;
-    the evolution between samples is a single exact exponential.
-    Ramp mode: delta(t) follows the schedule (hamiltonian supplies xi and the
-    space); fourth-order Magnus steps on the graded grid of
-    `piecewise_deltas` with finest step `step`, which must be finite,
-    positive and at most tau_rc / 50. t_final defaults to the schedule
-    duration.
-    """
-    space = hamiltonian.space
-    if state.basis != space:
-        raise ValueError("state does not live in the Hamiltonian's space")
-    if schedule is None:
-        if t_final is None:
-            raise ValueError("t_final is required for constant-detuning runs")
-    else:
-        if t_final is None:
-            t_final = schedule.duration
-        if step is None:
-            step = default_step(hamiltonian.xi, schedule)
-        _check_step(step, schedule)
-    if sample_times is None:
-        sample_times = np.linspace(0.0, t_final, 101)
-    sample_times = np.asarray(sample_times, dtype=float)
-    if sample_times.ndim != 1 or sample_times.size < 1 or np.any(
-        np.diff(sample_times) < 0
-    ) or sample_times[0] < 0 or sample_times[-1] > t_final * (1 + 1e-12):
-        raise ValueError("sample_times must be ascending within [0, t_final]")
-
-    blocks = _populated_blocks(state.amplitudes, space)
-    k_vec = space.k_values().astype(float)
-
-    amp = state.amplitudes.copy()
-    out = np.empty((sample_times.size, space.dim), dtype=complex)
-    t_now = 0.0
-    max_leak = 0.0
-    for i, t_k in enumerate(sample_times):
-        if t_k > t_now:
-            if schedule is None:
-                steps = np.array([hamiltonian.delta]), np.array([t_k - t_now])
-            else:
-                steps = piecewise_deltas(schedule, t_now, t_k, step)
-            _march_state(amp, blocks, hamiltonian.xi, *steps)
-            t_now = t_k
-        out[i] = amp
-        leak = guard_leak(amp, space)
-        max_leak = max(max_leak, leak)
-        if strict_leak and leak >= GUARD_LEAK_THRESHOLD:
-            raise TruncationLeakError(
-                f"guard-band population {leak:.2e} at t = {t_k:.3e} s; "
-                "increase the truncation"
-            )
-
-    pops = np.abs(out) ** 2
-    tracked = tuple(tracked)
-    tracked_idx = [space.index(na, nc) for na, nc in tracked]
-    return Trajectory(
-        times=sample_times,
-        amplitudes=out,
-        space=space,
-        tracked=tracked,
-        populations=pops[:, tracked_idx] if tracked else np.empty(
-            (sample_times.size, 0)
-        ),
-        k_expect=pops @ k_vec,
-        norms=np.sqrt(pops.sum(axis=1)),
-        max_leak=max_leak,
-    )
-
-
 # ---------------------------------------------------------------------------
 # precomputed sweep propagator
 
@@ -682,7 +522,7 @@ class SweepResult:
     lays once for the sweep; deltas, dts and gammas hold that grid's
     fourth-order Magnus steps: the mean detuning of each step's two Gauss
     points, the step durations and the twists. `unitaries` marches the same
-    steps, and `apply_piecewise` applies them to any two-mode state.
+    steps.
     """
 
     space: TwoModeSpace

@@ -9,9 +9,5 @@ class NumericalContractError(RuntimeError):
     """A numerical guarantee of the simulator was violated."""
 
 
-class TruncationLeakError(NumericalContractError):
-    """Guard-band population exceeded the leak threshold during evolution."""
-
-
 class StepPolicyError(ValueError):
     """Requested propagation step violates the step-size policy."""

@@ -144,15 +144,6 @@ class StateVector:
     def dim(self) -> int:
         return self.amplitudes.size
 
-    def overlap(self, other: "StateVector") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def fidelity(self, other: "StateVector") -> float:
-        return abs(self.overlap(other)) ** 2
-
-    def populations(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
     def guard_leak(self) -> float:
         """Largest per-mode population inside the guard bands."""
         return guard_leak(self.amplitudes, self.basis)
@@ -200,23 +191,6 @@ def mode_operator(dim: FockDim, kind: str) -> Operator:
     raise ValueError(f"unknown operator kind {kind!r}")
 
 
-def embed(op: Operator, space: TwoModeSpace, which: str) -> Operator:
-    """Lift a single-mode operator to the two-mode space (kron by identity)."""
-    if which == "radial":
-        if op.dim != space.radial.dim:
-            raise ValueError(
-                f"radial operator dim {op.dim} != {space.radial.dim}"
-            )
-        m = np.kron(op.matrix, np.eye(space.axial.dim))
-    elif which == "axial":
-        if op.dim != space.axial.dim:
-            raise ValueError(f"axial operator dim {op.dim} != {space.axial.dim}")
-        m = np.kron(np.eye(space.radial.dim), op.matrix)
-    else:
-        raise ValueError(f"which must be 'radial' or 'axial', got {which!r}")
-    return Operator(m, tag=op.tag)
-
-
 def _displacement_matrix(alpha: complex, dim: FockDim) -> np.ndarray:
     """exp(alpha a^dag - alpha* a) by eigendecomposition of its Hermitian factor."""
     a = mode_operator(dim, "annihilate").matrix
@@ -249,25 +223,6 @@ def displaced_amplitudes(amplitudes, alphas, dim: FockDim) -> np.ndarray:
     x = (rot.conj() * np.asarray(amplitudes)) @ v.conj()
     x *= np.exp(-1j * np.abs(alphas)[:, None] * w)
     return rot * (x @ v.T)
-
-
-def displacement_operator(alpha: complex, dim: FockDim) -> Operator:
-    """Phase-space displacement D(alpha) on a truncated mode.
-
-    Warns with TruncationLeakWarning when D(alpha)|0> puts more than
-    GUARD_LEAK_THRESHOLD population in the guard band, i.e. when |alpha| is
-    too large for the truncation.
-    """
-    m = _displacement_matrix(complex(alpha), dim)
-    leak = guard_leak(m[:, 0], dim)
-    if leak >= GUARD_LEAK_THRESHOLD:
-        warnings.warn(
-            f"D({alpha}) leaks {leak:.2e} of the vacuum into the guard band "
-            f"(dim {dim.dim}); increase the truncation",
-            TruncationLeakWarning,
-            stacklevel=2,
-        )
-    return Operator(m, tag="unitary")
 
 
 # ---------------------------------------------------------------------------
@@ -349,41 +304,6 @@ def cat_state(dim: FockDim, alpha: complex, phi: float = math.pi,
             stacklevel=2,
         )
     return state
-
-
-def product_state(space: TwoModeSpace, n_a: int, n_c: int) -> StateVector:
-    if n_a > space.radial.top_physical or n_c > space.axial.top_physical:
-        raise ValueError(
-            f"product occupation ({n_a}, {n_c}) exceeds the physical range of "
-            f"({space.radial.dim}, {space.axial.dim}) with guard bands"
-        )
-    amp = np.zeros(space.dim, dtype=complex)
-    amp[space.index(n_a, n_c)] = 1.0
-    return StateVector(amp, space)
-
-
-def embed_radial(state: StateVector, space: TwoModeSpace) -> StateVector:
-    """Tensor a single-mode radial state with the axial vacuum."""
-    if not isinstance(state.basis, FockDim) or state.dim != space.radial.dim:
-        raise ValueError("state must live on the radial mode of the space")
-    amp = np.zeros(space.dim, dtype=complex)
-    amp[:: space.axial.dim] = state.amplitudes
-    return StateVector(amp, space)
-
-
-def radial_marginal(state: StateVector) -> np.ndarray:
-    """Occupation distribution of the radial mode of a two-mode state."""
-    space = state.basis
-    if not isinstance(space, TwoModeSpace):
-        raise ValueError("radial_marginal needs a two-mode state")
-    return state.populations().reshape(space.radial.dim, space.axial.dim).sum(axis=1)
-
-
-def axial_marginal(state: StateVector) -> np.ndarray:
-    space = state.basis
-    if not isinstance(space, TwoModeSpace):
-        raise ValueError("axial_marginal needs a two-mode state")
-    return state.populations().reshape(space.radial.dim, space.axial.dim).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

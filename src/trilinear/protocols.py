@@ -49,7 +49,6 @@ from .trap import ModeParams
 PARKING_DETUNING = 2 * math.pi * 35e3  # rad/s, mode-decoupling point
 TAU_SLOW = 2e-3  # s, adiabatic RC constant
 TAU_FAST = 20e-6  # s, diabatic RC constant
-DISPLACEMENT_RATE = math.sqrt(3.0e-4)  # |alpha| per microsecond of drive
 # memory for a Wigner scan's arrays of one block of grid points; the block
 # length follows from it
 BLOCK_BYTES = 1 << 20
@@ -154,21 +153,6 @@ class ParityResult:
     def __post_init__(self):
         if abs(self.parity - parity_estimate(self.p1, self.eta)) > 1e-12:
             raise ValueError("parity inconsistent with 1 - 2 p1 / eta")
-
-
-def decoherence_envelope(t: float, tau_c: float) -> float:
-    """Phenomenological contrast factor exp(-t / tau_c)."""
-    if tau_c <= 0 or t < 0:
-        raise ValueError("need t >= 0 and tau_c > 0")
-    return math.exp(-t / tau_c)
-
-
-def displacement_calibration(duration_us: float) -> float:
-    """|alpha| produced by a coherent drive of the given duration, from the
-    measured calibration |alpha|^2 = 3.0e-4 * t^2 (t in microseconds)."""
-    if duration_us < 0:
-        raise ValueError("drive duration must be >= 0")
-    return DISPLACEMENT_RATE * duration_us
 
 
 def default_space(radial_dim: int = 40, axial_dim: int = 20) -> TwoModeSpace:

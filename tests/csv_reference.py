@@ -95,9 +95,3 @@ def modes_table(p, parking_hz):
     }
     return list(report.keys()), [list(report.values())]
 
-
-def trajectory_table(traj):
-    header = ["t_s"] + [f"p_{na}_{nc}" for na, nc in traj.tracked]
-    header += ["norm", "K_expect"]
-    return header, np.column_stack(
-        [traj.times, traj.populations, traj.norms, traj.k_expect])

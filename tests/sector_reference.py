@@ -1,6 +1,7 @@
 """Per-state reference for the tests: a radial state embedded in the
 normal-mode labels and a sweep applied to a full two-mode state, composed
-from a sweep's endpoint bases and its per-sector unitaries.
+from a sweep's endpoint bases and its per-sector unitaries, and a
+two-mode state marched through steps of the propagation kernel.
 
 The package reads each K sector on its own and never builds these
 full-space states; the tests compose them to check that readout
@@ -10,6 +11,7 @@ independently.
 import numpy as np
 
 from trilinear import StateVector, block_decompose
+from trilinear.dynamics import _march
 from trilinear.protocols import AMPLITUDE_FLOOR, _label_basis
 
 
@@ -38,4 +40,19 @@ def apply_sweep(sweep, state):
     for b in block_decompose(state.basis).blocks:
         if np.any(amp[b.indices] != 0):
             amp[b.indices] = sweep.unitaries[b.k] @ amp[b.indices]
+    return StateVector(amp, state.basis)
+
+
+def march_state(state, xi, deltas, dts, gammas=None):
+    """The two-mode state after the steps of `dynamics._march` with
+    detunings `deltas`, durations `dts` and twists `gammas` (as
+    `piecewise_deltas` lays them; without twists, exp(-i H(delta) dt) per
+    step), its populated sectors marched together."""
+    amp = state.amplitudes.copy()
+    blocks = [b for b in block_decompose(state.basis).blocks
+              if np.any(amp[b.indices])]
+    cols = _march(blocks, xi, deltas, dts, [amp[b.indices] for b in blocks],
+                  gammas)
+    for b, col in zip(blocks, cols):
+        amp[b.indices] = col
     return StateVector(amp, state.basis)

@@ -13,6 +13,7 @@ import yaml
 
 import trilinear
 from trilinear.cli import convergence_rows, main
+from trilinear.config import MAX_LEVELS
 from trilinear.dynamics import default_step, piecewise_deltas, rc_ramp
 from trilinear.trap import mode_params
 from trilinear.report import read_data_rows
@@ -453,6 +454,88 @@ def test_unallocatable_row_count_exit_code(tmp_path, capsys, command, section,
     assert "MAX_ROWS" in err
     assert len(err.strip().splitlines()) == 1
     assert not list(tmp_path.glob("*.csv"))
+
+
+def assert_refused(code, err, path):
+    assert code == 2
+    assert f"path={path}" in err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, section, key", [
+    ("parity", "simulation", "parking_hz"),
+    ("crossing", "crossing", "span_hz"),
+])
+def test_frequency_whose_angular_value_overflows_exit_code(tmp_path, capsys,
+                                                           command, section,
+                                                           key):
+    # 1e308 Hz is a finite float, but 2 pi times it is not
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({section: {key: 1.0e308}}))
+    code, _, err = run([command, "--dims", "8x4", "--config", str(cfg),
+                        "--out", str(tmp_path)], capsys)
+    assert_refused(code, err, f"{section}.{key}")
+    assert "overflows" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("source, path", [
+    ("simulation:\n  radial_dim: 100000\n", "simulation.radial_dim"),
+    ("simulation:\n  axial_dim: 100000\n", "simulation.axial_dim"),
+    ("--dims 100000x4", "simulation.radial_dim"),
+    ("converge:\n  radial_dims: [8, 100000]\n", "converge.radial_dims"),
+], ids=["radial_dim", "axial_dim", "dims_flag", "converge_radial_dims"])
+def test_dims_past_max_levels_exit_code(tmp_path, capsys, source, path):
+    # refused in validation, before any space of that size is built; the
+    # modes run would build none either way
+    args = ["modes", "--out", str(tmp_path)]
+    if source.startswith("--dims"):
+        args += source.split()
+    else:
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(source)
+        args += ["--config", str(cfg)]
+    code, _, err = run(args, capsys)
+    assert_refused(code, err, path)
+    assert f"MAX_LEVELS = {MAX_LEVELS}" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_dims_at_max_levels_are_accepted(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"simulation:\n  radial_dim: {MAX_LEVELS}\n"
+                   f"  axial_dim: {MAX_LEVELS}\n")
+    code, _, _ = run(["modes", "--config", str(cfg), "--out", str(tmp_path)],
+                     capsys)
+    assert code == 0
+
+
+def test_config_naming_a_directory_exit_code(tmp_path, capsys):
+    code, _, err = run(["modes", "--config", str(tmp_path), "--out",
+                        str(tmp_path / "out")], capsys)
+    assert_refused(code, err, tmp_path)
+    assert "kind=io" in err
+
+
+def test_config_that_is_not_utf8_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_bytes(b"state: \xff\xfe\n")
+    code, _, err = run(["modes", "--config", str(cfg), "--out",
+                        str(tmp_path / "out")], capsys)
+    assert_refused(code, err, cfg)
+    assert "kind=io" in err
+
+
+def test_output_naming_a_file_exit_code(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({"output": str(taken)}))
+    code, _, err = run(["modes", "--config", str(cfg)], capsys)
+    assert_refused(code, err, taken)
+    assert "kind=io" in err
+    assert taken.read_text() == ""
 
 
 CONVERGE_10x5 = ("simulation:\n  radial_dim: 10\n  axial_dim: 5\n"

@@ -20,17 +20,13 @@ from trilinear import (
     RampSchedule,
     RotatingFrameHamiltonian,
     StateVector,
-    TruncationLeakError,
     TwoModeSpace,
     block_decompose,
     cat_state,
     coherent_state,
     default_step,
-    embed_radial,
     fock_state,
     phase_space_grid,
-    product_state,
-    propagate,
     rc_ramp,
     slow_sweep,
     sweep_unitaries,
@@ -38,11 +34,12 @@ from trilinear import (
     wigner_sweep_needed,
 )
 from trilinear import dynamics
-from trilinear.dynamics import apply_piecewise, piecewise_deltas
-from trilinear.errors import NumericalContractError, StepPolicyError
+from trilinear.dynamics import piecewise_deltas
+from trilinear.errors import StepPolicyError
+from trilinear.fock import guard_leak
 from trilinear.trap import mode_params
 
-from sector_reference import apply_sweep
+from sector_reference import apply_sweep, march_state
 
 TWO_PI = 2 * math.pi
 XI = mode_params().xi
@@ -97,11 +94,12 @@ def test_hamiltonian_commutes_with_weight_exactly():
 
 def test_single_phonon_is_exact_eigenstate():
     space = small_space()
-    ham = RotatingFrameHamiltonian(XI, 0.0, space)
-    psi = product_state(space, 1, 0)
-    traj = propagate(psi, ham, 5e-3, sample_times=np.linspace(0, 5e-3, 11),
-                     tracked=((1, 0),))
-    assert np.abs(traj.populations[:, 0] - 1.0).max() < 1e-12
+    psi = StateVector(np.eye(space.dim)[space.index(1, 0)], space)
+    states = [psi]
+    for dt in np.diff(np.linspace(0, 5e-3, 11)):
+        states.append(march_state(states[-1], XI, [0.0], [dt]))
+    pops = np.array([abs(s.amplitudes[space.index(1, 0)]) ** 2 for s in states])
+    assert np.abs(pops - 1.0).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -134,66 +132,7 @@ def test_sectors_partition_basis(dr, da):
 
 
 # ---------------------------------------------------------------------------
-# the K index: which sectors a state populates
-
-
-def scanned_blocks(amp, space):
-    """The sectors holding a nonzero amplitude, by the per-block scan that
-    the K index replaced."""
-    return [b for b in block_decompose(space).blocks
-            if np.any(np.abs(amp[b.indices]) > 0.0)]
-
-
-# exact zeros, the smallest subnormal (its modulus is still above 0) and
-# ordinary amplitudes
-amplitude_values = st.sampled_from([0.0, 5e-324, -5e-324j, 1e-200, 1.0, 0.6 - 0.8j])
-
-
-@st.composite
-def sparse_states(draw, dims=(st.integers(2, 12), st.integers(2, 8))):
-    space = small_space(draw(dims[0]), draw(dims[1]))
-    amp = np.zeros(space.dim, dtype=complex)
-    for i, value in draw(st.dictionaries(st.integers(0, space.dim - 1),
-                                         amplitude_values, max_size=12)).items():
-        amp[i] = value
-    return space, amp
-
-
-def one_sector_state(dr, da, k, first=1.0):
-    """Sector K = k alone populated: `first` in its first state, the
-    smallest subnormal in the others."""
-    space = small_space(dr, da)
-    amp = np.zeros(space.dim, dtype=complex)
-    indices = block_decompose(space).by_k(k).indices
-    amp[indices] = 5e-324
-    amp[indices[0]] = first
-    return space, amp
-
-
-def normalized(space, amp):
-    norm = np.linalg.norm(amp)
-    assume(norm > 0)
-    return StateVector(amp / norm, space)
-
-
-def every_sector_state(dr, da):
-    space = small_space(dr, da)
-    return space, random_state(space).amplitudes
-
-
-@given(sparse_states())
-@example((small_space(2, 2), np.zeros(4, dtype=complex)))
-@example(one_sector_state(6, 4, 5, first=5e-324))
-@example(one_sector_state(12, 8, 0))
-@example(every_sector_state(12, 8))
-@example(every_sector_state(2, 5))
-@settings(max_examples=100, deadline=None)
-def test_populated_blocks_match_the_per_block_scan(state):
-    space, amp = state
-    found = dynamics._populated_blocks(amp, space)
-    expected = scanned_blocks(amp, space)
-    assert [b.k for b in found] == [b.k for b in expected]
-    assert all(f is e for f, e in zip(found, expected))
+# the K index: the sector of each K
 
 
 @given(st.integers(2, 10), st.integers(2, 8))
@@ -201,11 +140,9 @@ def test_populated_blocks_match_the_per_block_scan(state):
 def test_k_index_matches_the_blocks(dr, da):
     space = small_space(dr, da)
     decomp = block_decompose(space)
-    assert np.array_equal(decomp.k_of, space.k_values())
     for b in decomp.blocks:
         assert decomp.by_k(b.k) is b
         assert decomp.by_k(np.int64(b.k)) is b
-        assert np.all(decomp.k_of[b.indices] == b.k)
 
 
 def test_by_k_refuses_a_missing_k():
@@ -216,72 +153,30 @@ def test_by_k_refuses_a_missing_k():
             decomp.by_k(k)
 
 
-def march_scanned(amp, space, xi, deltas, dts, gammas=None):
-    """`amp` marched on the sectors the per-block scan finds: the
-    composition that apply_piecewise and propagate must reproduce."""
-    amp = amp.copy()
-    blocks = scanned_blocks(amp, space)
-    evolved = dynamics._march(blocks, xi, deltas, dts,
-                              [amp[b.indices] for b in blocks], gammas)
-    for b, sub in zip(blocks, evolved):
-        amp[b.indices] = sub
-    return amp
-
-
-@given(sparse_states((st.integers(4, 8), st.integers(3, 4))))
-@example(one_sector_state(6, 4, 5))
-@example(every_sector_state(6, 3))
-@settings(max_examples=15, deadline=None)
-def test_applying_steps_composes_the_scanned_sectors(state):
-    space, amp = state
-    psi = normalized(space, amp)
-    amp = psi.amplitudes
-    # the first 40 us of a ramp, about 40 graded steps; samples at 20, 50 us
-    sched = rc_ramp(PARKING, -PARKING, 100e-6)
-    deltas, dts, gammas = piecewise_deltas(sched, 0.0, 40e-6, 1e-6)
-    for twists in (gammas, None):
-        out = apply_piecewise(psi, XI, deltas, dts, twists)
-        assert np.array_equal(out.amplitudes,
-                              march_scanned(amp, space, XI, deltas, dts, twists))
-
-    # propagate marches each interval between samples on the same sectors
-    times = [0.0, 20e-6, 50e-6]
-    ham = RotatingFrameHamiltonian(XI, PARKING, space)
-    traj = propagate(psi, ham, schedule=sched, step=1e-6, sample_times=times,
-                     t_final=times[-1], strict_leak=False)
-    const = propagate(psi, ham, times[-1], sample_times=times, strict_leak=False)
-    ramped, flat = amp, amp
-    for i, (t0, t1) in enumerate(zip(times, times[1:])):
-        ramped = march_scanned(ramped, space, XI,
-                               *piecewise_deltas(sched, t0, t1, 1e-6))
-        flat = march_scanned(flat, space, XI, [PARKING], [t1 - t0])
-        assert np.array_equal(traj.amplitudes[i + 1], ramped)
-        assert np.array_equal(const.amplitudes[i + 1], flat)
-
-
 # ---------------------------------------------------------------------------
 # constant-detuning propagation
 
 
 def test_resonant_two_phonon_rabi():
     space = small_space()
-    ham = RotatingFrameHamiltonian(XI, 0.0, space)
-    psi = product_state(space, 2, 0)
+    psi = StateVector(np.eye(space.dim)[space.index(2, 0)], space)
     times = np.linspace(0, 5 * math.pi / (math.sqrt(2) * XI), 161)
-    traj = propagate(psi, ham, times[-1], sample_times=times,
-                     tracked=((2, 0), (0, 1)))
+    states = [psi]
+    for dt in np.diff(times):
+        states.append(march_state(states[-1], XI, [0.0], [dt]))
+    pops = np.abs([[s.amplitudes[space.index(2, 0)], s.amplitudes[space.index(0, 1)]]
+                   for s in states]) ** 2
     analytic = np.sin(math.sqrt(2) * XI * times) ** 2
-    assert np.abs(traj.populations[:, 1] - analytic).max() < 1e-6
-    assert np.abs(traj.populations[:, 0] - (1 - analytic)).max() < 1e-6
+    assert np.abs(pops[:, 1] - analytic).max() < 1e-6
+    assert np.abs(pops[:, 0] - (1 - analytic)).max() < 1e-6
 
 
 def test_full_transfer_time():
     space = small_space()
-    ham = RotatingFrameHamiltonian(XI, 0.0, space)
-    psi = product_state(space, 2, 0)
+    psi = StateVector(np.eye(space.dim)[space.index(2, 0)], space)
     t_swap = math.pi / (2 * math.sqrt(2) * XI)
-    traj = propagate(psi, ham, t_swap, sample_times=[t_swap], tracked=((0, 1),))
-    assert traj.populations[-1, 0] == pytest.approx(1.0, abs=1e-10)
+    final = march_state(psi, XI, [0.0], [t_swap])
+    assert abs(final.amplitudes[space.index(0, 1)]) ** 2 == pytest.approx(1.0, abs=1e-10)
 
 
 def test_detuned_transfer_suppression():
@@ -289,14 +184,13 @@ def test_detuned_transfer_suppression():
     # i.e. (2 sqrt2 xi)^2 / ((2 sqrt2 xi)^2 + delta^2), reached at t = pi/2Omega
     space = small_space()
     delta = PARKING
-    ham = RotatingFrameHamiltonian(XI, delta, space)
-    psi = product_state(space, 2, 0)
+    psi = StateVector(np.eye(space.dim)[space.index(2, 0)], space)
     g = math.sqrt(2) * XI
     omega = math.sqrt(g**2 + (delta / 2) ** 2)
     t_peak = math.pi / (2 * omega)
-    traj = propagate(psi, ham, t_peak, sample_times=[t_peak], tracked=((0, 1),))
+    final = march_state(psi, XI, [delta], [t_peak])
     expect = (2 * math.sqrt(2) * XI) ** 2 / ((2 * math.sqrt(2) * XI) ** 2 + delta**2)
-    assert traj.populations[-1, 0] == pytest.approx(expect, rel=1e-10)
+    assert abs(final.amplitudes[space.index(0, 1)]) ** 2 == pytest.approx(expect, rel=1e-10)
     assert expect < 0.008  # effectively decoupled at the parking detuning
 
 
@@ -304,12 +198,12 @@ def test_detuned_transfer_suppression():
 @settings(max_examples=25, deadline=None)
 def test_weight_conserved_and_unitary_for_random_states(seed):
     space = small_space(6, 4)
-    ham = RotatingFrameHamiltonian(XI, 0.5 * XI, space)
-    psi = random_state(space, seed)
-    traj = propagate(psi, ham, 2e-3, sample_times=np.linspace(0, 2e-3, 7),
-                     strict_leak=False)
-    assert np.abs(traj.norms - 1.0).max() < 1e-9
-    assert np.ptp(traj.k_expect) < 1e-9
+    states = [random_state(space, seed)]
+    for dt in np.diff(np.linspace(0, 2e-3, 7)):
+        states.append(march_state(states[-1], XI, [0.5 * XI], [dt]))
+    pops = np.abs([s.amplitudes for s in states]) ** 2
+    assert np.abs(np.sqrt(pops.sum(axis=1)) - 1.0).max() < 1e-9
+    assert np.ptp(pops @ space.k_values()) < 1e-9
 
 
 def test_block_propagation_equals_dense_exponential():
@@ -319,8 +213,7 @@ def test_block_propagation_equals_dense_exponential():
     for seed in range(5):
         psi = random_state(space, seed)
         dense = scipy.linalg.expm(-1j * ham.matrix.matrix * t) @ psi.amplitudes
-        traj = propagate(psi, ham, t, sample_times=[t], strict_leak=False)
-        fid = abs(np.vdot(dense, traj.amplitudes[-1])) ** 2
+        fid = abs(np.vdot(dense, march_state(psi, XI, [0.4 * XI], [t]).amplitudes)) ** 2
         assert abs(1 - fid) < 1e-10
 
 
@@ -362,29 +255,6 @@ def test_rc_ramp_direction_tags():
     assert rc_ramp(5.0, -5.0, 1e-3).direction == "down"
 
 
-def test_propagate_sample_time_validation():
-    space = small_space()
-    ham = RotatingFrameHamiltonian(XI, 0.0, space)
-    psi = product_state(space, 1, 0)
-    with pytest.raises(ValueError):
-        propagate(psi, ham, 1e-3, sample_times=[2e-3])  # beyond t_final
-    with pytest.raises(ValueError):
-        propagate(psi, ham, 1e-3, sample_times=[5e-4, 1e-4])  # not ascending
-    with pytest.raises(ValueError):
-        propagate(psi, ham, None)  # t_final required without a schedule
-
-
-def test_trajectory_states_accessor():
-    space = small_space()
-    ham = RotatingFrameHamiltonian(XI, 0.0, space)
-    psi = product_state(space, 2, 0)
-    traj = propagate(psi, ham, 1e-4, sample_times=[0.0, 1e-4])
-    states = traj.states()
-    assert len(states) == 2
-    assert states[0].fidelity(psi) == pytest.approx(1.0, abs=1e-12)
-    assert traj.final.fidelity(states[-1]) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_ramp_time_scales_against_coupling():
     # adiabatic: 2 ms > 2 pi / xi ~ 0.95 ms; diabatic: 20 us << 0.95 ms
     t_coupling = TWO_PI / XI
@@ -395,11 +265,7 @@ def test_ramp_time_scales_against_coupling():
 
 def test_step_policy_violation_raises():
     space = small_space()
-    ham = RotatingFrameHamiltonian(XI, 0.0, space)
     sched = rc_ramp(PARKING, 0.0, 20e-6)
-    psi = product_state(space, 2, 0)
-    with pytest.raises(StepPolicyError):
-        propagate(psi, ham, schedule=sched, step=1e-5)
     with pytest.raises(StepPolicyError):
         sweep_unitaries(space, XI, sched, step=1e-5)
 
@@ -415,13 +281,10 @@ def test_default_step_respects_both_bounds():
 def test_step_must_be_finite_and_positive(step):
     space = small_space()
     sched = rc_ramp(PARKING, -PARKING, 2e-3)
-    ham = RotatingFrameHamiltonian(XI, PARKING, space)
     with pytest.raises(StepPolicyError):
         piecewise_deltas(sched, 0.0, sched.duration, step)
     with pytest.raises(StepPolicyError):
         sweep_unitaries(space, XI, sched, step=step)
-    with pytest.raises(StepPolicyError):
-        propagate(product_state(space, 2, 0), ham, schedule=sched, step=step)
 
 
 def gauss_points(schedule, mids, dts):
@@ -614,12 +477,13 @@ def test_step_halving_convergence():
     space = TwoModeSpace(FockDim(16), FockDim(8))
     sched = rc_ramp(PARKING, -PARKING, 2e-3)
     step = default_step(XI, sched)
-    psi = embed_radial(coherent_state(space.radial, 1.2), space)
+    psi = StateVector(np.kron(coherent_state(space.radial, 1.2).amplitudes,
+                              np.eye(space.axial.dim)[0]), space)
     finals = []
     for s in (step, step / 2):
-        finals.append(apply_piecewise(
+        finals.append(march_state(
             psi, XI, *piecewise_deltas(sched, 0.0, sched.duration, s)))
-    assert abs(1 - finals[0].fidelity(finals[1])) < 1e-8
+    assert abs(1 - abs(np.vdot(finals[0].amplitudes, finals[1].amplitudes)) ** 2) < 1e-8
 
 
 def test_magnus_step_is_fourth_order():
@@ -628,10 +492,11 @@ def test_magnus_step_is_fourth_order():
     space = TwoModeSpace(FockDim(16), FockDim(8))
     sched = rc_ramp(PARKING, -PARKING, 2e-3)
     step = default_step(XI, sched)
-    psi = embed_radial(coherent_state(space.radial, 1.2), space)
+    psi = StateVector(np.kron(coherent_state(space.radial, 1.2).amplitudes,
+                              np.eye(space.axial.dim)[0]), space)
 
     def final(s):
-        return apply_piecewise(
+        return march_state(
             psi, XI, *piecewise_deltas(sched, 0.0, sched.duration, s)).amplitudes
 
     fine = final(step / 8)
@@ -646,81 +511,41 @@ def test_time_reversal_returns_initial_state():
     step = default_step(XI, sched)
     deltas, dts, gammas = piecewise_deltas(sched, 0.0, sched.duration, step)
     assert np.abs(gammas).max() > 0
-    psi = embed_radial(coherent_state(space.radial, 1.0), space)
-    fwd = apply_piecewise(psi, XI, deltas, dts, gammas)
-    back = apply_piecewise(fwd, XI, deltas[::-1], -dts[::-1], gammas[::-1])
-    assert abs(1 - psi.fidelity(back)) < 1e-8
+    psi = StateVector(np.kron(coherent_state(space.radial, 1.0).amplitudes,
+                              np.eye(space.axial.dim)[0]), space)
+    fwd = march_state(psi, XI, deltas, dts, gammas)
+    back = march_state(fwd, XI, deltas[::-1], -dts[::-1], gammas[::-1])
+    assert abs(1 - abs(np.vdot(psi.amplitudes, back.amplitudes)) ** 2) < 1e-8
     # no steps leave the state as it is
-    assert np.array_equal(apply_piecewise(psi, XI, [], []).amplitudes,
+    assert np.array_equal(march_state(psi, XI, [], []).amplitudes,
                           psi.amplitudes)
 
 
 def test_ramped_trajectory_contracts():
     space = TwoModeSpace(FockDim(16), FockDim(8))
-    ham = RotatingFrameHamiltonian(XI, PARKING, space)
     sched = rc_ramp(PARKING, -PARKING, 2e-3)
-    psi = embed_radial(coherent_state(space.radial, 1.0), space)
-    traj = propagate(psi, ham, schedule=sched,
-                     sample_times=np.linspace(0, sched.duration, 21))
-    assert np.abs(traj.norms - 1.0).max() < 1e-9
-    assert np.ptp(traj.k_expect) < 1e-9
-    assert traj.max_leak < 1e-6
-
-
-def test_propagate_raises_on_guard_leak():
-    space = TwoModeSpace(FockDim(8), FockDim(5))
-    with pytest.warns(Warning):
-        hot = coherent_state(space.radial, 2.0)  # leaks into the guard band
-    psi = embed_radial(hot, space)
-    ham = RotatingFrameHamiltonian(XI, 0.0, space)
-    with pytest.raises(TruncationLeakError):
-        propagate(psi, ham, 1e-4, sample_times=[0.0, 1e-4])
-
-
-def test_trajectory_csv_schema(tmp_path):
-    space = small_space()
-    ham = RotatingFrameHamiltonian(XI, 0.0, space)
-    psi = product_state(space, 2, 0)
-    traj = propagate(psi, ham, 1e-3, sample_times=np.linspace(0, 1e-3, 5),
-                     tracked=((2, 0), (0, 1)))
-    path = tmp_path / "traj.csv"
-    traj.to_csv(path, comments=["ramp: none"])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# ramp: none"
-    assert lines[1] == "t_s,p_2_0,p_0_1,norm,K_expect"
-    assert len(lines) == 2 + 5
-    last = [float(x) for x in lines[-1].split(",")]
-    assert last[3] == pytest.approx(1.0, abs=1e-9)
-    assert last[4] == pytest.approx(2.0, abs=1e-9)
+    psi = StateVector(np.kron(coherent_state(space.radial, 1.0).amplitudes,
+                              np.eye(space.axial.dim)[0]), space)
+    step = default_step(XI, sched)
+    times = np.linspace(0, sched.duration, 21)
+    states = [psi]
+    for t0, t1 in zip(times, times[1:]):
+        states.append(march_state(states[-1], XI,
+                                  *piecewise_deltas(sched, t0, t1, step)))
+    pops = np.abs([s.amplitudes for s in states]) ** 2
+    assert np.abs(np.sqrt(pops.sum(axis=1)) - 1.0).max() < 1e-9
+    assert np.ptp(pops @ space.k_values()) < 1e-9
+    assert max(guard_leak(s.amplitudes, space) for s in states) < 1e-6
 
 
 def test_state_and_operator_buffers_are_read_only():
     space = small_space()
-    psi = product_state(space, 1, 0)
+    psi = StateVector(np.eye(space.dim)[space.index(1, 0)], space)
     with pytest.raises(ValueError):
         psi.amplitudes[0] = 1.0
     ham = RotatingFrameHamiltonian(XI, 0.0, space)
     with pytest.raises(ValueError):
         ham.matrix.matrix[0, 0] = 1.0
-
-
-def test_trajectory_contract_violation_detected():
-    space = small_space()
-    good = np.zeros((1, space.dim), dtype=complex)
-    good[0, 0] = 1.0
-    with pytest.raises(NumericalContractError):
-        from trilinear.dynamics import Trajectory
-
-        Trajectory(
-            times=np.array([0.0]),
-            amplitudes=good,
-            space=space,
-            tracked=(),
-            populations=np.empty((1, 0)),
-            k_expect=np.array([0.0]),
-            norms=np.array([1.0 + 1e-6]),
-            max_leak=0.0,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -798,13 +623,13 @@ def test_one_sector_unitary_agrees_with_the_covered_set():
 def test_sweep_matches_propagate():
     space = TwoModeSpace(FockDim(10), FockDim(6))
     sched = rc_ramp(PARKING, -PARKING, 2e-3)
-    ham = RotatingFrameHamiltonian(XI, PARKING, space)
-    psi = embed_radial(fock_state(space.radial, 2), space)
+    psi = StateVector(np.kron(fock_state(space.radial, 2).amplitudes,
+                              np.eye(space.axial.dim)[0]), space)
     sweep = sweep_unitaries(space, XI, sched)
     via_sweep = apply_sweep(sweep, psi)
-    via_prop = propagate(psi, ham, schedule=sched,
-                         sample_times=[sched.duration]).final
-    assert abs(1 - via_sweep.fidelity(via_prop)) < 1e-10
+    via_prop = march_state(psi, XI, *piecewise_deltas(
+        sched, 0.0, sched.duration, default_step(XI, sched)))
+    assert abs(1 - abs(np.vdot(via_sweep.amplitudes, via_prop.amplitudes)) ** 2) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -863,8 +688,8 @@ def test_kernel_matches_dense_expm_product(dr, da, d0, d1, tau, n_steps, seed,
     psi = random_state(space, seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "CHUNK_BYTES", budget)
-        out = apply_piecewise(psi, XI, deltas, dts,
-                              gammas if magnus else None).amplitudes
+        out = march_state(psi, XI, deltas, dts,
+                          gammas if magnus else None).amplitudes
 
     def hamiltonian(t):
         return RotatingFrameHamiltonian(XI, float(sched.delta_at(t)), space).matrix.matrix

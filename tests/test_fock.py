@@ -20,21 +20,15 @@ from trilinear import (
     TwoModeSpace,
     cat_state,
     coherent_state,
-    displacement_operator,
-    embed,
-    embed_radial,
     fock_state,
     fock_wigner_closed_form,
     mode_operator,
-    product_state,
     wigner_oracle,
 )
 from trilinear.fock import (
     _displacement_matrix,
-    axial_marginal,
     displaced_amplitudes,
     guard_leak,
-    radial_marginal,
 )
 
 from wigner_kernel import grid_wigner, pinned_grid_wigner
@@ -119,58 +113,18 @@ def test_index_map_is_a_bijection(dr, da):
     assert np.array_equal(space.k_values(), occ[:, 0] + 2 * occ[:, 1])
 
 
-def test_embed_identity_both_ways():
-    space = TwoModeSpace(FockDim(4), FockDim(3))
-    ident = Operator(np.eye(4, dtype=complex), tag="unitary")
-    assert np.array_equal(embed(ident, space, "radial").matrix, np.eye(12))
-    ident_a = Operator(np.eye(3, dtype=complex), tag="unitary")
-    assert np.array_equal(embed(ident_a, space, "axial").matrix, np.eye(12))
-
-
 def test_embedded_numbers_build_conserved_weight():
     space = TwoModeSpace(FockDim(5), FockDim(4))
-    n_r = embed(mode_operator(space.radial, "number"), space, "radial").matrix
-    n_a = embed(mode_operator(space.axial, "number"), space, "axial").matrix
+    n_r = np.kron(mode_operator(space.radial, "number").matrix, np.eye(space.axial.dim))
+    n_a = np.kron(np.eye(space.radial.dim), mode_operator(space.axial, "number").matrix)
     k_op = n_r + 2 * n_a
     assert np.allclose(np.diag(k_op).real, space.k_values())
     assert np.abs(k_op - np.diag(np.diag(k_op))).max() == 0.0
 
 
-def test_different_mode_embeddings_commute():
-    space = TwoModeSpace(FockDim(5), FockDim(4))
-    a = embed(mode_operator(space.radial, "annihilate"), space, "radial").matrix
-    c = embed(mode_operator(space.axial, "annihilate"), space, "axial").matrix
-    assert np.abs(a @ c - c @ a).max() == 0.0
-
-
-def test_embed_dimension_mismatch():
-    space = TwoModeSpace(FockDim(5), FockDim(4))
-    with pytest.raises(ValueError):
-        embed(mode_operator(FockDim(3), "number"), space, "radial")
-    with pytest.raises(ValueError):
-        embed(mode_operator(FockDim(5), "number"), space, "sideways")
-
-
-def test_embed_preserves_tags():
-    space = TwoModeSpace(FockDim(6), FockDim(12))
-    assert embed(mode_operator(space.radial, "parity"), space, "radial").tag == "hermitian"
-    assert embed(displacement_operator(0.3, space.axial), space, "axial").tag == "unitary"
-
-
 def test_operator_dag():
     a = mode_operator(FockDim(4), "annihilate")
     assert np.array_equal(a.dag().matrix, mode_operator(FockDim(4), "create").matrix)
-
-
-def test_state_overlap_and_fidelity():
-    d = FockDim(20)
-    a = coherent_state(d, 0.6)
-    b = coherent_state(d, 0.6)
-    assert a.fidelity(b) == pytest.approx(1.0, abs=1e-12)
-    c = fock_state(d, 3)
-    expect = abs(coherent_series(0.6, 3)) ** 2
-    assert a.fidelity(c) == pytest.approx(expect, abs=1e-10)
-    assert a.overlap(c) == pytest.approx(np.conj(coherent_series(0.6, 3)), abs=1e-10)
 
 
 def test_states_and_operators_keep_their_own_memory():
@@ -197,12 +151,12 @@ def test_states_and_operators_keep_their_own_memory():
 
 def test_displacement_of_zero_is_identity():
     d = FockDim(12)
-    assert np.abs(displacement_operator(0.0, d).matrix - np.eye(12)).max() < 1e-14
+    assert np.abs(_displacement_matrix(0.0, d) - np.eye(12)).max() < 1e-14
 
 
 def test_displacement_vacuum_column_matches_coherent_series():
     d = FockDim(40)
-    dm = displacement_operator(1.0, d).matrix
+    dm = _displacement_matrix(1.0, d)
     for n in range(6):
         assert dm[n, 0] == pytest.approx(coherent_series(1.0, n), abs=1e-10)
 
@@ -210,18 +164,19 @@ def test_displacement_vacuum_column_matches_coherent_series():
 @pytest.mark.parametrize("alpha", [0.5, 1.0 + 0.5j, 2.0, -1.3 + 1.2j])
 def test_displacement_inverse(alpha):
     d = FockDim(40)
-    fwd = displacement_operator(alpha, d).matrix
-    back = displacement_operator(-alpha, d).matrix
+    fwd = _displacement_matrix(alpha, d)
+    back = _displacement_matrix(-alpha, d)
     assert np.abs(back @ fwd - np.eye(d.dim)).max() < 1e-8
 
 
 def test_displacement_is_tagged_unitary():
-    assert displacement_operator(0.7j, FockDim(24)).tag == "unitary"
+    # the unitary tag is checked against UNITARY_TOL at construction
+    assert Operator(_displacement_matrix(0.7j, FockDim(24)), tag="unitary").tag == "unitary"
 
 
 def test_displacement_warns_on_truncation_leak():
     with pytest.warns(TruncationLeakWarning):
-        displacement_operator(3.5, FockDim(10))
+        wigner_oracle(fock_state(FockDim(10), 0), 3.5)
 
 
 @given(st.integers(2, 14), st.integers(0, 1000),
@@ -260,7 +215,7 @@ def test_coherent_mean_occupation(alpha):
     d = FockDim(40)
     state = coherent_state(d, alpha)
     n_op = np.arange(d.dim)
-    mean = float(np.sum(n_op * state.populations()))
+    mean = float(np.sum(n_op * np.abs(state.amplitudes) ** 2))
     assert mean == pytest.approx(abs(alpha) ** 2, abs=1e-8)
 
 
@@ -310,23 +265,6 @@ def test_overflowing_amplitude_rejected(build):
     # |alpha|^2 of 1e200 is past the largest float
     with pytest.raises(ValueError, match=r"amplitude \(1e\+200\+0j\)"):
         build(FockDim(8), 1e200)
-
-
-def test_product_state_and_marginals():
-    space = TwoModeSpace(FockDim(6), FockDim(5))
-    state = product_state(space, 2, 1)
-    assert state.amplitudes[space.index(2, 1)] == 1.0
-    assert radial_marginal(state)[2] == 1.0
-    assert axial_marginal(state)[1] == 1.0
-    with pytest.raises(ValueError):
-        product_state(space, 5, 0)  # radial guard band
-
-
-def test_embed_radial_places_axial_vacuum():
-    space = TwoModeSpace(FockDim(6), FockDim(4))
-    state = embed_radial(fock_state(space.radial, 3), space)
-    assert state.amplitudes[space.index(3, 0)] == 1.0
-    assert axial_marginal(state)[0] == 1.0
 
 
 def test_state_norm_validation():

@@ -18,8 +18,6 @@ from trilinear import (
     block_decompose,
     cat_state,
     coherent_state,
-    decoherence_envelope,
-    displacement_calibration,
     fock_state,
     fock_wigner_closed_form,
     measurement_channel,
@@ -248,24 +246,6 @@ def test_dark_counts_default_off_but_available():
     dark = MeasurementModel(eta=0.86, shots=100, seed=0, dark_bright_prob=0.02)
     assert measurement_channel(0.0, dark)[0] == pytest.approx(0.02)
     assert measurement_channel(1.0, dark)[0] == pytest.approx(0.86)
-
-
-# ---------------------------------------------------------------------------
-# calibration helpers
-
-
-def test_displacement_calibration_values():
-    assert displacement_calibration(0.0) == 0.0
-    assert displacement_calibration(50.0) == pytest.approx(0.866, abs=1e-3)
-    assert displacement_calibration(100.0) == pytest.approx(1.732, abs=1e-3)
-
-
-def test_envelope_values():
-    assert decoherence_envelope(0.0, 10.2e-3) == 1.0
-    assert decoherence_envelope(10.2e-3, 10.2e-3) == pytest.approx(1 / math.e)
-    assert decoherence_envelope(10e-3, 10.2e-3) == pytest.approx(0.3752, abs=1e-4)
-    with pytest.raises(ValueError):
-        decoherence_envelope(-1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from trilinear import FockDim, RotatingFrameHamiltonian, TwoModeSpace, cli
-from trilinear import product_state, propagate
+from trilinear import cli
 from trilinear.config import RunConfig
 from trilinear.report import format_column, write_csv
 
@@ -224,13 +223,3 @@ def test_converge_table_bytes(tmp_path, monkeypatch, capsys):
                   "oscillation:\n  hold_max_s: 1.0e-3\n")
     ref.write_rows(tmp_path / "ref.csv", ref.CONVERGE_HEADER, reports[0])
     assert data_bytes(out / "converge.csv") == data_bytes(tmp_path / "ref.csv")
-
-
-def test_trajectory_table_bytes(tmp_path):
-    space = TwoModeSpace(FockDim(8), FockDim(5))
-    traj = propagate(product_state(space, 2, 0), RotatingFrameHamiltonian(1e3, 0.0, space),
-                     1e-3, sample_times=np.linspace(0, 1e-3, 9),
-                     tracked=((2, 0), (0, 1), (4, 0)))
-    traj.to_csv(tmp_path / "new.csv")
-    ref.write_rows(tmp_path / "ref.csv", *ref.trajectory_table(traj))
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
