@@ -18,14 +18,12 @@ from .errors import (
 )
 from .fock import (
     FockDim,
-    Operator,
     StateVector,
     TwoModeSpace,
     cat_state,
     coherent_state,
     fock_state,
     fock_wigner_closed_form,
-    mode_operator,
     wigner_oracle,
 )
 from .trap import (

@@ -6,8 +6,8 @@ frame note). Identical configuration and seed reproduce the data rows
 byte for byte.
 
 Exit codes: 0 success, 2 configuration error (an unreadable config file
-or output directory included), 3 numerical-contract violation (step
-policy).
+or output directory included), 3 numerical-contract violation (the step
+policy, or a sweep that breaks its norm contract).
 """
 
 from __future__ import annotations

@@ -43,13 +43,16 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import StepPolicyError
-from .fock import Operator, TwoModeSpace, mode_operator
+from .errors import NumericalContractError, StepPolicyError
+from .fock import NORM_TOL, TwoModeSpace, _annihilation, _readonly
 
 # Memory for the propagation kernel's stacks: the step matrices of a batch of
 # steps, their eigenvalues and eigenvectors, and the march's stacks. The
 # kernel's shares divide it, and each share's batch length follows from its
-# part, so memory stays bounded whatever the ramp length.
+# part, so memory stays bounded whatever the ramp length. A batch holds at
+# least one step, so one step's eigenvector stack over every bin is a floor
+# above it on large spaces: 62 MiB at 256 x 128 and 152 MiB at 256 x 256,
+# the largest that config.MAX_LEVELS admits.
 CHUNK_BYTES = 12 << 20
 
 # eigh work, in s^3 per s x s matrix (about 7 ns each on one core of a
@@ -112,10 +115,6 @@ class BlockDecomposition:
             raise ValueError("sectors do not partition the basis")
         object.__setattr__(self, "_by_k", {b.k: b for b in self.blocks})
 
-    @property
-    def k_values(self) -> tuple[int, ...]:
-        return tuple(b.k for b in self.blocks)
-
     def by_k(self, k: int) -> SectorBlock:
         if k not in self._by_k:
             raise KeyError(f"no K = {k} sector in this space")
@@ -147,15 +146,16 @@ class RotatingFrameHamiltonian:
     space: TwoModeSpace
 
     @cached_property
-    def matrix(self) -> Operator:
-        """Dense full-space matrix; built on demand (tests and small spaces)."""
-        a = mode_operator(self.space.radial, "annihilate").matrix
-        c = mode_operator(self.space.axial, "annihilate").matrix
+    def matrix(self) -> np.ndarray:
+        """Dense full-space matrix, read-only; built on demand (tests and
+        small spaces)."""
+        a = _annihilation(self.space.radial.dim)
+        c = _annihilation(self.space.axial.dim)
         n_c = c.conj().T @ c
         up = np.kron(a.conj().T @ a.conj().T, c)
         m = self.delta * np.kron(np.eye(self.space.radial.dim), n_c)
         m = m + self.xi * (up + up.conj().T)
-        return Operator(m, tag="hermitian")
+        return _readonly(m)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +172,6 @@ class RampSchedule:
     delta_end: float
     tau_rc: float
     duration: float
-    direction: str = ""
 
     def __post_init__(self):
         for name in ("delta_start", "delta_end", "tau_rc", "duration"):
@@ -185,10 +184,6 @@ class RampSchedule:
                 f"duration {self.duration} shorter than 5 tau_rc = "
                 f"{5 * self.tau_rc}; the ramp would not settle below 1%"
             )
-        if not self.direction:
-            tag = "down" if self.delta_end < self.delta_start else (
-                "up" if self.delta_end > self.delta_start else "flat")
-            object.__setattr__(self, "direction", tag)
 
     def delta_at(self, t):
         return self.delta_end + (self.delta_start - self.delta_end) * np.exp(
@@ -266,13 +261,13 @@ def _split(costs, n: int) -> list[list[int]]:
     return [sorted(share) for share in shares]
 
 
-def _march(blocks, xi: float, deltas, dts, cols, gammas=None):
+def _march(blocks, xi: float, deltas, dts, cols, gammas):
     """Evolve, in lockstep, columns of several K sectors through the steps
     P_t^dag exp(-i dts[t] H_t) P_t, in order, with
     H_t = deltas[t] N + xi sqrt(1 + gammas[t]^2) C (N the n_c diagonal, C
     the coupling) and the twist P_t = diag(exp(i n_c atan gammas[t])):
-    the fourth-order Magnus step of `piecewise_deltas`. Without `gammas`
-    every twist is the identity and a step is exp(-i H(deltas[t]) dts[t]).
+    the fourth-order Magnus step of `piecewise_deltas`. With zero twists
+    a step is exp(-i H(deltas[t]) dts[t]).
 
     `cols[j]` ((s_j,) or (s_j, m_j)) holds the start columns of `blocks[j]`;
     the evolved columns come back in the same shapes. The sectors are
@@ -301,9 +296,11 @@ def _march(blocks, xi: float, deltas, dts, cols, gammas=None):
         return []
     deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
     dts = np.atleast_1d(np.asarray(dts, dtype=float))
-    gammas = (np.zeros(deltas.size) if gammas is None
-              else np.atleast_1d(np.asarray(gammas, dtype=float)))
-    xis = xi * np.sqrt(1 + gammas ** 2)
+    gammas = np.atleast_1d(np.asarray(gammas, dtype=float))
+    # twists too large to square leave infinite couplings, whose march
+    # breaks its norm (`sweep_unitaries` reports it)
+    with np.errstate(over="ignore"):
+        xis = xi * np.sqrt(1 + gammas ** 2)
     # the twist angles, and their changes from step to step
     thetas = np.arctan(gammas)
     turns = np.diff(thetas, prepend=0.0)
@@ -556,6 +553,10 @@ def sweep_unitaries(space: TwoModeSpace, xi: float, schedule: RampSchedule,
     sectors advance together through one lockstep kernel that evolves only
     the start eigenvectors the readout needs; the full unitaries are built
     on demand (`SweepResult.unitaries`).
+
+    A sweep whose arithmetic breaks down -- an eigendecomposition that does
+    not converge, or an evolved column whose norm is not 1 within NORM_TOL
+    (a NaN included) -- is a NumericalContractError.
     """
     if step is None:
         step = default_step(xi, schedule)
@@ -567,14 +568,23 @@ def sweep_unitaries(space: TwoModeSpace, xi: float, schedule: RampSchedule,
     deltas, dts, gammas = piecewise_deltas(schedule, 0.0, schedule.duration, step)
     ends = schedule.delta_at(np.array([0.0, schedule.duration]))
     endpoint_bases = {}
-    for b in blocks:
-        _, (v_first, v_last) = np.linalg.eigh(b.hamiltonians(xi, ends))
-        endpoint_bases[b.k] = (v_first, v_last)
     # column 0 is the lowest start eigenvector; below zero detuning the
     # label-0 state is the highest, marched as column 1
     starts = [0] if ends[0] > 0 else [0, -1]
-    evolved = _march(blocks, xi, deltas, dts,
-                     [endpoint_bases[b.k][0][:, starts] for b in blocks], gammas)
+    try:
+        for b in blocks:
+            _, (v_first, v_last) = np.linalg.eigh(b.hamiltonians(xi, ends))
+            endpoint_bases[b.k] = (v_first, v_last)
+        evolved = _march(blocks, xi, deltas, dts,
+                         [endpoint_bases[b.k][0][:, starts] for b in blocks], gammas)
+    except np.linalg.LinAlgError as e:
+        raise NumericalContractError(f"sweep eigendecomposition failed: {e}") from None
+    for b, f in zip(blocks, evolved):
+        err = float(np.abs(np.linalg.norm(f, axis=0) - 1).max())
+        if not err < NORM_TOL:
+            raise NumericalContractError(
+                f"swept column of K = {b.k} has norm off 1 by {err:.3g}, not "
+                f"below NORM_TOL = {NORM_TOL}")
     return SweepResult(
         space=space,
         xi=xi,

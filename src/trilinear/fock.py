@@ -20,8 +20,6 @@ import numpy as np
 
 from .errors import TruncationLeakWarning
 
-HERMITIAN_TOL = 1e-12
-UNITARY_TOL = 1e-9
 NORM_TOL = 1e-9
 GUARD_LEAK_THRESHOLD = 1e-6
 IMAG_RESIDUE_TOL = 1e-8
@@ -87,41 +85,6 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Operator:
-    """Dense operator over a FockDim or TwoModeSpace basis.
-
-    The tag is a verified claim: hermitian and unitary tags are checked at
-    construction against HERMITIAN_TOL and UNITARY_TOL.
-    """
-
-    matrix: np.ndarray
-    tag: str = "general"
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"operator matrix must be square, got {m.shape}")
-        object.__setattr__(self, "matrix", _readonly(m))
-        if self.tag == "hermitian":
-            err = np.abs(m - m.conj().T).max()
-            if err >= HERMITIAN_TOL:
-                raise ValueError(f"matrix tagged hermitian deviates by {err:.2e}")
-        elif self.tag == "unitary":
-            err = np.abs(m.conj().T @ m - np.eye(m.shape[0])).max()
-            if err >= UNITARY_TOL:
-                raise ValueError(f"matrix tagged unitary deviates by {err:.2e}")
-        elif self.tag != "general":
-            raise ValueError(f"unknown operator tag {self.tag!r}")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def dag(self) -> "Operator":
-        return Operator(self.matrix.conj().T, tag=self.tag)
-
-
-@dataclass(frozen=True)
 class StateVector:
     """Normalized pure state over a FockDim or TwoModeSpace basis."""
 
@@ -130,10 +93,10 @@ class StateVector:
 
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=complex).ravel()
-        if amp.size != _basis_dim(self.basis):
+        if amp.size != self.basis.dim:
             raise ValueError(
                 f"amplitude length {amp.size} does not match basis dim "
-                f"{_basis_dim(self.basis)}"
+                f"{self.basis.dim}"
             )
         nrm = np.linalg.norm(amp)
         if abs(nrm - 1.0) >= NORM_TOL:
@@ -147,10 +110,6 @@ class StateVector:
     def guard_leak(self) -> float:
         """Largest per-mode population inside the guard bands."""
         return guard_leak(self.amplitudes, self.basis)
-
-
-def _basis_dim(basis: FockDim | TwoModeSpace) -> int:
-    return basis.dim
 
 
 def guard_leak(amplitudes: np.ndarray, basis: FockDim | TwoModeSpace) -> float:
@@ -170,30 +129,15 @@ def guard_leak(amplitudes: np.ndarray, basis: FockDim | TwoModeSpace) -> float:
 # operators
 
 
-def mode_operator(dim: FockDim, kind: str) -> Operator:
-    """Ladder/number/parity operator on a single truncated mode.
-
-    kind: 'annihilate' (sqrt(n) on the (n-1, n) superdiagonal), 'create'
-    (its adjoint), 'number' (diag 0..dim-1) or 'parity' (diag (-1)^n).
-    """
-    d = dim.dim
-    n = np.arange(d)
-    if kind == "annihilate":
-        m = np.diag(np.sqrt(n[1:]).astype(complex), k=1)
-        return Operator(m, tag="general")
-    if kind == "create":
-        m = np.diag(np.sqrt(n[1:]).astype(complex), k=-1)
-        return Operator(m, tag="general")
-    if kind == "number":
-        return Operator(np.diag(n.astype(complex)), tag="hermitian")
-    if kind == "parity":
-        return Operator(np.diag(((-1.0) ** n).astype(complex)), tag="hermitian")
-    raise ValueError(f"unknown operator kind {kind!r}")
+def _annihilation(d: int) -> np.ndarray:
+    """The annihilation operator a on d levels: sqrt(n) on the (n-1, n)
+    superdiagonal."""
+    return np.diag(np.sqrt(np.arange(1, d)).astype(complex), k=1)
 
 
 def _displacement_matrix(alpha: complex, dim: FockDim) -> np.ndarray:
     """exp(alpha a^dag - alpha* a) by eigendecomposition of its Hermitian factor."""
-    a = mode_operator(dim, "annihilate").matrix
+    a = _annihilation(dim.dim)
     gen = alpha * a.conj().T - np.conj(alpha) * a
     herm = 1j * gen  # (i gen) is Hermitian since gen is anti-Hermitian
     evals, vecs = np.linalg.eigh(herm)
@@ -204,7 +148,7 @@ def _displacement_matrix(alpha: complex, dim: FockDim) -> np.ndarray:
 def _displacement_generator(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition (w, V) of the Hermitian i(a^dag - a) on d levels,
     so that D(r) = V exp(-i r w) V^dag for real r."""
-    a = mode_operator(FockDim(d), "annihilate").matrix
+    a = _annihilation(d)
     w, v = np.linalg.eigh(1j * (a.conj().T - a))
     return _readonly(w), _readonly(v)
 

@@ -69,16 +69,11 @@ MAX_SHOTS = (1 << 63) - 1
 @dataclass(frozen=True)
 class MeasurementModel:
     """Phonon-to-qubit mapping efficiency plus shot sampling parameters.
-
-    dark_bright_prob models false bright counts with no phonon present; it
-    stays 0 by default because the reference calibration folds every
-    imperfection into eta.
-    """
+    The reference calibration folds every readout imperfection into eta."""
 
     eta: float = 0.86
     shots: int = 500
     seed: int = 0
-    dark_bright_prob: float = 0.0
 
     def __post_init__(self):
         if not 0 < self.eta <= 1:
@@ -87,8 +82,6 @@ class MeasurementModel:
             raise ValueError(f"shots must lie in [1, MAX_SHOTS = {MAX_SHOTS}]")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        if not 0 <= self.dark_bright_prob < 1:
-            raise ValueError("dark_bright_prob must lie in [0, 1)")
 
     def rng(self, *stream: int) -> np.random.Generator:
         return np.random.default_rng([self.seed, *stream])
@@ -112,19 +105,19 @@ def measurement_channel(p_phonon, model: MeasurementModel,
     array of p_phonon values (a scalar is a 0-d array).
 
     Returns arrays (p1_exact, p1_sampled, stderr) of p_phonon's shape:
-    p1_exact = eta * p_phonon plus the dark-count term, p1_sampled a
-    Binomial(shots, p1_exact) / shots draw and stderr the binomial error
-    at the sampled estimate. The value at index idx draws from the
-    generator seeded with (seed, *stream, *idx) (`STREAMS`), so each value
-    is an independent work item. With `exact` nothing is drawn: p1_sampled
-    is p1_exact and stderr is 0.
+    p1_exact = eta * p_phonon, p1_sampled a Binomial(shots, p1_exact) /
+    shots draw and stderr the binomial error at the sampled estimate. The
+    value at index idx draws from the generator seeded with
+    (seed, *stream, *idx) (`STREAMS`), so each value is an independent work
+    item. With `exact` nothing is drawn: p1_sampled is p1_exact and stderr
+    is 0.
     """
     p = np.asarray(p_phonon, dtype=float)
     outside = ~((p >= 0.0) & (p <= 1.0 + 1e-12))
     if outside.any():
         raise ValueError(f"p_phonon = {p[outside].flat[0]} outside [0, 1]")
     p = np.minimum(p, 1.0)
-    p1 = model.eta * p + model.dark_bright_prob * (1.0 - p)
+    p1 = model.eta * p
     if exact:
         return p1, p1.copy(), np.zeros(p.shape)
     shots = model.shots
@@ -153,10 +146,6 @@ class ParityResult:
     def __post_init__(self):
         if abs(self.parity - parity_estimate(self.p1, self.eta)) > 1e-12:
             raise ValueError("parity inconsistent with 1 - 2 p1 / eta")
-
-
-def default_space(radial_dim: int = 40, axial_dim: int = 20) -> TwoModeSpace:
-    return TwoModeSpace(FockDim(radial_dim), FockDim(axial_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +381,8 @@ def _fit_tone(t, y, decay: bool):
 
 
 def oscillation_experiment(n_initial: int, hold_times, params: ModeParams,
-                           model: MeasurementModel,
+                           model: MeasurementModel, space: TwoModeSpace,
                            envelope_tau: float | None = None,
-                           space: TwoModeSpace | None = None,
                            parking: float = PARKING_DETUNING,
                            tau_fast: float = TAU_FAST,
                            step: float | None = None) -> OscillationResult:
@@ -409,7 +397,6 @@ def oscillation_experiment(n_initial: int, hold_times, params: ModeParams,
     """
     if n_initial not in (1, 2):
         raise ValueError("the conversion experiment starts with 1 or 2 phonons")
-    space = space or default_space()
     if n_initial > space.radial.top_physical:
         raise ValueError(
             f"fock occupation {n_initial} exceeds physical range "
@@ -599,7 +586,7 @@ class WignerScan:
     sweep_dts: np.ndarray | None = field(default=None, compare=False)
     # per point, the error of the exact W against the ideal displaced
     # parity (2/pi) <P> that the sweep's readout makes (`_SectorReadout.
-    # read`); dark counts, if modelled, come on top
+    # read`)
     readout_bias: np.ndarray | None = field(default=None, compare=False)
     # per point, the masks behind the 'leak' and 'diabatic' flags
     leak: np.ndarray | None = field(default=None, compare=False)

@@ -106,18 +106,14 @@ def out_of_phase_modes(trap: TrapConfig) -> tuple[float, float]:
     return omega_s, math.sqrt(arg)
 
 
-def coupling_strength(ion: IonSpecies, trap: TrapConfig,
-                      at_resonance: bool = True) -> float:
-    """Trilinear coupling xi = (1 / 8 z0) sqrt(hbar omega_s^3 / (m omega_r^2)).
-
-    By default omega_r is evaluated at the parametric resonance
-    omega_r = omega_s / 2, where the conversion dynamics take place; pass
-    at_resonance=False to use the bare rocking frequency instead.
+def coupling_strength(ion: IonSpecies, trap: TrapConfig) -> float:
+    """Trilinear coupling xi = (1 / 8 z0) sqrt(hbar omega_s^3 / (m omega_r^2)),
+    with omega_r at the parametric resonance omega_r = omega_s / 2, where
+    the conversion dynamics take place.
     """
     z0 = equilibrium_half_separation(ion, trap)
-    omega_s, omega_r = out_of_phase_modes(trap)
-    if at_resonance:
-        omega_r = omega_s / 2
+    omega_s, _ = out_of_phase_modes(trap)  # refuses omega_x <= omega_z
+    omega_r = omega_s / 2
     return math.sqrt(HBAR * omega_s**3 / (ion.mass * omega_r**2)) / (8 * z0)
 
 
@@ -126,14 +122,13 @@ def detuning(omega_s: float, omega_r: float) -> float:
     return omega_s - 2 * omega_r
 
 
-def mode_params(ion: IonSpecies = YB171, trap: TrapConfig = DEFAULT_TRAP,
-                at_resonance: bool = True) -> ModeParams:
+def mode_params(ion: IonSpecies = YB171, trap: TrapConfig = DEFAULT_TRAP) -> ModeParams:
     """Bundle every derived quantity for one ion/trap combination."""
     omega_s, omega_r = out_of_phase_modes(trap)
     return ModeParams(
         omega_s=omega_s,
         omega_r=omega_r,
         z0=equilibrium_half_separation(ion, trap),
-        xi=coupling_strength(ion, trap, at_resonance=at_resonance),
+        xi=coupling_strength(ion, trap),
         delta=detuning(omega_s, omega_r),
     )

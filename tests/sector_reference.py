@@ -51,6 +51,8 @@ def march_state(state, xi, deltas, dts, gammas=None):
     amp = state.amplitudes.copy()
     blocks = [b for b in block_decompose(state.basis).blocks
               if np.any(amp[b.indices])]
+    if gammas is None:
+        gammas = np.zeros(len(deltas))
     cols = _march(blocks, xi, deltas, dts, [amp[b.indices] for b in blocks],
                   gammas)
     for b, col in zip(blocks, cols):

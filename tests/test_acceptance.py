@@ -245,7 +245,7 @@ def test_criterion_8_property_suite(tmp_path):
         rng = np.random.default_rng(seed)
         amp = rng.normal(size=small.dim) + 1j * rng.normal(size=small.dim)
         psi_s = StateVector(amp / np.linalg.norm(amp), small)
-        dense = scipy.linalg.expm(-1j * ham_s.matrix.matrix * t) @ psi_s.amplitudes
+        dense = scipy.linalg.expm(-1j * ham_s.matrix * t) @ psi_s.amplitudes
         block = march_state(psi_s, PARAMS.xi, [0.4 * PARAMS.xi], [t]).amplitudes
         worst_block = max(worst_block, abs(1 - abs(np.vdot(dense, block)) ** 2))
     checks.append(("block/dense fidelity deviation", worst_block, 1e-10))

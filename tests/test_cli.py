@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -408,6 +409,27 @@ def test_step_count_bound_exit_code(tmp_path, capsys, command):
     assert code == 3
     assert "MAX_STEPS" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, parking", [
+    ("parity", "1.0e306"),  # the twists overflow when squared: NaN columns
+    ("wigner", "1.0e300"),  # the step matrices defeat eigh
+])
+def test_sweep_that_breaks_its_arithmetic_exit_code(tmp_path, capsys, command,
+                                                    parking):
+    # a finite detuning far past any trap, at a fixed step: the sweep's norm
+    # contract refuses it, and no overflow warning reaches stderr
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"simulation:\n  step_s: 1.0e-5\n  parking_hz: {parking}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, err = run([command, "--dims", "8x4", "--exact", "--config",
+                            str(cfg), "--out", str(tmp_path)], capsys)
+    assert code == 3
+    assert err.startswith("numerical-contract violation: ")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("command, source", [

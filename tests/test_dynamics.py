@@ -35,7 +35,7 @@ from trilinear import (
 )
 from trilinear import dynamics
 from trilinear.dynamics import piecewise_deltas
-from trilinear.errors import StepPolicyError
+from trilinear.errors import NumericalContractError, StepPolicyError
 from trilinear.fock import guard_leak
 from trilinear.trap import mode_params
 
@@ -63,7 +63,7 @@ def random_state(space, seed=0):
 
 def test_zero_coupling_hamiltonian_is_diagonal():
     space = small_space()
-    h = RotatingFrameHamiltonian(0.0, 3.0, space).matrix.matrix
+    h = RotatingFrameHamiltonian(0.0, 3.0, space).matrix
     occ = space.occupations()
     assert np.allclose(h, np.diag(3.0 * occ[:, 1]), atol=1e-15)
     assert np.allclose(np.linalg.eigvalsh(h), np.sort(3.0 * occ[:, 1]))
@@ -79,7 +79,8 @@ def test_two_phonon_sector_matrix_element():
 
 def test_block_matches_dense_submatrix():
     space = small_space()
-    h = RotatingFrameHamiltonian(1.3, -0.7, space).matrix.matrix
+    h = RotatingFrameHamiltonian(1.3, -0.7, space).matrix
+    assert np.abs(h - h.conj().T).max() < 1e-12
     for block in block_decompose(space).blocks:
         sub = h[np.ix_(block.indices, block.indices)]
         assert np.allclose(sub, block.hamiltonians(1.3, [-0.7])[0], atol=1e-14)
@@ -87,7 +88,7 @@ def test_block_matches_dense_submatrix():
 
 def test_hamiltonian_commutes_with_weight_exactly():
     space = small_space()
-    h = RotatingFrameHamiltonian(2.0, 1.0, space).matrix.matrix
+    h = RotatingFrameHamiltonian(2.0, 1.0, space).matrix
     k = np.diag(space.k_values().astype(float))
     assert np.abs(h @ k - k @ h).max() == 0.0
 
@@ -119,8 +120,9 @@ def test_sector_count_matches_enumeration(dr, da):
     space = TwoModeSpace(FockDim(dr), FockDim(da))
     decomp = block_decompose(space)
     brute = sorted({int(k) for k in space.k_values()})
-    assert list(decomp.k_values) == brute
-    assert len(decomp.k_values) == dr + 2 * (da - 1)
+    ks = [b.k for b in decomp.blocks]
+    assert ks == brute
+    assert len(ks) == dr + 2 * (da - 1)
 
 
 @given(st.integers(2, 10), st.integers(2, 8))
@@ -147,7 +149,7 @@ def test_k_index_matches_the_blocks(dr, da):
 
 def test_by_k_refuses_a_missing_k():
     decomp = block_decompose(small_space(4, 3))
-    top = max(decomp.k_values)
+    top = max(b.k for b in decomp.blocks)
     for k in (-1, top + 1, 100):
         with pytest.raises(KeyError, match=f"no K = {k} sector"):
             decomp.by_k(k)
@@ -212,7 +214,7 @@ def test_block_propagation_equals_dense_exponential():
     t = 2.5 / XI
     for seed in range(5):
         psi = random_state(space, seed)
-        dense = scipy.linalg.expm(-1j * ham.matrix.matrix * t) @ psi.amplitudes
+        dense = scipy.linalg.expm(-1j * ham.matrix * t) @ psi.amplitudes
         fid = abs(np.vdot(dense, march_state(psi, XI, [0.4 * XI], [t]).amplitudes)) ** 2
         assert abs(1 - fid) < 1e-10
 
@@ -226,7 +228,6 @@ def test_rc_ramp_profile_points():
     assert ramp.delta_at(0.0) == pytest.approx(10.0)
     assert ramp.delta_at(1e-3) == pytest.approx(2.0 + 8.0 / math.e)
     assert ramp.delta_at(50e-3) == pytest.approx(2.0)
-    assert ramp.direction == "down"
 
 
 def test_rc_ramp_duration_floor():
@@ -249,12 +250,6 @@ def test_ramp_rejects_non_finite_values(values):
         RampSchedule(*values) if len(values) == 4 else rc_ramp(*values)
 
 
-def test_rc_ramp_direction_tags():
-    assert rc_ramp(0.0, 5.0, 1e-3).direction == "up"
-    assert rc_ramp(5.0, 5.0, 1e-3).direction == "flat"
-    assert rc_ramp(5.0, -5.0, 1e-3).direction == "down"
-
-
 def test_ramp_time_scales_against_coupling():
     # adiabatic: 2 ms > 2 pi / xi ~ 0.95 ms; diabatic: 20 us << 0.95 ms
     t_coupling = TWO_PI / XI
@@ -268,6 +263,14 @@ def test_step_policy_violation_raises():
     sched = rc_ramp(PARKING, 0.0, 20e-6)
     with pytest.raises(StepPolicyError):
         sweep_unitaries(space, XI, sched, step=1e-5)
+
+
+def test_sweep_that_breaks_its_norm_raises():
+    # at 1e306 Hz the twists overflow when squared and the marched column
+    # turns NaN, which fails the norm contract
+    sched = rc_ramp(TWO_PI * 1e306, 0.0, 2e-3)
+    with pytest.raises(NumericalContractError, match="norm"):
+        sweep_unitaries(small_space(), XI, sched, step=1e-5, sector_ks=[2])
 
 
 def test_default_step_respects_both_bounds():
@@ -438,7 +441,6 @@ def test_flat_ramp_gets_the_grid_of_its_tau():
     sloped = rc_ramp(PARKING, -PARKING, tau)
     step = default_step(XI, sloped)
     deltas, dts, gammas = piecewise_deltas(flat, 0.0, flat.duration, step)
-    assert flat.direction == "flat"
     assert np.array_equal(dts, piecewise_deltas(sloped, 0.0, tau * 5, step)[1])
     assert np.all(deltas == PARKING)
     assert np.all(gammas == 0.0)
@@ -545,7 +547,7 @@ def test_state_and_operator_buffers_are_read_only():
         psi.amplitudes[0] = 1.0
     ham = RotatingFrameHamiltonian(XI, 0.0, space)
     with pytest.raises(ValueError):
-        ham.matrix.matrix[0, 0] = 1.0
+        ham.matrix[0, 0] = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -588,8 +590,8 @@ def test_sweep_matches_an_independent_ode_integrator():
     # into its detuning and coupling parts; no sector decomposition
     space = TwoModeSpace(FockDim(4), FockDim(2))
     sched = rc_ramp(PARKING, -PARKING, 2e-3)
-    coupling = RotatingFrameHamiltonian(XI, 0.0, space).matrix.matrix
-    number = RotatingFrameHamiltonian(0.0, 1.0, space).matrix.matrix
+    coupling = RotatingFrameHamiltonian(XI, 0.0, space).matrix
+    number = RotatingFrameHamiltonian(0.0, 1.0, space).matrix
 
     def rhs(t, y):
         return -1j * (sched.delta_at(t) * (number @ y) + coupling @ y)
@@ -692,13 +694,13 @@ def test_kernel_matches_dense_expm_product(dr, da, d0, d1, tau, n_steps, seed,
                           gammas if magnus else None).amplitudes
 
     def hamiltonian(t):
-        return RotatingFrameHamiltonian(XI, float(sched.delta_at(t)), space).matrix.matrix
+        return RotatingFrameHamiltonian(XI, float(sched.delta_at(t)), space).matrix
 
     dense = psi.amplitudes
     starts = np.concatenate([[0.0], np.cumsum(dts)[:-1]])
     for t, delta, dt in zip(starts, deltas, dts):
         h = (magnus_hamiltonian(hamiltonian, t, dt) if magnus
-             else RotatingFrameHamiltonian(XI, delta, space).matrix.matrix)
+             else RotatingFrameHamiltonian(XI, delta, space).matrix)
         dense = scipy.linalg.expm(-1j * h * dt) @ dense
     assert np.abs(out - dense).max() < 1e-10
     k_vec = space.k_values()
@@ -734,7 +736,7 @@ def test_sweep_matches_per_step_reference(dr, da, d0, d1, tau, xi, budget):
 def test_lockstep_columns_match_per_step_reference(dr, da, data, sign, d0, d1,
                                                     tau, xi, budget):
     space = small_space(dr, da)
-    all_ks = block_decompose(space).k_values
+    all_ks = [b.k for b in block_decompose(space).blocks]
     ks = data.draw(st.lists(st.sampled_from(all_ks), min_size=1, unique=True))
     sched = rc_ramp(sign * d0, d1, tau)
     with pytest.MonkeyPatch.context() as mp:
@@ -899,14 +901,16 @@ def test_worker_error_reaches_the_caller(monkeypatch):
     def run():
         try:
             sweep_unitaries(space, XI, sched)
-        except np.linalg.LinAlgError as exc:
+        except NumericalContractError as exc:
             raised.append(exc)
 
     thread = threading.Thread(target=run, daemon=True)
     thread.start()
     thread.join(timeout=60)
     assert not thread.is_alive()
-    assert [str(exc) for exc in raised] == ["injected"]
+    # sweep_unitaries reports the worker's LinAlgError as a contract error
+    assert [str(exc) for exc in raised] == [
+        "sweep eigendecomposition failed: injected"]
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     # the workers are free again
     assert sweep_unitaries(space, XI, sched).evolved
@@ -942,7 +946,7 @@ def test_worker_error_stops_the_other_shares(monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", failing)
-    with pytest.raises(np.linalg.LinAlgError, match="injected"):
+    with pytest.raises(NumericalContractError, match="injected"):
         sweep_unitaries(space, XI, sched)
     n_sizes = len({b.size for b in block_decompose(space).blocks})
     assert len(after) <= 2 * n_sizes
@@ -975,7 +979,7 @@ def test_no_worker_thread_outlives_its_sweep(monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", failing)
-    with pytest.raises(np.linalg.LinAlgError, match="injected"):
+    with pytest.raises(NumericalContractError, match="injected"):
         sweep_unitaries(space, XI, sched)
     assert not eigh_threads()
 
@@ -988,14 +992,14 @@ def test_kernel_memory_stays_within_the_budget(monkeypatch):
     monkeypatch.setattr(dynamics, "_worker_count", lambda: 2)
     blocks = block_decompose(small_space(8, 4)).blocks
     cols = [np.eye(b.size) for b in blocks]
-    dynamics._march(blocks, XI, [PARKING], [1e-7], cols)  # warm up
+    dynamics._march(blocks, XI, [PARKING], [1e-7], cols, [0.0])  # warm up
     peaks = []
     for n_steps in (1000, 4000):
         deltas = np.linspace(PARKING, -PARKING, n_steps)
         dts = np.full(n_steps, 1e-7)
         tracemalloc.start()
         try:
-            dynamics._march(blocks, XI, deltas, dts, cols)
+            dynamics._march(blocks, XI, deltas, dts, cols, np.zeros(n_steps))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -94,7 +94,7 @@ def scalar_channel(p_phonon: float, model: MeasurementModel,
     if not 0.0 <= p_phonon <= 1.0 + 1e-12:
         raise ValueError(f"p_phonon = {p_phonon} outside [0, 1]")
     p = min(p_phonon, 1.0)
-    p1 = model.eta * p + model.dark_bright_prob * (1.0 - p)
+    p1 = model.eta * p
     p1_hat = model.rng(*stream).binomial(model.shots, p1) / model.shots
     return p1, p1_hat, math.sqrt(max(p1_hat * (1.0 - p1_hat), 0.0) / model.shots)
 
@@ -106,23 +106,21 @@ PROBABILITIES = st.floats(0.0, 1.0) | st.just(1.0 + 1e-13)
 @given(values=st.lists(PROBABILITIES, min_size=1, max_size=6),
        layout=st.sampled_from(["scalar", "flat", "pairs"]),
        eta=st.floats(0.01, 1.0),
-       dark=st.just(0.0) | st.floats(0.0, 0.99),
        shots=st.integers(1, 1000) | st.integers(1, protocols.MAX_SHOTS),
        seed=st.integers(0, 2 ** 64),
        stream=st.lists(st.integers(0, 2 ** 32), max_size=2))
-@example(values=[1.0 + 1e-13, 0.0, 1.0], layout="pairs", eta=0.86, dark=0.02,
+@example(values=[1.0 + 1e-13, 0.0, 1.0], layout="pairs", eta=0.86,
          shots=protocols.MAX_SHOTS, seed=0, stream=[3])
-@example(values=[0.37], layout="scalar", eta=0.86, dark=0.0, shots=500,
-         seed=42, stream=[5])
-def test_channel_matches_the_per_element_reference(values, layout, eta, dark,
-                                                   shots, seed, stream):
+@example(values=[0.37], layout="scalar", eta=0.86, shots=500, seed=42,
+         stream=[5])
+def test_channel_matches_the_per_element_reference(values, layout, eta, shots,
+                                                   seed, stream):
     # each value of the array draws what the scalar channel draws from the
     # stream (seed, *stream, *index), bit for bit; an exact call draws
     # nothing and returns p1_exact with no error
     p = {"scalar": values[0], "flat": np.array(values),
          "pairs": np.array(values + values).reshape(-1, 2)}[layout]
-    model = MeasurementModel(eta=eta, shots=shots, seed=seed,
-                             dark_bright_prob=dark)
+    model = MeasurementModel(eta=eta, shots=shots, seed=seed)
     got = measurement_channel(p, model, stream=tuple(stream))
     assert all(np.shape(g) == np.shape(p) for g in got)
     for idx in np.ndindex(np.shape(p)):
@@ -223,8 +221,6 @@ def test_model_validation():
         MeasurementModel(eta=0.0)
     with pytest.raises(ValueError):
         MeasurementModel(shots=0)
-    with pytest.raises(ValueError):
-        MeasurementModel(dark_bright_prob=1.0)
     with pytest.raises(ValueError, match="seed"):
         MeasurementModel(seed=-5)
 
@@ -238,14 +234,6 @@ def test_shots_past_the_binomial_limit_rejected():
     model = MeasurementModel(shots=2 ** 63 - 1, seed=1)
     p1, p1_hat, _ = measurement_channel(0.3, model)
     assert abs(p1_hat - p1) < 1e-6
-
-
-def test_dark_counts_default_off_but_available():
-    model = MeasurementModel(eta=0.86, shots=100, seed=0)
-    assert measurement_channel(0.0, model)[0] == 0.0
-    dark = MeasurementModel(eta=0.86, shots=100, seed=0, dark_bright_prob=0.02)
-    assert measurement_channel(0.0, dark)[0] == pytest.approx(0.02)
-    assert measurement_channel(1.0, dark)[0] == pytest.approx(0.86)
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +319,12 @@ def test_tone_fit_matches_curve_fit(n, position, duration, phase, offset, amp,
 
 
 @pytest.mark.parametrize("hold_max, holds", [(4e-3, 8001), (2e-3, 81)])
-def test_tone_fit_of_the_conversion_matches_curve_fit(hold_max, holds):
+def test_tone_fit_of_the_conversion_matches_curve_fit(space, hold_max, holds):
     # the oscillate-holds record and the default oscillate run: both fits
     # find 2 sqrt(2) xi to rounding
     t = np.linspace(0, hold_max, holds)
-    res = oscillation_experiment(2, t, PARAMS, MeasurementModel(seed=0))
+    res = oscillation_experiment(2, t, PARAMS, MeasurementModel(seed=0),
+                                 space=space)
     omega, err, ok, rss = protocols._fit_tone(t, res.p_axial, decay=False)
     ref_omega, _, _, ref_rss = reference_fit_tone(t, res.p_axial, decay=False)
     assert ok and res.fit_frequency == omega
@@ -346,10 +335,11 @@ def test_tone_fit_of_the_conversion_matches_curve_fit(hold_max, holds):
     assert err < 1e-9 * omega
 
 
-def test_tone_fit_of_a_sub_period_record():
+def test_tone_fit_of_a_sub_period_record(space):
     # 33 holds over 0.3 ms, less than one 0.34 ms conversion period
     t = np.linspace(0, 3e-4, 33)
-    res = oscillation_experiment(2, t, PARAMS, MeasurementModel(seed=0))
+    res = oscillation_experiment(2, t, PARAMS, MeasurementModel(seed=0),
+                                 space=space)
     assert res.fit_ok
     assert res.fit_frequency == pytest.approx(PARAMS.conversion_rate, rel=1e-6)
 

@@ -156,13 +156,6 @@ def test_xi_mass_and_charge_power_laws():
     assert ratio == pytest.approx(2 ** (-2 / 3), rel=1e-12)
 
 
-def test_bare_frequency_option():
-    omega_s, omega_r = out_of_phase_modes(DEFAULT_TRAP)
-    xi_res = coupling_strength(YB171, DEFAULT_TRAP, at_resonance=True)
-    xi_bare = coupling_strength(YB171, DEFAULT_TRAP, at_resonance=False)
-    assert xi_bare == pytest.approx(xi_res * (omega_s / 2) / omega_r, rel=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # detuning and the bundled parameters
 
