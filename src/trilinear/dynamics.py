@@ -17,9 +17,11 @@ H commutes exactly with K = a^dag a + 2 c^dag c, so evolution is computed
 per K sector: dense full-space cost O(D^3) becomes a sum of small cubes.
 
 Time-dependent detuning ramps are propagated step by step with the
-fourth-order Magnus exponent of two Gauss points (Blanes et al., Phys. Rep.
-470, 151 (2009)). H(t) is linear in delta(t), so that exponent is a real
-symmetric sector matrix conjugated by a diagonal phase (`piecewise_deltas`),
+sixth-order Magnus exponent of three Gauss points (Blanes, Casas & Ros, BIT
+40, 434 (2000); Blanes et al., Phys. Rep. 470, 151 (2009)). H(t) is linear in
+delta(t), and n_c rises by one along each sector, so the commutators of the
+exponent close on tridiagonal matrices: the exponent is a real symmetric
+tridiagonal sector matrix conjugated by a diagonal phase (`piecewise_deltas`),
 and each step is the exact exponential of it, computed from one
 eigendecomposition of the real matrix. Every step is exactly unitary;
 accuracy is certified by the step-halving convergence contract rather than
@@ -65,9 +67,9 @@ SHARE_WORK = 1 << 20
 # finest one, which keeps its phase evolution resolved
 GRID_FLOOR = 0.2
 
-# most steps of one grid (`piecewise_deltas`), 96 MiB for its three arrays:
-# a step so fine that it needs more is refused before the grid is laid (the
-# reference sweep lays 1712)
+# most steps of one grid (`piecewise_deltas`), 224 MiB for its durations and
+# six Magnus coefficients: a step so fine that it needs more is refused before
+# the grid is laid (the reference sweep lays 1712)
 MAX_STEPS = 1 << 22
 
 
@@ -94,8 +96,9 @@ class SectorBlock:
         """Stack (len(deltas), s, s) of the sector matrix at each detuning."""
         deltas = np.asarray(deltas, dtype=float)
         return _step_matrices(np.empty(deltas.size * self.size ** 2),
-                              self.coupling_offdiag[None], self.n_c_diag[None],
-                              np.full(deltas.size, xi), deltas)[0]
+                              self.n_c_diag[None], np.zeros((1, self.size)),
+                              (xi * self.coupling_offdiag)[None, None],
+                              deltas, np.zeros(deltas.size))[0]
 
 
 @dataclass(frozen=True)
@@ -200,10 +203,10 @@ def rc_ramp(delta_start: float, delta_end: float, tau_rc: float) -> RampSchedule
 def default_step(xi: float, schedule: RampSchedule) -> float:
     """Conservative finest step of the graded grid (`piecewise_deltas`), taken
     where the ramp is steepest: it resolves both the ramp (tau_rc / 50) and
-    the fastest relevant phase evolution, 12.5 fourth-order Magnus steps per
+    the fastest relevant phase evolution, 12.5 sixth-order Magnus steps per
     period of max(|delta endpoints|, 2 sqrt(2) xi). On the reference sweep
     the graded grid then lays 1712 steps of 2.29 to 11.4 us, and halving
-    the step changes W by 1.1e-8.
+    the step changes W by 1.2e-9.
     """
     omega_ref = max(abs(schedule.delta_start), abs(schedule.delta_end),
                     2 * math.sqrt(2) * abs(xi))
@@ -226,18 +229,20 @@ def _check_step(step: float, schedule: RampSchedule | None = None) -> None:
 # propagation
 
 
-def _step_matrices(buffer: np.ndarray, offdiag: np.ndarray, n_c: np.ndarray,
-                   xis: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """Stack (g, len(deltas), s, s) of the matrices deltas[t] N + xis[t] C
-    of g sectors of equal size s, a view of the front of the flat `buffer`.
-    The sector matrices are tridiagonal, so after zeroing that view only
-    their two diagonals are written: the n_c diagonals N (g, s) and the
-    coupling off-diagonals (g, s - 1) of C."""
-    (g, s), c = n_c.shape, deltas.size
+def _step_matrices(buffer: np.ndarray, n_c: np.ndarray, d: np.ndarray,
+                   couplings: np.ndarray, a_n: np.ndarray,
+                   a_d: np.ndarray) -> np.ndarray:
+    """Stack (g, len(a_n), s, s) of real symmetric tridiagonal matrices of g
+    sectors of equal size s, a view of the front of the flat `buffer`:
+    matrix t of sector k has the diagonal a_n[t] n_c[k] + a_d[t] d[k] and
+    the off-diagonal couplings[k, t] (broadcast to (g, len(a_n), s - 1)).
+    After zeroing that view only the two diagonals are written."""
+    (g, s), c = n_c.shape, a_n.size
     flat = buffer[:g * c * s * s].reshape(g, c, s * s)
     flat.fill(0.0)
-    flat[..., ::s + 1] += n_c[:, None, :] * deltas[None, :, None]
-    flat[..., 1::s + 1] = flat[..., s::s + 1] = offdiag[:, None, :] * xis[None, :, None]
+    flat[..., ::s + 1] = (n_c[:, None, :] * a_n[None, :, None]
+                          + d[:, None, :] * a_d[None, :, None])
+    flat[..., 1::s + 1] = flat[..., s::s + 1] = couplings
     return flat.reshape(g, c, s, s)
 
 
@@ -261,22 +266,28 @@ def _split(costs, n: int) -> list[list[int]]:
     return [sorted(share) for share in shares]
 
 
-def _march(blocks, xi: float, deltas, dts, cols, gammas):
-    """Evolve, in lockstep, columns of several K sectors through the steps
-    P_t^dag exp(-i dts[t] H_t) P_t, in order, with
-    H_t = deltas[t] N + xi sqrt(1 + gammas[t]^2) C (N the n_c diagonal, C
-    the coupling) and the twist P_t = diag(exp(i n_c atan gammas[t])):
-    the fourth-order Magnus step of `piecewise_deltas`. With zero twists
-    a step is exp(-i H(deltas[t]) dts[t]).
+def _march(blocks, xi: float, coefs, cols):
+    """Evolve, in lockstep, columns of several K sectors through the
+    sixth-order Magnus steps exp(-i Q_t^dag T_t Q_t), in order, whose
+    coefficients `piecewise_deltas` lays: row t of `coefs` holds
+    (a_N, a_D, s_0, s_1, r_0, r_1) of step t. On a sector with n_c diagonal
+    N, coupling off-diagonal c_i and D = diag(c_i^2 - c_{i-1}^2), T_t is the
+    real symmetric tridiagonal matrix with diagonal a_N N + xi^2 a_D D and
+    off-diagonal c_i |z_i|, with
+    z_i = xi (s_0 + xi^2 s_1 dD_i) + i xi (r_0 + xi^2 r_1 dD_i) and
+    dD_i = D_{i+1} - D_i, and Q_t = diag(exp(i theta_t)) is the per-row
+    twist, theta_{i+1} - theta_i = arg z_i (a constant added to a sector's
+    theta cancels in Q^dag T Q). The rows (a_N, 0, h, 0, 0, 0) make a step
+    exp(-i h H(a_N / h)).
 
     `cols[j]` ((s_j,) or (s_j, m_j)) holds the start columns of `blocks[j]`;
     the evolved columns come back in the same shapes. The sectors are
     packed, largest first, into bins of the largest sector's size, whose
     eigenvector matrices are block diagonal, so two real matmuls on the
-    (bins, size, .) stack step every sector at once. The march carries P_t
-    times the columns: with V_t the eigenvectors of H_t, a step multiplies
-    by the diagonal P_t P_{t-1}^dag, changes to the eigenbasis with V_t^T,
-    applies one phase per eigenvalue and changes back with V_t; P_T^dag
+    (bins, size, .) stack step every sector at once. The march carries Q_t
+    times the columns: with V_t the eigenvectors of T_t, a step multiplies
+    by the diagonal Q_t Q_{t-1}^dag, changes to the eigenbasis with V_t^T,
+    applies one phase per eigenvalue and changes back with V_t; Q_T^dag
     ends the march.
 
     The bins are split into shares of nearly equal eigh work (sectors times
@@ -294,16 +305,11 @@ def _march(blocks, xi: float, deltas, dts, cols, gammas):
     n = len(blocks)
     if n == 0:
         return []
-    deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
-    dts = np.atleast_1d(np.asarray(dts, dtype=float))
-    gammas = np.atleast_1d(np.asarray(gammas, dtype=float))
-    # twists too large to square leave infinite couplings, whose march
-    # breaks its norm (`sweep_unitaries` reports it)
-    with np.errstate(over="ignore"):
-        xis = xi * np.sqrt(1 + gammas ** 2)
-    # the twist angles, and their changes from step to step
-    thetas = np.arctan(gammas)
-    turns = np.diff(thetas, prepend=0.0)
+    coefs = np.asarray(coefs, dtype=float)
+    n_steps = coefs.shape[0]
+    a_n, a_d = coefs[:, 0], xi * xi * coefs[:, 1]
+    # the links' coefficients, shaped to broadcast against a share's bins
+    s_0, s_1, r_0, r_1 = coefs[:, 2:, None, None].transpose(1, 0, 2, 3)
     sizes = np.array([b.size for b in blocks])
     width = sizes.max()
     # first-fit packing: sector j occupies rows offset[j]:offset[j] + s_j
@@ -323,19 +329,14 @@ def _march(blocks, xi: float, deltas, dts, cols, gammas):
     work = np.zeros(n_bins, dtype=int)
     np.add.at(work, bin_of, sizes ** 3)
     shares = _split(work, max(1, min(_worker_count(), n_bins,
-                                     deltas.size * int(work.sum()) // SHARE_WORK)))
+                                     n_steps * int(work.sum()) // SHARE_WORK)))
     bin_of = np.argsort(np.concatenate(shares))[bin_of]
     ends = np.cumsum([0] + [len(share) for share in shares])
     budget = CHUNK_BYTES // len(shares)
-    # n_c of every row, which the twists act on (0 in unused rows)
-    n_c = np.zeros((n_bins, width, 1), dtype=int)
-    for j, b in enumerate(blocks):
-        n_c[bin_of[j], rows[j], 0] = b.n_c_diag
-    levels = np.arange(n_c.max() + 1)
 
     cols = [np.asarray(col, dtype=complex) for col in cols]
     n_cols = [1 if col.ndim == 1 else col.shape[1] for col in cols]
-    # P_t times the columns
+    # Q_t times the columns
     z = np.zeros((n_bins, width, max(n_cols)), dtype=complex)
     for j, col in enumerate(cols):
         z[bin_of[j], rows[j], :n_cols[j]] = col.reshape(sizes[j], -1)
@@ -348,21 +349,37 @@ def _march(blocks, xi: float, deltas, dts, cols, gammas):
             # sectors of one size share an eigh call
             groups = [[j for j in mine if sizes[j] == s]
                       for s in np.unique(sizes[mine])]
-            diagonals = [(np.stack([blocks[j].coupling_offdiag for j in m]),
-                          np.stack([blocks[j].n_c_diag for j in m])) for m in groups]
+            # per row of the share's bins: xi c_i and xi^3 c_i dD_i of its
+            # link to the next row, 0 on a sector's last row, so that
+            # c_i z_i = link[0] (s_0 + i r_0) + link[1] (s_1 + i r_1)
+            link = np.zeros((2, hi - lo, width))
+            # per group: the flat indices of its links' rows, N and D
+            diagonals = []
+            for m in groups:
+                s = sizes[m[0]]
+                d = np.zeros((len(m), s))
+                for k, j in enumerate(m):
+                    amp = blocks[j].coupling_offdiag
+                    d[k] = np.diff(amp * amp, prepend=0.0, append=0.0)
+                    r = slice(offset[j], offset[j] + s - 1)
+                    link[:, bin_of[j] - lo, r] = xi * amp, xi ** 3 * amp * np.diff(d[k])
+                links = ((bin_of[m] - lo) * width + offset[m])[:, None] + np.arange(s - 1)
+                diagonals.append((links, np.stack([blocks[j].n_c_diag for j in m]), d))
             # bytes per step: the eigh's stack of step matrices with its
             # temporaries and its eigenvalues and eigenvectors, at most twice
             # those of every sector; and the march's stacks of eigenvectors,
-            # eigenvalues, phases and twists, with the phases' arguments and
-            # their sines and cosines
+            # eigenvalues and twist angles, beside at most six arrays of
+            # their shape at a time (the links' real and imaginary parts with
+            # their sums and moduli, then the complex phases and twists with
+            # the twists' angles and a sine or cosine)
             decomposed = 16 * int(np.sum(sizes[mine] * (sizes[mine] + 1)))
             marched = 8 * (hi - lo) * width * (width + 10)
             widest = max(len(m) * sizes[m[0]] ** 2 for m in groups)
             batch = max(1, min(budget // (decomposed + marched),
-                               budget // (64 * widest), deltas.size))
+                               budget // (64 * widest), n_steps))
             # the step matrices, of every size group and batch in turn
             steps = np.empty(batch * widest)
-            zs, rows_n_c = z[lo:hi], n_c[lo:hi]
+            zs = z[lo:hi]
             # the same in the step's eigenbasis
             y = np.empty_like(zs)
             # both as real arrays, which the real eigenvectors multiply
@@ -370,28 +387,49 @@ def _march(blocks, xi: float, deltas, dts, cols, gammas):
             basis = np.zeros((batch, hi - lo, width, width))
             basis_t = basis.transpose(0, 1, 3, 2)
             angle = np.zeros((batch, hi - lo, width))
-            for first in range(0, deltas.size, batch):
+            # the twist angles theta of every row, summed along the whole bin,
+            # which adds a constant to each sector's that cancels in
+            # Q^dag T Q; row 0 holds those of the step before the batch (zero
+            # before the first)
+            theta = np.zeros((batch + 1, hi - lo, width))
+            for first in range(0, n_steps, batch):
                 if failed.is_set():
                     return
                 span = slice(first, first + batch)
-                c = min(batch, deltas.size - first)
-                for m, (offdiag, diag) in zip(groups, diagonals):
-                    w, v = np.linalg.eigh(_step_matrices(
-                        steps, offdiag, diag, xis[span], deltas[span]))
-                    for k, j in enumerate(m):
-                        b, r = bin_of[j] - lo, rows[j]
-                        angle[:c, b, r] = w[k]
-                        basis[:c, b, r, r] = v[k]
-                arg = angle[:c] * dts[span, None, None]
+                c = min(batch, n_steps - first)
+                # steps of a detuning too large for their arithmetic give
+                # infinite or NaN entries, whose march breaks its norm
+                # (`sweep_unitaries` reports it)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    re = link[0] * s_0[span] + link[1] * s_1[span]
+                    im = link[0] * r_0[span] + link[1] * r_1[span]
+                    couplings = np.sqrt(re * re + im * im).reshape(c, -1)
+                    for m, (links, n_c, d) in zip(groups, diagonals):
+                        w, v = np.linalg.eigh(_step_matrices(
+                            steps, n_c, d, couplings[:, links].transpose(1, 0, 2),
+                            a_n[span], a_d[span]))
+                        for k, j in enumerate(m):
+                            b, r = bin_of[j] - lo, rows[j]
+                            angle[:c, b, r] = w[k]
+                            basis[:c, b, r, r] = v[k]
+                    np.cumsum(np.arctan2(im[..., :-1], re[..., :-1]), axis=-1,
+                              out=theta[1:c + 1, :, 1:])
+                del re, im, couplings
                 phases = np.empty((c, hi - lo, width, 1), dtype=complex)
-                phases.real[..., 0], phases.imag[..., 0] = np.cos(arg), -np.sin(arg)
-                # the twist P_t P_{t-1}^dag of every row
-                twists = np.exp(1j * turns[span, None] * levels)[:, rows_n_c]
+                phases.real[..., 0] = np.cos(angle[:c])
+                phases.imag[..., 0] = -np.sin(angle[:c])
+                # the twist Q_t Q_{t-1}^dag of every row
+                turns = np.diff(theta[:c + 1], axis=0)
+                twists = np.empty_like(phases)
+                twists.real[..., 0], twists.imag[..., 0] = np.cos(turns), np.sin(turns)
+                theta[0] = theta[c]
                 for t in range(c):
                     np.multiply(zs, twists[t], out=zs)
                     np.matmul(basis_t[t], zs_real, out=y_real)
                     np.multiply(y, phases[t], out=y)
                     np.matmul(basis[t], y_real, out=zs_real)
+            # undo the last step's twist
+            np.multiply(zs, np.exp(-1j * theta[0])[..., None], out=zs)
         except BaseException:
             failed.set()
             raise
@@ -403,10 +441,8 @@ def _march(blocks, xi: float, deltas, dts, cols, gammas):
         march(0, ends[1])
         for job in jobs:
             job.result()
-    # undo the last step's twist
-    untwist = np.exp(-1j * (thetas[-1] if thetas.size else 0.0) * n_c)
-    return [(z[bin_of[j], rows[j], :n_cols[j]] * untwist[bin_of[j], rows[j]]
-             ).reshape(col.shape) for j, col in enumerate(cols)]
+    return [z[bin_of[j], rows[j], :n_cols[j]].reshape(col.shape)
+            for j, col in enumerate(cols)]
 
 
 def _grid_density(u, cap: float = 0.0):
@@ -416,23 +452,59 @@ def _grid_density(u, cap: float = 0.0):
     return np.maximum(np.exp(-u / 2), max(GRID_FLOOR, cap))
 
 
-def piecewise_deltas(schedule: RampSchedule, t0: float, t1: float,
-                     step: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Detunings, durations and twists (deltas, dts, gammas) of the steps
-    that march [t0, t1], for the fourth-order Magnus step of `_march`.
+def _magnus_coefficients(schedule: RampSchedule, mids: np.ndarray,
+                         dts: np.ndarray) -> np.ndarray:
+    """The (len(dts), 6) coefficients (a_N, a_D, s_0, s_1, r_0, r_1) of the
+    sixth-order Magnus steps of durations `dts` about the midpoints `mids`
+    (`piecewise_deltas`). Detunings too large for their products give
+    infinite or NaN coefficients, whose march breaks its norm."""
+    offset = dts * (math.sqrt(15) / 10)
+    d_1, d_2, d_3 = (np.asarray(schedule.delta_at(mids + k * offset), dtype=float)
+                     for k in (-1, 0, 1))
+    coefs = np.empty((dts.size, 6))
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = dts * d_2
+        e_2 = (math.sqrt(15) / 3) * dts * (d_3 - d_1)
+        e_3 = (10 / 3) * dts * (d_3 - 2 * d_2 + d_1)
+        e_22 = e_2 * e_2
+        coefs[:, 0] = a + e_3 / 12
+        coefs[:, 1] = dts * dts * (4 * e_3 / 3 + a * e_22 / 30) / 240
+        coefs[:, 2] = dts * (1 - (e_22 - e_3 * (20 * a + e_3) / 30) / 240)
+        coefs[:, 3] = dts ** 3 * e_22 / 7200
+        coefs[:, 4] = dts * e_2 * ((20 * a + e_3) * a / 14400 + 1 / 12)
+        coefs[:, 5] = -dts ** 3 * e_2 / 360
+    return coefs
 
-    Step k of duration h has the Gauss points t_m +- h sqrt(3) / 6 about
-    its midpoint t_m, with detunings delta_+- there. With
-    H(t) = delta(t) N + xi C (N the n_c diagonal, C the coupling), the
-    two-point Magnus exponent is -i h (H(delta_+) + H(delta_-)) / 2 -
-    (sqrt(3) h^2 / 12) [H(delta_+), H(delta_-)], and the commutator is
-    xi (delta_+ - delta_-) [N, C]. n_c rises by one along each sector, so
-    [C, N] is C with its lower half negated, and the exponent is
-    -i h P^dag (delta N + xi sqrt(1 + gamma^2) C) P with
-    delta = (delta_+ + delta_-) / 2, gamma = (sqrt(3) / 12) h (delta_+ -
-    delta_-) and P = diag(exp(i n_c atan gamma)): a real symmetric matrix
-    twisted by a diagonal phase. gamma = 0 is the midpoint exponential's
-    step at the mean detuning.
+
+def piecewise_deltas(schedule: RampSchedule, t0: float, t1: float,
+                     step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Durations and Magnus coefficients (dts, coefs) of the steps that
+    march [t0, t1], for the sixth-order Magnus step of `_march`.
+
+    Step k of duration h has the Gauss points t_m + (-1, 0, 1) h sqrt(15) /
+    10 about its midpoint t_m, with detunings delta_1, delta_2, delta_3
+    there and H_j = delta_j N + xi C (N the n_c diagonal, C the coupling).
+    With alpha_1 = -i h H_2, alpha_2 = -i (sqrt(15) h / 3) (H_3 - H_1) =
+    -i e_2 N and alpha_3 = -i (10 h / 3) (H_3 - 2 H_2 + H_1) = -i e_3 N, the
+    three-point exponent (Blanes, Casas & Ros) is
+    Omega = alpha_1 + alpha_3 / 12 + [-20 alpha_1 - alpha_3 + C_1,
+    alpha_2 + C_2] / 240 with C_1 = [alpha_1, alpha_2] and
+    C_2 = -[alpha_1, 2 alpha_3 + C_1] / 60. n_c rises by one along each
+    sector, so A = [N, C] is real antisymmetric and, truncated sectors
+    included, [N, A] = C, [C, A] = 2 D with D = diag(c_i^2 - c_{i-1}^2) the
+    differences of the squared couplings, and [N, D] = 0. Every term of
+    Omega then lies in span{N, C, D, [A, D]} + i span{A, [C, D]}, all
+    tridiagonal, and Omega = -i Q^dag T Q with T real symmetric and
+    Q = diag(exp(i theta)) a per-row twist, built from the six coefficients
+    (with a = h delta_2):
+        a_N = a + e_3 / 12 (the Gauss quadrature of the detuning),
+        a_D = h^2 (4 e_3 / 3 + a e_2^2 / 30) / 240,
+        s_0 = h (1 - (e_2^2 - e_3 (20 a + e_3) / 30) / 240),
+        s_1 = h^3 e_2^2 / 7200,
+        r_0 = h e_2 ((20 a + e_3) a / 14400 + 1 / 12),
+        r_1 = -h^3 e_2 / 360,
+    which `_march` combines with xi and the sector's couplings. On a flat
+    stretch e_2 = e_3 = 0, and the step is exp(-i h H(delta)).
 
     The grid follows the RC ramp. A step's local error grows with the
     ramp's rate of change, which falls as exp(-t / tau_rc), so a step at
@@ -490,11 +562,7 @@ def piecewise_deltas(schedule: RampSchedule, t0: float, t1: float,
         nodes = np.concatenate([[t0], tau * u, [t1]])
         dts = np.diff(nodes)
         mids = 0.5 * (nodes[:-1] + nodes[1:])
-    half = dts * (math.sqrt(3) / 6)
-    later = np.asarray(schedule.delta_at(mids + half), dtype=float)
-    earlier = np.asarray(schedule.delta_at(mids - half), dtype=float)
-    return (0.5 * (later + earlier), dts,
-            (math.sqrt(3) / 12) * dts * (later - earlier))
+    return dts, _magnus_coefficients(schedule, mids, dts)
 
 
 # ---------------------------------------------------------------------------
@@ -516,19 +584,17 @@ class SweepResult:
     built only on demand, by `unitaries`.
 
     step is the finest step of the graded grid, which `piecewise_deltas`
-    lays once for the sweep; deltas, dts and gammas hold that grid's
-    fourth-order Magnus steps: the mean detuning of each step's two Gauss
-    points, the step durations and the twists. `unitaries` marches the same
-    steps.
+    lays once for the sweep; dts and coefs hold that grid's step durations
+    and the six coefficients of each step's sixth-order Magnus exponent.
+    `unitaries` marches the same steps.
     """
 
     space: TwoModeSpace
     xi: float
     schedule: RampSchedule
     step: float
-    deltas: np.ndarray
     dts: np.ndarray
-    gammas: np.ndarray
+    coefs: np.ndarray
     evolved: dict[int, np.ndarray]
     endpoint_bases: dict[int, tuple[np.ndarray, np.ndarray]]
 
@@ -538,8 +604,7 @@ class SweepResult:
         together from identity columns."""
         decomp = block_decompose(self.space)
         blocks = [decomp.by_k(k) for k in self.endpoint_bases]
-        u = _march(blocks, self.xi, self.deltas, self.dts,
-                   [np.eye(b.size) for b in blocks], self.gammas)
+        u = _march(blocks, self.xi, self.coefs, [np.eye(b.size) for b in blocks])
         return {b.k: uk for b, uk in zip(blocks, u)}
 
 
@@ -565,7 +630,7 @@ def sweep_unitaries(space: TwoModeSpace, xi: float, schedule: RampSchedule,
     if sector_ks is not None:
         wanted = set(int(k) for k in sector_ks)
         blocks = tuple(b for b in blocks if b.k in wanted)
-    deltas, dts, gammas = piecewise_deltas(schedule, 0.0, schedule.duration, step)
+    dts, coefs = piecewise_deltas(schedule, 0.0, schedule.duration, step)
     ends = schedule.delta_at(np.array([0.0, schedule.duration]))
     endpoint_bases = {}
     # column 0 is the lowest start eigenvector; below zero detuning the
@@ -575,8 +640,8 @@ def sweep_unitaries(space: TwoModeSpace, xi: float, schedule: RampSchedule,
         for b in blocks:
             _, (v_first, v_last) = np.linalg.eigh(b.hamiltonians(xi, ends))
             endpoint_bases[b.k] = (v_first, v_last)
-        evolved = _march(blocks, xi, deltas, dts,
-                         [endpoint_bases[b.k][0][:, starts] for b in blocks], gammas)
+        evolved = _march(blocks, xi, coefs,
+                         [endpoint_bases[b.k][0][:, starts] for b in blocks])
     except np.linalg.LinAlgError as e:
         raise NumericalContractError(f"sweep eigendecomposition failed: {e}") from None
     for b, f in zip(blocks, evolved):
@@ -590,9 +655,8 @@ def sweep_unitaries(space: TwoModeSpace, xi: float, schedule: RampSchedule,
         xi=xi,
         schedule=schedule,
         step=step,
-        deltas=deltas,
         dts=dts,
-        gammas=gammas,
+        coefs=coefs,
         evolved={b.k: f for b, f in zip(blocks, evolved)},
         endpoint_bases=endpoint_bases,
     )

@@ -1,7 +1,8 @@
 """Per-state reference for the tests: a radial state embedded in the
 normal-mode labels and a sweep applied to a full two-mode state, composed
 from a sweep's endpoint bases and its per-sector unitaries, and a
-two-mode state marched through steps of the propagation kernel.
+two-mode state marched through steps of the propagation kernel, held or
+laid by `piecewise_deltas`.
 
 The package reads each K sector on its own and never builds these
 full-space states; the tests compose them to check that readout
@@ -43,18 +44,25 @@ def apply_sweep(sweep, state):
     return StateVector(amp, state.basis)
 
 
-def march_state(state, xi, deltas, dts, gammas=None):
+def held_steps(deltas, dts):
+    """Durations and Magnus coefficients of steps that each hold a constant
+    detuning: step t is exp(-i dts[t] H(deltas[t]))."""
+    dts = np.asarray(dts, dtype=float)
+    coefs = np.zeros((dts.size, 6))
+    coefs[:, 0] = np.asarray(deltas, dtype=float) * dts
+    coefs[:, 2] = dts
+    return dts, coefs
+
+
+def march_state(state, xi, dts, coefs):
     """The two-mode state after the steps of `dynamics._march` with
-    detunings `deltas`, durations `dts` and twists `gammas` (as
-    `piecewise_deltas` lays them; without twists, exp(-i H(delta) dt) per
-    step), its populated sectors marched together."""
+    durations `dts` and Magnus coefficients `coefs` (as `piecewise_deltas`
+    or `held_steps` lays them), its populated sectors marched together."""
+    assert len(coefs) == len(dts)
     amp = state.amplitudes.copy()
     blocks = [b for b in block_decompose(state.basis).blocks
               if np.any(amp[b.indices])]
-    if gammas is None:
-        gammas = np.zeros(len(deltas))
-    cols = _march(blocks, xi, deltas, dts, [amp[b.indices] for b in blocks],
-                  gammas)
+    cols = _march(blocks, xi, coefs, [amp[b.indices] for b in blocks])
     for b, col in zip(blocks, cols):
         amp[b.indices] = col
     return StateVector(amp, state.basis)

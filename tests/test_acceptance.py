@@ -39,7 +39,8 @@ from trilinear.dynamics import default_step, piecewise_deltas
 from trilinear.protocols import normal_mode_populations
 from trilinear.report import read_data_rows
 
-from sector_reference import apply_sweep, march_state, normal_mode_embedding
+from sector_reference import (apply_sweep, held_steps, march_state,
+                              normal_mode_embedding)
 from wigner_kernel import pinned_grid_wigner
 
 TWO_PI = 2 * math.pi
@@ -246,7 +247,8 @@ def test_criterion_8_property_suite(tmp_path):
         amp = rng.normal(size=small.dim) + 1j * rng.normal(size=small.dim)
         psi_s = StateVector(amp / np.linalg.norm(amp), small)
         dense = scipy.linalg.expm(-1j * ham_s.matrix * t) @ psi_s.amplitudes
-        block = march_state(psi_s, PARAMS.xi, [0.4 * PARAMS.xi], [t]).amplitudes
+        block = march_state(psi_s, PARAMS.xi,
+                            *held_steps([0.4 * PARAMS.xi], [t])).amplitudes
         worst_block = max(worst_block, abs(1 - abs(np.vdot(dense, block)) ** 2))
     checks.append(("block/dense fidelity deviation", worst_block, 1e-10))
 

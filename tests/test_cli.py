@@ -132,8 +132,8 @@ def test_sweep_steps_reported(tmp_path, capsys, command):
                        capsys)
     assert code == 0
     sched = rc_ramp(TWO_PI * 35e3, -TWO_PI * 35e3, 2e-3)
-    _, dts, _ = piecewise_deltas(sched, 0.0, sched.duration,
-                                 default_step(mode_params().xi, sched))
+    dts, _ = piecewise_deltas(sched, 0.0, sched.duration,
+                              default_step(mode_params().xi, sched))
     expected = (f"sweep_steps = {dts.size} "
                 f"({dts.min() * 1e6:.3g}..{dts.max() * 1e6:.3g} us)")
     assert expected in out.splitlines()
@@ -412,7 +412,7 @@ def test_step_count_bound_exit_code(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command, parking", [
-    ("parity", "1.0e306"),  # the twists overflow when squared: NaN columns
+    ("parity", "1.0e306"),  # the Magnus coefficients overflow: NaN columns
     ("wigner", "1.0e300"),  # the step matrices defeat eigh
 ])
 def test_sweep_that_breaks_its_arithmetic_exit_code(tmp_path, capsys, command,
@@ -621,9 +621,9 @@ def test_converge_values_are_the_wigner_scan_at_each_setting(tmp_path, capsys):
                   for r, a in ((8, 4), (10, 5))]
     assert [float(r[3]) for r in rows] == truncation + [
         w0(cfg.to_space(), step) for step in steps]
-    # fourth order: each halving cuts the step's W(0) error 16-fold
+    # sixth order: each halving cuts the step's W(0) error 64-fold
     d_coarse, d_mid, d_finest = (float(r[4]) for r in rows[2:])
-    assert d_finest == 0 and 8 < d_coarse / d_mid < 32
+    assert d_finest == 0 and 32 < d_coarse / d_mid < 128
     assert not any(r[5] for r in rows)
 
 

@@ -39,7 +39,7 @@ from trilinear.errors import NumericalContractError, StepPolicyError
 from trilinear.fock import guard_leak
 from trilinear.trap import mode_params
 
-from sector_reference import apply_sweep, march_state
+from sector_reference import apply_sweep, held_steps, march_state
 
 TWO_PI = 2 * math.pi
 XI = mode_params().xi
@@ -98,7 +98,7 @@ def test_single_phonon_is_exact_eigenstate():
     psi = StateVector(np.eye(space.dim)[space.index(1, 0)], space)
     states = [psi]
     for dt in np.diff(np.linspace(0, 5e-3, 11)):
-        states.append(march_state(states[-1], XI, [0.0], [dt]))
+        states.append(march_state(states[-1], XI, *held_steps([0.0], [dt])))
     pops = np.array([abs(s.amplitudes[space.index(1, 0)]) ** 2 for s in states])
     assert np.abs(pops - 1.0).max() < 1e-12
 
@@ -165,7 +165,7 @@ def test_resonant_two_phonon_rabi():
     times = np.linspace(0, 5 * math.pi / (math.sqrt(2) * XI), 161)
     states = [psi]
     for dt in np.diff(times):
-        states.append(march_state(states[-1], XI, [0.0], [dt]))
+        states.append(march_state(states[-1], XI, *held_steps([0.0], [dt])))
     pops = np.abs([[s.amplitudes[space.index(2, 0)], s.amplitudes[space.index(0, 1)]]
                    for s in states]) ** 2
     analytic = np.sin(math.sqrt(2) * XI * times) ** 2
@@ -177,7 +177,7 @@ def test_full_transfer_time():
     space = small_space()
     psi = StateVector(np.eye(space.dim)[space.index(2, 0)], space)
     t_swap = math.pi / (2 * math.sqrt(2) * XI)
-    final = march_state(psi, XI, [0.0], [t_swap])
+    final = march_state(psi, XI, *held_steps([0.0], [t_swap]))
     assert abs(final.amplitudes[space.index(0, 1)]) ** 2 == pytest.approx(1.0, abs=1e-10)
 
 
@@ -190,7 +190,7 @@ def test_detuned_transfer_suppression():
     g = math.sqrt(2) * XI
     omega = math.sqrt(g**2 + (delta / 2) ** 2)
     t_peak = math.pi / (2 * omega)
-    final = march_state(psi, XI, [delta], [t_peak])
+    final = march_state(psi, XI, *held_steps([delta], [t_peak]))
     expect = (2 * math.sqrt(2) * XI) ** 2 / ((2 * math.sqrt(2) * XI) ** 2 + delta**2)
     assert abs(final.amplitudes[space.index(0, 1)]) ** 2 == pytest.approx(expect, rel=1e-10)
     assert expect < 0.008  # effectively decoupled at the parking detuning
@@ -202,7 +202,7 @@ def test_weight_conserved_and_unitary_for_random_states(seed):
     space = small_space(6, 4)
     states = [random_state(space, seed)]
     for dt in np.diff(np.linspace(0, 2e-3, 7)):
-        states.append(march_state(states[-1], XI, [0.5 * XI], [dt]))
+        states.append(march_state(states[-1], XI, *held_steps([0.5 * XI], [dt])))
     pops = np.abs([s.amplitudes for s in states]) ** 2
     assert np.abs(np.sqrt(pops.sum(axis=1)) - 1.0).max() < 1e-9
     assert np.ptp(pops @ space.k_values()) < 1e-9
@@ -215,7 +215,8 @@ def test_block_propagation_equals_dense_exponential():
     for seed in range(5):
         psi = random_state(space, seed)
         dense = scipy.linalg.expm(-1j * ham.matrix * t) @ psi.amplitudes
-        fid = abs(np.vdot(dense, march_state(psi, XI, [0.4 * XI], [t]).amplitudes)) ** 2
+        block = march_state(psi, XI, *held_steps([0.4 * XI], [t])).amplitudes
+        fid = abs(np.vdot(dense, block)) ** 2
         assert abs(1 - fid) < 1e-10
 
 
@@ -266,7 +267,7 @@ def test_step_policy_violation_raises():
 
 
 def test_sweep_that_breaks_its_norm_raises():
-    # at 1e306 Hz the twists overflow when squared and the marched column
+    # at 1e306 Hz the Magnus coefficients overflow and the marched column
     # turns NaN, which fails the norm contract
     sched = rc_ramp(TWO_PI * 1e306, 0.0, 2e-3)
     with pytest.raises(NumericalContractError, match="norm"):
@@ -290,13 +291,12 @@ def test_step_must_be_finite_and_positive(step):
         sweep_unitaries(space, XI, sched, step=step)
 
 
-def gauss_points(schedule, mids, dts):
-    """Mean detuning and twist of steps of durations `dts` about `mids`,
-    from the detunings at their two Gauss points."""
-    half = dts * (math.sqrt(3) / 6)
-    later = np.asarray(schedule.delta_at(mids + half), dtype=float)
-    earlier = np.asarray(schedule.delta_at(mids - half), dtype=float)
-    return 0.5 * (later + earlier), (math.sqrt(3) / 12) * dts * (later - earlier)
+def gauss_quadrature(schedule, mids, dts):
+    """The three-point Gauss-Legendre quadrature of the detuning over steps
+    of durations `dts` about `mids`."""
+    offset = dts * math.sqrt(15) / 10
+    return dts * (5 * schedule.delta_at(mids - offset) + 8 * schedule.delta_at(mids)
+                  + 5 * schedule.delta_at(mids + offset)) / 18
 
 
 def uniform_deltas(schedule, t0, t1, step):
@@ -305,8 +305,7 @@ def uniform_deltas(schedule, t0, t1, step):
     n = max(1, int(math.ceil(span / step - 1e-12)))
     mids = t0 + (np.arange(n) + 0.5) * (span / n)
     dts = np.full(n, span / n)
-    deltas, gammas = gauss_points(schedule, mids, dts)
-    return deltas, dts, gammas
+    return dts, dynamics._magnus_coefficients(schedule, mids, dts)
 
 
 def uniform_midpoint_deltas(schedule, t0, t1, step):
@@ -315,12 +314,13 @@ def uniform_midpoint_deltas(schedule, t0, t1, step):
     span = t1 - t0
     n = max(1, int(math.ceil(span / step - 1e-12)))
     mids = t0 + (np.arange(n) + 0.5) * (span / n)
-    return (np.asarray(schedule.delta_at(mids), dtype=float),
-            np.full(n, span / n), np.zeros(n))
+    return held_steps(schedule.delta_at(mids), np.full(n, span / n))
 
 
 @given(detunings, detunings, st.floats(10e-6, 5e-3), st.floats(0, 1),
        st.floats(0, 1), st.floats(0.01, 1))
+@example(0.0, 1.0, 0.0005042753108978788, 1.0, 0.0625, 0.03125)
+@example(-164656.0, -165929.0, 0.004294663302476291, 0.125, 1.0, 0.03125)
 @settings(max_examples=200, deadline=None)
 def test_graded_grid_properties(d0, d1, tau, a, b, fraction):
     sched = rc_ramp(d0, d1, tau)
@@ -328,9 +328,9 @@ def test_graded_grid_properties(d0, d1, tau, a, b, fraction):
     assume(t1 - t0 > 1e-9 * tau)
     coarsest = tau / 50
     step = coarsest * fraction
-    deltas, dts, gammas = piecewise_deltas(sched, t0, t1, step)
+    dts, coefs = piecewise_deltas(sched, t0, t1, step)
     n = dts.size
-    assert deltas.shape == gammas.shape == (n,)
+    assert coefs.shape == (n, 6)
     assert np.all(dts > 0)
     assert dts.sum() == pytest.approx(t1 - t0, rel=1e-12)
     assert dts.max() <= coarsest * (1 + 1e-12)
@@ -338,19 +338,24 @@ def test_graded_grid_properties(d0, d1, tau, a, b, fraction):
     assert dts.min() >= step * (n - 1) / n * (1 - 1e-12)
     nodes = t0 + np.concatenate([[0.0], np.cumsum(dts)])
     mids = 0.5 * (nodes[:-1] + nodes[1:])
-    expected, twists = gauss_points(sched, mids, dts)
+    # the coefficients are those of the steps about these midpoints, and the
+    # detuning's is its Gauss quadrature over the step; a_D rests on a
+    # second difference of the detuning, whose rounding is absolute
     scale = max(abs(d0), abs(d1), 1.0)
-    assert np.allclose(deltas, expected, rtol=1e-9, atol=1e-9 * scale)
-    assert np.allclose(gammas, twists, rtol=1e-9, atol=1e-9 * scale * dts.max())
+    expected = dynamics._magnus_coefficients(sched, mids, dts)
+    atol = 1e-7 * np.abs(expected).max(axis=0) + np.zeros((n, 1))
+    atol[:, 1] += 1e-15 * scale * dts ** 3
+    assert np.all(np.abs(coefs - expected) <= atol + 1e-9 * np.abs(expected))
+    assert np.allclose(coefs[:, 0], gauss_quadrature(sched, mids, dts), rtol=1e-9,
+                       atol=1e-9 * scale * dts.max())
     # each step spans the same share of the capped density, so dt * rho is
     # constant up to rho's change within a step (at most 1% at tau / 50)
     work = dts * dynamics._grid_density(mids / tau, step / coarsest)
     assert work.max() <= work.min() * 1.02
     if fraction == 1:
         uniform = uniform_deltas(sched, t0, t1, step)
-        assert np.array_equal(deltas, uniform[0])
-        assert np.array_equal(dts, uniform[1])
-        assert np.array_equal(gammas, uniform[2])
+        assert np.array_equal(dts, uniform[0])
+        assert np.array_equal(coefs, uniform[1])
 
 
 @given(detunings, st.floats(10e-6, 5e-3), st.floats(0.01, 1))
@@ -387,7 +392,7 @@ def test_graded_grid_nodes_hit_their_counts(tau, a, b, fraction):
     t0, t1 = sorted((a * sched.duration, b * sched.duration))
     assume(t1 - t0 > 1e-3 * tau)
     step = tau / 50 * fraction
-    _, dts, _ = piecewise_deltas(sched, t0, t1, step)
+    dts, _ = piecewise_deltas(sched, t0, t1, step)
     floor = max(dynamics.GRID_FLOOR, fraction)
     kink = -2 * math.log(floor)
 
@@ -426,7 +431,7 @@ def test_step_count_is_bounded_before_the_grid_is_laid(monkeypatch):
     # the bound admits a grid of MAX_STEPS steps and refuses one step more,
     # graded or uniform
     for step in (default_step(XI, sched), sched.tau_rc / 50):
-        n = piecewise_deltas(sched, 0.0, sched.duration, step)[1].size
+        n = piecewise_deltas(sched, 0.0, sched.duration, step)[0].size
         monkeypatch.setattr(dynamics, "MAX_STEPS", n)
         piecewise_deltas(sched, 0.0, sched.duration, step)
         monkeypatch.setattr(dynamics, "MAX_STEPS", n - 1)
@@ -440,10 +445,10 @@ def test_flat_ramp_gets_the_grid_of_its_tau():
     flat = RampSchedule(PARKING, PARKING, tau, 5 * tau)
     sloped = rc_ramp(PARKING, -PARKING, tau)
     step = default_step(XI, sloped)
-    deltas, dts, gammas = piecewise_deltas(flat, 0.0, flat.duration, step)
-    assert np.array_equal(dts, piecewise_deltas(sloped, 0.0, tau * 5, step)[1])
-    assert np.all(deltas == PARKING)
-    assert np.all(gammas == 0.0)
+    dts, coefs = piecewise_deltas(flat, 0.0, flat.duration, step)
+    assert np.array_equal(dts, piecewise_deltas(sloped, 0.0, tau * 5, step)[0])
+    # a flat ramp's Magnus steps hold its detuning
+    assert np.array_equal(coefs, held_steps(np.full(dts.size, PARKING), dts)[1])
     assert 0 < dts.min() <= dts.max() <= tau / 50
 
 
@@ -488,9 +493,9 @@ def test_step_halving_convergence():
     assert abs(1 - abs(np.vdot(finals[0].amplitudes, finals[1].amplitudes)) ** 2) < 1e-8
 
 
-def test_magnus_step_is_fourth_order():
+def test_magnus_step_is_sixth_order():
     # halving every step cuts the error against a fine reference by about
-    # 16 (the midpoint step's 4)
+    # 64 (the two-point Magnus step's 16, the midpoint step's 4)
     space = TwoModeSpace(FockDim(16), FockDim(8))
     sched = rc_ramp(PARKING, -PARKING, 2e-3)
     step = default_step(XI, sched)
@@ -504,22 +509,29 @@ def test_magnus_step_is_fourth_order():
     fine = final(step / 8)
     coarse, half = (np.abs(final(s) - fine).max() for s in (step, step / 2))
     assert coarse > 1e-11
-    assert coarse >= 12 * half
+    assert coarse >= 40 * half
 
 
 def test_time_reversal_returns_initial_state():
     space = TwoModeSpace(FockDim(12), FockDim(7))
     sched = rc_ramp(PARKING, -PARKING, 2e-3)
     step = default_step(XI, sched)
-    deltas, dts, gammas = piecewise_deltas(sched, 0.0, sched.duration, step)
-    assert np.abs(gammas).max() > 0
+    dts, coefs = piecewise_deltas(sched, 0.0, sched.duration, step)
+    # the steps laid backwards in time, each from its end to its start,
+    # are the forward ones negated: the three-point scheme is time-symmetric
+    nodes = np.concatenate([[0.0], np.cumsum(dts)])
+    mids = 0.5 * (nodes[:-1] + nodes[1:])
+    back_coefs = dynamics._magnus_coefficients(sched, mids[::-1], -dts[::-1])
+    assert np.abs(coefs[:, 4]).max() > 0
+    assert np.allclose(back_coefs, -coefs[::-1], rtol=0,
+                       atol=1e-9 * np.abs(coefs).max(axis=0))
     psi = StateVector(np.kron(coherent_state(space.radial, 1.0).amplitudes,
                               np.eye(space.axial.dim)[0]), space)
-    fwd = march_state(psi, XI, deltas, dts, gammas)
-    back = march_state(fwd, XI, deltas[::-1], -dts[::-1], gammas[::-1])
+    fwd = march_state(psi, XI, dts, coefs)
+    back = march_state(fwd, XI, -dts[::-1], back_coefs)
     assert abs(1 - abs(np.vdot(psi.amplitudes, back.amplitudes)) ** 2) < 1e-8
     # no steps leave the state as it is
-    assert np.array_equal(march_state(psi, XI, [], []).amplitudes,
+    assert np.array_equal(march_state(psi, XI, *held_steps([], [])).amplitudes,
                           psi.amplitudes)
 
 
@@ -577,9 +589,10 @@ def test_sweep_adiabatic_theorem_low_sectors():
 
 # The sweep against an integrator that shares none of its steps: DOP853 at
 # rtol 1e-12 on the reference ramp agrees with the K = 2 column to
-# 8.0e-8 in |amplitude| and 2.3e-11 in 1 - |overlap|, the size of the
-# step-halving change; the bounds leave a factor of 2.5 and 4
-ODE_AMPLITUDE_BOUND = 2e-7
+# 9.1e-9 in |amplitude| and 2.3e-11 in 1 - |overlap| (the two-point
+# fourth-order step: 8.0e-8 and 2.3e-11); the bounds leave a factor of 3.3
+# and 4
+ODE_AMPLITUDE_BOUND = 3e-8
 ODE_INFIDELITY_BOUND = 1e-10
 
 
@@ -610,6 +623,45 @@ def test_sweep_matches_an_independent_ode_integrator():
     assert 1.0 - abs(np.vdot(final, marched)) < ODE_INFIDELITY_BOUND
 
 
+# The K = 2, 4, 6 and 8 columns of 12 x 6 through the reference ramp against
+# DOP853 at rtol = atol = 1e-12, whose own error is about 1.3e-8 here: the
+# sweep's columns lie 2.2e-8 from it at the default step (4.4e-7 with the
+# two-point fourth-order step) and 3.6e-6 at twice that step
+DOP853_COLUMN_BOUNDS = {1: 5e-8, 2: 1e-5}
+
+
+@pytest.mark.slow
+def test_sweep_columns_match_dop853_at_one_and_two_default_steps():
+    from scipy.integrate import solve_ivp
+
+    space = TwoModeSpace(FockDim(12), FockDim(6))
+    sched = rc_ramp(PARKING, -PARKING, 2e-3)
+    ks = [2, 4, 6, 8]
+    coupling = RotatingFrameHamiltonian(XI, 0.0, space).matrix
+    number = RotatingFrameHamiltonian(0.0, 1.0, space).matrix
+    decomp = block_decompose(space)
+    step = default_step(XI, sched)
+    sweeps = {f: sweep_unitaries(space, XI, sched, step=f * step, sector_ks=ks)
+              for f in DOP853_COLUMN_BOUNDS}
+    start = np.zeros((space.dim, len(ks)), dtype=complex)
+    for i, k in enumerate(ks):
+        start[decomp.by_k(k).indices, i] = sweeps[1].endpoint_bases[k][0][:, 0]
+
+    def rhs(t, y):
+        y = y.reshape(space.dim, -1)
+        return (-1j * (sched.delta_at(t) * (number @ y) + coupling @ y)).ravel()
+
+    sol = solve_ivp(rhs, (0.0, sched.duration), start.ravel(), method="DOP853",
+                    rtol=1e-12, atol=1e-12)
+    assert sol.success
+    final = sol.y[:, -1].reshape(space.dim, -1)
+    for f, bound in DOP853_COLUMN_BOUNDS.items():
+        err = max(np.abs(sweeps[f].evolved[k][:, 0]
+                         - final[decomp.by_k(k).indices, i]).max()
+                  for i, k in enumerate(ks))
+        assert err < bound, (f, err)
+
+
 def test_one_sector_unitary_agrees_with_the_covered_set():
     # a sweep over K = 2 alone marches the K = 2 unitary alone, and it
     # agrees with the one marched together with every covered sector
@@ -638,37 +690,86 @@ def test_sweep_matches_propagate():
 # propagation kernel: pinned to the dense exponential and to the per-step loop
 
 
-def magnus_hamiltonian(hamiltonian, t, dt):
-    """The Hermitian H_eff whose exponential exp(-i H_eff dt) is the
-    two-Gauss-point fourth-order Magnus step over [t, t + dt]:
-    H_eff = (H_+ + H_-) / 2 - i (sqrt(3) dt / 12) [H_+, H_-], with
-    H_+- = hamiltonian(t + dt / 2 +- dt sqrt(3) / 6), the commutator
+def commutator(x, y):
+    return x @ y - y @ x
+
+
+def magnus_exponent(hamiltonian, t, dt):
+    """The anti-Hermitian exponent Omega of the three-Gauss-point
+    sixth-order Magnus step over [t, t + dt] (Blanes, Casas & Ros), built
+    from the matrices A_j = -i hamiltonian(t_j) at the Gauss points
+    t_j = t + dt / 2 + (-1, 0, 1) dt sqrt(15) / 10, every commutator
     written out."""
-    mid, half = t + dt / 2, dt * math.sqrt(3) / 6
-    later, earlier = hamiltonian(mid + half), hamiltonian(mid - half)
-    return 0.5 * (later + earlier) - 1j * (math.sqrt(3) * dt / 12) * (
-        later @ earlier - earlier @ later)
+    mid, offset = t + dt / 2, dt * math.sqrt(15) / 10
+    a_1, a_2, a_3 = (-1j * hamiltonian(mid + k * offset) for k in (-1, 0, 1))
+    alpha_1 = dt * a_2
+    alpha_2 = (math.sqrt(15) * dt / 3) * (a_3 - a_1)
+    alpha_3 = (10 * dt / 3) * (a_3 - 2 * a_2 + a_1)
+    c_1 = commutator(alpha_1, alpha_2)
+    c_2 = -commutator(alpha_1, 2 * alpha_3 + c_1) / 60
+    return alpha_1 + alpha_3 / 12 + commutator(
+        -20 * alpha_1 - alpha_3 + c_1, alpha_2 + c_2) / 240
 
 
 def reference_sweep(space, xi, schedule, step):
     """Per-step sweep loop (one complex eigh per sector per step), kept as
     the reference for the batched kernel: the per-sector unitaries. A step
-    is exp(-i H_eff dt), with the Magnus H_eff = delta N + xi C +
-    i gamma xi [C, N] of the grid's mean detuning and twist, the commutator
-    written out rather than reduced to a twist."""
-    deltas, dts, gammas = piecewise_deltas(schedule, 0.0, schedule.duration, step)
+    is exp(-i H_eff), with the grid's Magnus coefficients on the sector's
+    matrices H_eff = a_N N + xi^2 a_D D + xi s_0 C - xi^3 s_1 [A, D] -
+    i xi r_0 A + i xi^3 r_1 [C, D], A = [N, C] and D = [C, A] / 2, the
+    commutators written out rather than reduced to a twist."""
+    _, coefs = piecewise_deltas(schedule, 0.0, schedule.duration, step)
     out = {}
     for b in block_decompose(space).blocks:
         n_c = np.diag(b.n_c_diag)
         coupling = b.hamiltonians(1.0, [0.0])[0]
-        commutator = coupling @ n_c - n_c @ coupling
+        a = commutator(n_c, coupling)
+        d = commutator(coupling, a) / 2
+        terms = (n_c, xi ** 2 * d, xi * coupling, -xi ** 3 * commutator(a, d),
+                 -1j * xi * a, 1j * xi ** 3 * commutator(coupling, d))
         u = np.eye(b.size, dtype=complex)
-        for delta, dt, gamma in zip(deltas, dts, gammas):
-            h_eff = b.hamiltonians(xi, [float(delta)])[0] + 1j * gamma * xi * commutator
-            w, v = np.linalg.eigh(h_eff)
-            u = (v * np.exp(-1j * w * dt)) @ (v.conj().T @ u)
+        for row in coefs:
+            w, v = np.linalg.eigh(sum(c * term for c, term in zip(row, terms)))
+            u = (v * np.exp(-1j * w)) @ (v.conj().T @ u)
         out[b.k] = u
     return out
+
+
+def test_kernel_columns_match_the_dense_magnus_exponent():
+    # every sector's columns of a 6 x 4 space through a short ramp: the
+    # kernel's twisted tridiagonal steps against the dense exponentials of
+    # the sixth-order exponent built from full-space commutators
+    space = small_space(6, 4)
+    sched = rc_ramp(PARKING, -PARKING, 40e-6)
+    dts, coefs = piecewise_deltas(sched, 0.0, sched.duration,
+                                  default_step(XI, sched))
+    blocks = block_decompose(space).blocks
+    cols = dynamics._march(blocks, XI, coefs, [np.eye(b.size) for b in blocks])
+
+    def hamiltonian(t):
+        return RotatingFrameHamiltonian(XI, float(sched.delta_at(t)), space).matrix
+
+    dense = np.eye(space.dim, dtype=complex)
+    for t, dt in zip(np.concatenate([[0.0], np.cumsum(dts)[:-1]]), dts):
+        dense = scipy.linalg.expm(magnus_exponent(hamiltonian, t, dt)) @ dense
+    assert dts.size > 100
+    for b, col in zip(blocks, cols):
+        assert np.abs(col - dense[np.ix_(b.indices, b.indices)]).max() < 1e-12
+
+
+@given(st.integers(2, 10), st.integers(2, 8))
+@settings(max_examples=30, deadline=None)
+def test_sector_commutators_close_on_tridiagonal_matrices(dr, da):
+    # n_c rises by one along every sector, so with A = [N, C]: [N, A] = C
+    # and [C, A] = 2 diag(c_i^2 - c_{i-1}^2), truncated sectors included
+    for b in block_decompose(small_space(dr, da)).blocks:
+        n_c = np.diag(b.n_c_diag)
+        coupling = b.hamiltonians(1.0, [0.0])[0]
+        a = commutator(n_c, coupling)
+        squares = np.diff(b.coupling_offdiag ** 2, prepend=0.0, append=0.0)
+        scale = 1e-13 * max(1.0, float(np.abs(squares).max()))
+        assert np.abs(commutator(n_c, a) - coupling).max() <= scale
+        assert np.abs(commutator(coupling, a) - 2 * np.diag(squares)).max() <= scale
 
 
 # per-sector chunk budgets from one step per chunk up to the default
@@ -681,27 +782,29 @@ chunk_budgets = st.sampled_from([64, 64 * 16, dynamics.CHUNK_BYTES])
 @settings(max_examples=40, deadline=None)
 def test_kernel_matches_dense_expm_product(dr, da, d0, d1, tau, n_steps, seed,
                                            budget, magnus):
-    # with the twists, the steps are the dense exponentials of the Magnus
-    # exponent, built on the full space from the Gauss-point Hamiltonians;
-    # without them, the exponentials exp(-i H(delta) dt)
+    # the Magnus steps are the dense exponentials of the Magnus exponent,
+    # built on the full space from the Gauss-point Hamiltonians; held steps
+    # the exponentials exp(-i H(delta) dt) at the steps' midpoints
     space = small_space(dr, da)
     sched = rc_ramp(d0, d1, tau)
-    deltas, dts, gammas = piecewise_deltas(sched, 0.0, n_steps * tau / 50, tau / 50)
+    dts, coefs = piecewise_deltas(sched, 0.0, n_steps * tau / 50, tau / 50)
+    starts = np.concatenate([[0.0], np.cumsum(dts)[:-1]])
+    deltas = sched.delta_at(starts + dts / 2)
+    if not magnus:
+        coefs = held_steps(deltas, dts)[1]
     psi = random_state(space, seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "CHUNK_BYTES", budget)
-        out = march_state(psi, XI, deltas, dts,
-                          gammas if magnus else None).amplitudes
+        out = march_state(psi, XI, dts, coefs).amplitudes
 
     def hamiltonian(t):
         return RotatingFrameHamiltonian(XI, float(sched.delta_at(t)), space).matrix
 
     dense = psi.amplitudes
-    starts = np.concatenate([[0.0], np.cumsum(dts)[:-1]])
     for t, delta, dt in zip(starts, deltas, dts):
-        h = (magnus_hamiltonian(hamiltonian, t, dt) if magnus
-             else RotatingFrameHamiltonian(XI, delta, space).matrix)
-        dense = scipy.linalg.expm(-1j * h * dt) @ dense
+        omega = (magnus_exponent(hamiltonian, t, dt) if magnus
+                 else -1j * dt * RotatingFrameHamiltonian(XI, delta, space).matrix)
+        dense = scipy.linalg.expm(omega) @ dense
     assert np.abs(out - dense).max() < 1e-10
     k_vec = space.k_values()
     pops_in, pops_out = np.abs(psi.amplitudes) ** 2, np.abs(out) ** 2
@@ -992,14 +1095,18 @@ def test_kernel_memory_stays_within_the_budget(monkeypatch):
     monkeypatch.setattr(dynamics, "_worker_count", lambda: 2)
     blocks = block_decompose(small_space(8, 4)).blocks
     cols = [np.eye(b.size) for b in blocks]
-    dynamics._march(blocks, XI, [PARKING], [1e-7], cols, [0.0])  # warm up
+    # tau_rc / 50 = 1e-7 s, so that the grid is uniform
+    sched = rc_ramp(PARKING, -PARKING, 5e-6)
+    dynamics._march(blocks, XI, piecewise_deltas(sched, 0.0, 1e-7, 1e-7)[1],
+                    cols)  # warm up
     peaks = []
     for n_steps in (1000, 4000):
-        deltas = np.linspace(PARKING, -PARKING, n_steps)
-        dts = np.full(n_steps, 1e-7)
+        # Magnus steps, whose twists differ from row to row
+        coefs = piecewise_deltas(sched, 0.0, n_steps * 1e-7, 1e-7)[1]
+        assert coefs.shape == (n_steps, 6)
         tracemalloc.start()
         try:
-            dynamics._march(blocks, XI, deltas, dts, cols, np.zeros(n_steps))
+            dynamics._march(blocks, XI, coefs, cols)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -1025,9 +1132,9 @@ def test_reference_sweep_stays_within_the_budget(monkeypatch, workers):
     finally:
         tracemalloc.stop()
     # the columns, in and out, and the march's two stacks of them; the
-    # grid's three arrays and the endpoint bases
+    # grid's durations and coefficients and the endpoint bases
     columns = 4 * 16 * space.dim * 2
-    arrays = 3 * sweep.dts.nbytes + sum(
+    arrays = sweep.dts.nbytes + sweep.coefs.nbytes + sum(
         v0.nbytes + v1.nbytes for v0, v1 in sweep.endpoint_bases.values())
     assert peak <= min(dynamics.CHUNK_BYTES, 12 << 20) + columns + arrays
 
@@ -1045,9 +1152,9 @@ def test_sweep_batches_eigh_in_bounded_chunks(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted)
     sweep = sweep_unitaries(space, XI, sched)
     grid = piecewise_deltas(sched, 0.0, sched.duration, sweep.step)
-    for got, expected in zip((sweep.deltas, sweep.dts, sweep.gammas), grid):
+    for got, expected in zip((sweep.dts, sweep.coefs), grid):
         assert np.array_equal(got, expected)
-    n_steps = grid[1].size
+    n_steps = grid[0].size
     # endpoint_bases, not unitaries: reading those would march them now
     n_sectors = len(sweep.endpoint_bases)
     assert n_steps > 1000
