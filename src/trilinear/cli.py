@@ -122,7 +122,6 @@ def run_oscillate(cfg: RunConfig, out: Path) -> None:
         print(f"fitted_frequency_hz = {result.fit_frequency / TWO_PI:.6g}")
     else:
         print("fitted_frequency_hz = nan (fit did not converge)")
-    print(f"fitted_frequency_err_hz = {result.fit_frequency_err / TWO_PI:.3g}")
     print(f"predicted_frequency_hz = {p.conversion_rate / TWO_PI:.6g}")
 
 
@@ -332,7 +331,7 @@ def _output_dir(path: Path) -> Path:
     """The output directory, made if it does not exist."""
     try:
         path.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
+    except (OSError, ValueError) as e:  # ValueError: a NUL in the path
         raise ConfigIOError(str(path), str(e)) from None
     return path
 

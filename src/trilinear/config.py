@@ -43,7 +43,9 @@ class ConfigError(Exception):
     def __init__(self, path: str, message: str):
         self.path = path
         self.message = message
-        super().__init__(f"config-error kind={self.kind} path={path}: {message}")
+        # one line, whatever breaks the path or message holds
+        super().__init__("\\n".join(
+            f"config-error kind={self.kind} path={path}: {message}".splitlines()))
 
 
 class ConfigParseError(ConfigError):
@@ -208,7 +210,10 @@ def _coerce_scalar(value: Any, base: str, path: str):
                 ) from None
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigValueError(path, f"expected a number, got {value!r}")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigValueError(path, "integer outside the float range") from None
     if base == "str":
         if not isinstance(value, str):
             raise ConfigValueError(path, f"expected a string, got {value!r}")
@@ -238,7 +243,10 @@ def parse_config(text: str) -> RunConfig:
         mark = e.problem_mark
         where = f"line {mark.line + 1}, column {mark.column + 1}" if mark else "?"
         raise ConfigParseError(where, e.problem or "invalid YAML") from e
-    except yaml.YAMLError as e:
+    except (yaml.YAMLError, ValueError, AttributeError, RecursionError) as e:
+        # PyYAML's constructors raise the others on a date that does not
+        # exist, an integer of more digits than int() converts, `!!int 1.5`,
+        # `!!timestamp x` or nesting past the interpreter's stack
         raise ConfigParseError("?", str(e)) from e
     if data is None:
         data = {}
@@ -307,6 +315,9 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigValueError("simulation.guard_band", "invalid guard band")
     if s.parking_hz <= 0 or s.tau_slow_s <= 0 or s.tau_fast_s <= 0:
         raise ConfigValueError("simulation", "time constants must be positive")
+    for name in ("tau_slow_s", "tau_fast_s"):
+        if not math.isfinite(5 * getattr(s, name)):  # a ramp runs for 5 tau
+            raise ConfigValueError(f"simulation.{name}", "5 tau overflows a float")
     if s.step_s is not None and s.step_s <= 0:
         raise ConfigValueError("simulation.step_s", "step must be positive")
     # the radial levels outside the guard band
@@ -342,7 +353,7 @@ def validate_config(cfg: RunConfig) -> None:
                        ("crossing.points", cfg.crossing.points)):
         if rows > MAX_ROWS:
             raise ConfigValueError(
-                path, f"would write {rows} rows, more than MAX_ROWS = {MAX_ROWS}")
+                path, f"would write more than MAX_ROWS = {MAX_ROWS} rows")
     c = cfg.converge
     dims = list(c.radial_dims)
     if not dims or any(d < 4 for d in dims) or dims != sorted(set(dims)):
@@ -413,7 +424,7 @@ def _parse_angle(token: str, path: str) -> float:
     if token.startswith("pi/"):
         try:
             return math.pi / float(token[3:])
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise ConfigValueError(path, f"cannot parse angle {token!r}") from None
     try:
         return float(token)

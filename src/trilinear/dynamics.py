@@ -168,25 +168,24 @@ class RotatingFrameHamiltonian:
 @dataclass(frozen=True)
 class RampSchedule:
     """RC-filtered exponential detuning ramp
-    delta(t) = delta_end + (delta_start - delta_end) exp(-t / tau_rc).
+    delta(t) = delta_end + (delta_start - delta_end) exp(-t / tau_rc),
+    run for `duration` = 5 tau_rc, where it has settled below 1%.
     """
 
     delta_start: float
     delta_end: float
     tau_rc: float
-    duration: float
 
     def __post_init__(self):
-        for name in ("delta_start", "delta_end", "tau_rc", "duration"):
+        for name in ("delta_start", "delta_end", "tau_rc"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} {getattr(self, name)} is not finite")
         if self.tau_rc <= 0:
             raise ValueError("tau_rc must be positive")
-        if self.duration < 5 * self.tau_rc:
-            raise ValueError(
-                f"duration {self.duration} shorter than 5 tau_rc = "
-                f"{5 * self.tau_rc}; the ramp would not settle below 1%"
-            )
+
+    @property
+    def duration(self) -> float:
+        return 5 * self.tau_rc
 
     def delta_at(self, t):
         return self.delta_end + (self.delta_start - self.delta_end) * np.exp(
@@ -195,9 +194,8 @@ class RampSchedule:
 
 
 def rc_ramp(delta_start: float, delta_end: float, tau_rc: float) -> RampSchedule:
-    """The ramp that runs for 5 tau_rc, where it has settled below 1%."""
-    return RampSchedule(delta_start=delta_start, delta_end=delta_end,
-                        tau_rc=tau_rc, duration=5 * tau_rc)
+    """The RC ramp from delta_start to delta_end with time constant tau_rc."""
+    return RampSchedule(delta_start=delta_start, delta_end=delta_end, tau_rc=tau_rc)
 
 
 def default_step(xi: float, schedule: RampSchedule) -> float:
@@ -577,11 +575,11 @@ class SweepResult:
     in eigenvalue) at the schedule's first and last instant; protocols use
     them as the normal-mode bases for state preparation and readout.
 
-    evolved holds, per sector, the sweep unitary U_k applied to the start
-    eigenvectors the readout needs: column 0 is U_k times the lowest one;
-    unless the schedule starts above zero detuning, column 1 is U_k times
-    the highest one (the label-0 state below zero). The full unitaries are
-    built only on demand, by `unitaries`.
+    evolved holds, per sector, the one column the readout needs: the sweep
+    unitary U_k times the label-0 start state, the lowest start eigenvector
+    when the schedule starts above zero detuning and the highest otherwise
+    (bare sector energies are delta * n_c). The full unitaries are built
+    only on demand, by `unitaries`.
 
     step is the finest step of the graded grid, which `piecewise_deltas`
     lays once for the sweep; dts and coefs hold that grid's step durations
@@ -615,9 +613,9 @@ def sweep_unitaries(space: TwoModeSpace, xi: float, schedule: RampSchedule,
 
     The result is state-independent: one call serves a whole grid of initial
     states (the expensive part of Wigner scans is paid once here). All
-    sectors advance together through one lockstep kernel that evolves only
-    the start eigenvectors the readout needs; the full unitaries are built
-    on demand (`SweepResult.unitaries`).
+    sectors advance together through one lockstep kernel that evolves one
+    column per sector, its label-0 start state (`SweepResult.evolved`); the
+    full unitaries are built on demand (`SweepResult.unitaries`).
 
     A sweep whose arithmetic breaks down -- an eigendecomposition that does
     not converge, or an evolved column whose norm is not 1 within NORM_TOL
@@ -633,19 +631,17 @@ def sweep_unitaries(space: TwoModeSpace, xi: float, schedule: RampSchedule,
     dts, coefs = piecewise_deltas(schedule, 0.0, schedule.duration, step)
     ends = schedule.delta_at(np.array([0.0, schedule.duration]))
     endpoint_bases = {}
-    # column 0 is the lowest start eigenvector; below zero detuning the
-    # label-0 state is the highest, marched as column 1
-    starts = [0] if ends[0] > 0 else [0, -1]
+    start = 0 if schedule.delta_start > 0 else -1
     try:
         for b in blocks:
             _, (v_first, v_last) = np.linalg.eigh(b.hamiltonians(xi, ends))
             endpoint_bases[b.k] = (v_first, v_last)
         evolved = _march(blocks, xi, coefs,
-                         [endpoint_bases[b.k][0][:, starts] for b in blocks])
+                         [endpoint_bases[b.k][0][:, start] for b in blocks])
     except np.linalg.LinAlgError as e:
         raise NumericalContractError(f"sweep eigendecomposition failed: {e}") from None
     for b, f in zip(blocks, evolved):
-        err = float(np.abs(np.linalg.norm(f, axis=0) - 1).max())
+        err = abs(float(np.linalg.norm(f)) - 1)
         if not err < NORM_TOL:
             raise NumericalContractError(
                 f"swept column of K = {b.k} has norm off 1 by {err:.3g}, not "

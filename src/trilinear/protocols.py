@@ -156,13 +156,11 @@ def _label_basis(vecs: np.ndarray, delta: float) -> np.ndarray:
     """Columns indexed by the local bare label (ascending n_c); column j is
     the eigenvector adiabatically connected to that label at the given
     detuning: eigenvalue rank j for delta > 0, reversed order for delta < 0
-    (bare sector energies are delta * n_c). Phases are fixed by making each
-    column's largest component real positive."""
+    (bare sector energies are delta * n_c). Only the order is fixed: every
+    reader squares moduli, so a column's sign does not matter."""
     if delta == 0:
         raise ValueError("normal-mode labels are undefined at delta = 0")
-    v = vecs if delta > 0 else vecs[:, ::-1]
-    lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-    return v * (np.abs(lead) / lead)
+    return vecs if delta > 0 else vecs[:, ::-1]
 
 
 def normal_mode_populations(state: StateVector, sweep: SweepResult) -> np.ndarray:
@@ -207,7 +205,7 @@ class _SectorReadout:
 
     The readout acts on each sector separately, so a radial state psi
     yields the incoherent sum over k of |psi_k|^2 times the per-sector
-    figures of f_k = U_k e_k: `radial0` is the final population of the
+    figures of f_k = U_k e_k (`SweepResult.evolved`): `radial0` is the final population of the
     labels with radial label 0, `axial` the final axial-label marginal and
     `guard` the radial and axial guard-band populations. An ideal sweep
     maps e_k to radial label 0 for even k and to radial label 1 for odd k,
@@ -218,7 +216,8 @@ class _SectorReadout:
     radial0 and guard `read` knows: the swept ones and every sector that
     `wigner_sweep_needed` leaves out, whose radial0 = 0 and guard = 0 by its
     basis alone. Such a sector's axial marginal does depend on the sweep, so
-    `axial_distribution` takes swept sectors only.
+    `axial_distribution` takes swept sectors only. A sweep that starts at
+    delta = 0, where no label is defined, is refused.
     """
 
     swept: np.ndarray  # (dr,) bool
@@ -231,7 +230,8 @@ class _SectorReadout:
     def of(cls, sweep: SweepResult) -> "_SectorReadout":
         space = sweep.space
         dr = space.radial.dim
-        delta0 = float(sweep.schedule.delta_at(0.0))
+        if sweep.schedule.delta_start == 0:
+            raise ValueError("normal-mode labels are undefined at delta = 0")
         delta1 = float(sweep.schedule.delta_at(sweep.schedule.duration))
         occ = space.occupations()
         tops = np.array([space.radial.top_physical, space.axial.top_physical])
@@ -245,13 +245,8 @@ class _SectorReadout:
             if bases is None:
                 continue
             block_occ = occ[blocks.by_k(k).indices]
-            # the label-0 start state is the sweep's evolved start
-            # eigenvector (the lowest for delta0 > 0, the highest below
-            # zero) up to the phase _label_basis fixes
-            start = 0 if delta0 > 0 else -1
-            label0 = _label_basis(bases[0], delta0)[:, 0]
-            f = sweep.evolved[k][:, start] * np.vdot(bases[0][:, start], label0)
-            labels = np.abs(_label_basis(bases[1], delta1).conj().T @ f) ** 2
+            f = sweep.evolved[k]
+            labels = np.abs(_label_basis(bases[1], delta1).T @ f) ** 2
             swept[k] = True
             radial0[k] = labels[block_occ[:, 0] == 0].sum()
             axial[k, block_occ[:, 1]] = labels
@@ -318,7 +313,6 @@ class OscillationResult:
     p_radial_sampled: np.ndarray
     p_axial_sampled: np.ndarray
     fit_frequency: float  # rad/s
-    fit_frequency_err: float  # rad/s, 1 sigma from the fit covariance
     fit_ok: bool
 
     def to_csv(self, path, comments=()) -> None:
@@ -337,8 +331,7 @@ def _fit_tone(t, y, decay: bool):
     """Least-squares fit of c + a e^(-kt) cos(2 pi f t + phi), with k = 0
     without decay, by variable projection (Golub & Pereyra 1973): each trial
     (f, k) solves the offset and both quadratures linearly, so only f and k
-    iterate. Returns (omega, omega_err, ok, rss); omega_err is the 1-sigma
-    of (J^T J)^-1 rss / (n - p), as curve_fit reports it."""
+    iterate. Returns (omega, ok, rss)."""
     t, y = np.asarray(t, float), np.asarray(y, float)
 
     def project(f, k=0.0):
@@ -374,10 +367,8 @@ def _fit_tone(t, y, decay: bool):
         if np.abs(step).max() * t[-1] <= 1e-12:
             break
     else:
-        return math.nan, math.nan, False, rss
-    row, dof = np.linalg.pinv(jac)[3], t.size - jac.shape[1]
-    f_err = math.sqrt(row @ row * rss / dof) if dof > 0 else math.nan
-    return 2 * math.pi * x[0], 2 * math.pi * f_err, bool(x[0] > 0), rss
+        return math.nan, False, rss
+    return 2 * math.pi * x[0], bool(x[0] > 0), rss
 
 
 def oscillation_experiment(n_initial: int, hold_times, params: ModeParams,
@@ -435,8 +426,7 @@ def oscillation_experiment(n_initial: int, hold_times, params: ModeParams,
     # hold i draws from the streams (i, 0) and (i, 1)
     _, sampled, _ = measurement_channel(p, model)
 
-    omega, omega_err, ok, _ = _fit_tone(hold_times, p[:, 1],
-                                       decay=envelope_tau is not None)
+    omega, ok, _ = _fit_tone(hold_times, p[:, 1], decay=envelope_tau is not None)
     return OscillationResult(
         hold_times=hold_times,
         p_radial=p[:, 0],
@@ -444,7 +434,6 @@ def oscillation_experiment(n_initial: int, hold_times, params: ModeParams,
         p_radial_sampled=sampled[:, 0],
         p_axial_sampled=sampled[:, 1],
         fit_frequency=omega,
-        fit_frequency_err=omega_err,
         fit_ok=ok,
     )
 

@@ -13,7 +13,8 @@ from scipy.optimize import curve_fit
 
 
 def reference_fit_tone(t, y, decay: bool):
-    """Returns (omega, omega_err, ok, rss), like `protocols._fit_tone`."""
+    """Returns (omega, omega_err, ok, rss): `protocols._fit_tone`'s figures
+    and curve_fit's 1-sigma frequency error."""
     t = np.asarray(t, float)
     y = np.asarray(y, float)
     yc = y - y.mean()

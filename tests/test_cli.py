@@ -1,19 +1,26 @@
 """CLI integration: exit codes, provenance headers, determinism."""
 
+import contextlib
 import csv
+import dataclasses
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 import trilinear
-from trilinear.cli import convergence_rows, main
+from trilinear import dynamics
+from trilinear.cli import RUNNERS, convergence_rows, main
 from trilinear.config import MAX_LEVELS
 from trilinear.dynamics import default_step, piecewise_deltas, rc_ramp
 from trilinear.trap import mode_params
@@ -80,10 +87,9 @@ def test_oscillate_runs_and_reports_fit(tmp_path, capsys):
     fitted = float(next(l for l in out.splitlines()
                         if l.startswith("fitted_frequency_hz")).split("=")[1])
     assert fitted == pytest.approx(2962.8, rel=0.005)
-    # the fit's uncertainty; the hold at delta = 0 is exact, so it is tiny
-    err = float(next(l for l in out.splitlines()
-                     if l.startswith("fitted_frequency_err_hz = ")).split("=")[1])
-    assert 0 <= err < 1e-3 * fitted
+    # the fit sees only the exact column, so it reports no error bar, which
+    # would be rounding
+    assert not any(l.startswith("fitted_frequency_err_hz") for l in out.splitlines())
     rows = read_data_rows(tmp_path / "oscillation.csv")
     assert rows[0] == "t_ms,p_radial,p_axial,p_radial_sampled,p_axial_sampled"
     assert len(rows) == 1 + 33
@@ -560,6 +566,90 @@ def test_output_naming_a_file_exit_code(tmp_path, capsys):
     assert taken.read_text() == ""
 
 
+# the holes the config fuzzer found: each ended in a traceback
+
+
+def test_output_with_a_nul_byte_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({"output": str(tmp_path / "a\0b")}))
+    code, _, err = run(["modes", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert "kind=io" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("simulation", "parking_hz", 10 ** 400),
+    ("trap", "omega_x_hz", -10 ** 400),
+    ("converge", "step_fractions", [1.0, 10 ** 400]),
+], ids=["parking_hz", "omega_x_hz", "step_fractions"])
+def test_integer_past_the_float_range_exit_code(tmp_path, capsys, section, key,
+                                                value):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({section: {key: value}}))
+    code, _, err = run(["modes", "--config", str(cfg), "--out", str(tmp_path)],
+                       capsys)
+    assert_refused(code, err, f"{section}.{key}")
+    assert "float range" in err
+
+
+@pytest.mark.parametrize("text", [
+    "grid:\n  points: 1" + "0" * 5000 + "\n",
+    "state: 2001-13-45\n",
+    "grid:\n  points: !!int 1.5\n",
+    "state: !!timestamp x\n",
+    "state: " + "[" * 3000 + "]" * 3000 + "\n",
+], ids=["digits", "date", "int_tag", "timestamp_tag", "nesting"])
+def test_yaml_that_cannot_be_built_exit_code(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    code, _, err = run(["modes", "--config", str(cfg), "--out", str(tmp_path)],
+                       capsys)
+    assert_refused(code, err, "?")
+    assert "kind=parse" in err
+
+
+def test_grid_of_more_rows_than_print_as_digits_exit_code(tmp_path, capsys):
+    # its square has more digits than int() prints
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"grid:\n  points: {10 ** 4000}\n")
+    code, _, err = run(["wigner", "--dims", "8x4", "--config", str(cfg),
+                        "--out", str(tmp_path)], capsys)
+    assert_refused(code, err, "grid.points")
+    assert "MAX_ROWS" in err
+
+
+def test_key_with_a_line_break_is_refused_on_one_line(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({"simulation": {"a\nb": 1}}))
+    code, _, err = run(["modes", "--config", str(cfg), "--out", str(tmp_path)],
+                       capsys)
+    assert_refused(code, err, "simulation.a\\nb")
+    assert "kind=unknown-key" in err
+
+
+@pytest.mark.parametrize("command, key", [("parity", "tau_slow_s"),
+                                          ("oscillate", "tau_fast_s")])
+def test_ramp_whose_length_overflows_exit_code(tmp_path, capsys, command, key):
+    # a ramp runs for 5 tau, which is infinite here
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({"simulation": {key: 1e308}}))
+    code, _, err = run([command, "--dims", "8x4", "--config", str(cfg),
+                        "--out", str(tmp_path)], capsys)
+    assert_refused(code, err, f"simulation.{key}")
+    assert "overflows" in err
+
+
+def test_angle_divided_by_zero_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text('state: "cat:1:pi/0:plus"\n')
+    code, _, err = run(["modes", "--config", str(cfg), "--out", str(tmp_path)],
+                       capsys)
+    assert_refused(code, err, "state")
+    assert "cannot parse angle" in err
+
+
 CONVERGE_10x5 = ("simulation:\n  radial_dim: 10\n  axial_dim: 5\n"
                  "converge:\n  radial_dims: [8, 10]\n"
                  "  step_fractions: [1, 0.5, 0.25]\n")
@@ -817,3 +907,161 @@ def test_run_loads_no_scipy(tmp_path, command):
     assert done.returncode == 0, done.stderr
     table = "oscillation" if command == "oscillate" else command
     assert (tmp_path / f"{table}.csv").stat().st_size > 0
+
+
+# ---------------------------------------------------------------------------
+# config fuzzer
+
+# values no field should accept or, where one does, should run: signed
+# zeros, subnormals, the float range's ends, integers past every bound and
+# past the float range, NaN and infinity spelled as numbers and as
+# strings, values of the wrong type, and YAML that PyYAML cannot build
+# (each RAW_YAML key stands for its text, written into the file as it is;
+# nesting past the stack takes a second to refuse, so only
+# test_yaml_that_cannot_be_built_exit_code tries it)
+RAW_YAML = {"RAWDIGITS": "1" + "0" * 5000, "RAWDATE": "2001-13-45",
+            "RAWINT": "!!int 1.5", "RAWSTAMP": "!!timestamp x",
+            "RAWALIAS": "*nowhere"}
+HOSTILE_SCALARS = [0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
+                   -1e308, 10 ** 12, 2 ** 63, -2 ** 63 - 1, 10 ** 400,
+                   10 ** 4000, math.nan, math.inf, -math.inf, "nan", "NaN",
+                   "-inf", "1e999", "", "abc", "0x10", "a\nb", True, None,
+                   {"a": 1}, [], *RAW_YAML]
+HOSTILE = st.sampled_from(HOSTILE_SCALARS) | st.lists(
+    st.sampled_from(HOSTILE_SCALARS), min_size=1, max_size=3)
+# keys that name no field
+ODD_KEYS = st.sampled_from(["a\nb", "", 5, None, "grid.points", "ü"])
+
+# valid values of every config field, and some odd ones, each small enough
+# to run in a fraction of a second: dims <= 12, grid points <= 9, holds <=
+# 33, tau <= 2 ms and steps of at least 2 us or the default; FUZZ_SIZES,
+# whose defaults make larger runs, are always set
+FUZZ_VALID = {
+    "experiment": st.none(),
+    "trap.omega_x_hz": st.sampled_from([0.99e6, 1.1e6]),
+    "trap.omega_y_hz": st.sampled_from([0.90e6, 0.95e6]),
+    "trap.omega_z_hz": st.sampled_from([0.75e6, 0.7e6]),
+    "simulation.radial_dim": st.sampled_from([4, 6, 8, 12]),
+    "simulation.axial_dim": st.sampled_from([3, 4, 6]),
+    "simulation.guard_band": st.sampled_from([0, 1, 2]),
+    "simulation.parking_hz": st.sampled_from([35e3, 5e3, 1e-3]),
+    "simulation.tau_slow_s": st.sampled_from([2e-3, 2e-4]),
+    "simulation.tau_fast_s": st.sampled_from([20e-6, 5e-6]),
+    "simulation.step_s": st.sampled_from([None, 2e-6, 1e-5]),
+    "measurement.eta": st.sampled_from([0.86, 1.0, 1e-3]),
+    "measurement.shots": st.sampled_from([1, 500]),
+    "measurement.seed": st.sampled_from([0, 2 ** 63]),
+    "state": st.sampled_from(["fock:0", "fock:1", "coherent:0.5",
+                              "coherent:0.3+0.2j", "cat:0.8:pi/2:minus",
+                              "fock:-1", "fock:1e3", "coherent:nan",
+                              "coherent:1e308", "cat:1:pi/0:plus",
+                              "cat:1:pi/nan:plus", "cat:0:pi:minus",
+                              "dark:1", "fock", ""]),
+    "grid.extent": st.sampled_from([3.0, 0.5, 1e-300]),
+    "grid.points": st.sampled_from([2, 3, 9]),
+    "oscillation.n_initial": st.sampled_from([1, 2]),
+    "oscillation.hold_max_s": st.sampled_from([2e-3, 1e-4, 1e-300]),
+    "oscillation.hold_points": st.sampled_from([8, 33]),
+    "oscillation.envelope_tau_s": st.sampled_from([None, 1e-3, 1e-300]),
+    "crossing.span_hz": st.sampled_from([20e3, 1e-3]),
+    "crossing.points": st.sampled_from([3, 81]),
+    "converge.radial_dims": st.sampled_from([[8, 12], [12], [8]]),
+    "converge.step_fractions": st.sampled_from([[1.0], [1.0, 0.5]]),
+    "exact": st.booleans(),
+    # relative to the run's own directory; "taken" names a file
+    "output": st.sampled_from(["out", "a/b c/ü", "new\nline", "taken",
+                               "x" * 300, "nul\0byte", "."]),
+}
+FUZZ_SIZES = ["simulation.radial_dim", "simulation.axial_dim", "grid.points",
+              "oscillation.hold_points", "converge.radial_dims",
+              "converge.step_fractions"]
+
+
+def config_paths() -> set[str]:
+    """Every field of a config file, as section.field or a top-level name."""
+    from trilinear.config import SECTIONS, RunConfig
+
+    return {f"{f.name}.{g.name}" if f.name in SECTIONS else f.name
+            for f in dataclasses.fields(RunConfig)
+            for g in (dataclasses.fields(SECTIONS[f.name]) if f.name in SECTIONS
+                      else [None])}
+
+
+def exact_cells_are_finite(directory: Path) -> bool:
+    """Whether every number in every table under `directory` is finite."""
+    for table in directory.rglob("*.csv"):
+        for row in csv.reader(read_data_rows(table)[1:]):
+            for cell in row:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue
+                if not math.isfinite(value):
+                    return False
+    return True
+
+
+# Every subcommand on a config of valid, odd and hostile values must exit 0,
+# 2 or 3, with one line on stderr when it refuses and no non-finite cell
+# when it runs. The run is in-process, exact and on one core, so no example
+# starts a thread or a process, and every config it accepts is small. Half
+# the loaded profile's examples: 50 by default, 500 under
+# `--hypothesis-profile=ci` (tests/conftest.py).
+@settings(max_examples=settings.default.max_examples // 2, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(command=st.sampled_from(sorted(RUNNERS)), data=st.data())
+def test_config_fuzzer_exits_typed(command, data):
+    from trilinear.config import SECTIONS
+
+    assert set(FUZZ_VALID) == config_paths()
+    paths = sorted(FUZZ_VALID)
+    config = {}
+
+    def put(path, value):
+        *section, key = path.split(".")
+        target = config.setdefault(section[0], {}) if section else config
+        if isinstance(target, dict):
+            target[key] = value
+
+    sizes = {path: FUZZ_VALID[path] for path in FUZZ_SIZES}
+    others = {path: s for path, s in FUZZ_VALID.items() if path not in sizes}
+    for path, value in data.draw(st.fixed_dictionaries(sizes, optional=others),
+                                 label="valid").items():
+        put(path, value)
+    # half the examples stay valid; the others hold up to two hostile
+    # values, in place of a field or of a whole section (not null, which is
+    # the defaults, whose runs are not small), or a key that names no field
+    mode = data.draw(st.integers(0, 3), label="mode")
+    for path in data.draw(st.lists(st.sampled_from(paths + sorted(SECTIONS)),
+                                   unique=True, min_size=1, max_size=2)
+                          ) if mode == 2 else []:
+        hostile = HOSTILE.filter(lambda v: v is not None) if path in SECTIONS else HOSTILE
+        put(path, data.draw(hostile, label=path))
+    if mode == 3:
+        section = data.draw(st.sampled_from([None, *sorted(SECTIONS)]),
+                            label="section")
+        target = config if section is None else config.setdefault(section, {})
+        target[data.draw(ODD_KEYS, label="odd key")] = 1
+    if data.draw(st.booleans(), label="experiment names the command"):
+        config.setdefault("experiment", command)
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "taken").write_text("")
+        # every output path lies in the run's own directory
+        output = config.setdefault("output", "out")
+        if isinstance(output, str):
+            config["output"] = os.path.join(tmp, output)
+        text = yaml.safe_dump(config)
+        for key, raw in RAW_YAML.items():
+            text = text.replace(key, raw)
+        (Path(tmp) / "cfg.yaml").write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+              mock.patch.object(dynamics, "_worker_count", lambda: 1)):
+            code = main([command, "--config", os.path.join(tmp, "cfg.yaml"),
+                         "--exact"])
+        event(f"exit {code}")
+        assert code in (0, 2, 3), err.getvalue()
+        assert len(err.getvalue().splitlines()) == (code != 0), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            assert exact_cells_are_finite(Path(tmp))

@@ -299,7 +299,7 @@ def test_tone_fit_matches_curve_fit(n, position, duration, phase, offset, amp,
     k = efolds / duration if decay else 0.0
     y = (offset + amp * np.exp(-k * t) * np.cos(TWO_PI * f * t + phase)
          + noise * np.random.default_rng(seed).standard_normal(n))
-    omega, err, ok, rss = protocols._fit_tone(t, y, decay)
+    omega, ok, rss = protocols._fit_tone(t, y, decay)
     ref_omega, ref_err, _, ref_rss = reference_fit_tone(t, y, decay)
     # above the Nyquist frequency a tone fits the samples exactly as its
     # alias below it does, and curve_fit may wander there
@@ -311,11 +311,9 @@ def test_tone_fit_matches_curve_fit(n, position, duration, phase, offset, amp,
     rounding = n * (1e-12 * np.abs(y).max()) ** 2
     assert rss <= ref_rss * (1 + 1e-9) + rounding
     # where curve_fit stops short of the minimum (its tolerances are 1e-8),
-    # its frequency and error belong to another point
+    # its frequency belongs to another point
     if ref_err < 1e-3 * ref_omega and ref_rss <= rss * (1 + 1e-6) + rounding:
         assert abs(omega - ref_omega) <= max(1e-8 * ref_omega, 1e-2 * ref_err)
-        if noise:  # without noise both errors are rounding
-            assert err == pytest.approx(ref_err, rel=0.01)
 
 
 @pytest.mark.parametrize("hold_max, holds", [(4e-3, 8001), (2e-3, 81)])
@@ -325,14 +323,13 @@ def test_tone_fit_of_the_conversion_matches_curve_fit(space, hold_max, holds):
     t = np.linspace(0, hold_max, holds)
     res = oscillation_experiment(2, t, PARAMS, MeasurementModel(seed=0),
                                  space=space)
-    omega, err, ok, rss = protocols._fit_tone(t, res.p_axial, decay=False)
+    omega, ok, rss = protocols._fit_tone(t, res.p_axial, decay=False)
     ref_omega, _, _, ref_rss = reference_fit_tone(t, res.p_axial, decay=False)
     assert ok and res.fit_frequency == omega
     assert omega / TWO_PI == pytest.approx(2962.760729312, rel=1e-12)
     assert omega == pytest.approx(ref_omega, rel=1e-12)
     assert omega == pytest.approx(PARAMS.conversion_rate, rel=1e-12)
     assert rss <= ref_rss + holds * 1e-26
-    assert err < 1e-9 * omega
 
 
 def test_tone_fit_of_a_sub_period_record(space):
@@ -530,6 +527,51 @@ def test_normal_mode_populations_sum_to_one(space, sweep):
     psi = normal_mode_embedding(coherent_state(space.radial, 1.2), space, sweep)
     pops = normal_mode_populations(apply_sweep(sweep, psi), sweep)
     assert pops.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+# A rising ramp starts below zero detuning, where each sector's label-0 state
+# is its highest start eigenvector: the sweep marches that column, and the
+# readout of it must agree with the per-state composition and still realize
+# the parity map
+@pytest.mark.parametrize("dims", [(12, 6), (16, 8)])
+def test_rising_sweep_reads_as_the_per_state_reference(dims):
+    space = TwoModeSpace(FockDim(dims[0]), FockDim(dims[1]))
+    sched = rc_ramp(-PARKING, PARKING, protocols.TAU_SLOW)
+    sweep = sweep_unitaries(space, PARAMS.xi, sched,
+                            sector_ks=range(space.radial.dim))
+    model = MeasurementModel(eta=0.86, seed=5)
+    states = ([fock_state(space.radial, n) for n in range(4)]
+              + [coherent_state(space.radial, 1.0)])
+    for state in states:
+        res = adiabatic_parity(state, PARAMS.xi, space, sched, model, sweep=sweep)
+        final = apply_sweep(sweep, normal_mode_embedding(state, space, sweep))
+        pops = normal_mode_populations(final, sweep).reshape(
+            space.radial.dim, space.axial.dim)
+        assert abs(res.p_phonon - (1.0 - pops[0].sum())) < 1e-12
+        assert np.abs(res.axial_distribution - pops.sum(axis=0)).max() < 1e-12
+        levels = np.abs(state.amplitudes) ** 2
+        ideal = float(np.sum((-1.0) ** np.arange(levels.size) * levels))
+        assert res.exact.parity == pytest.approx(ideal, abs=0.02)
+    state = coherent_state(space.radial, 1.0)
+    alphas = phase_space_grid(1.5, 5)
+    scan = wigner_scan(state, alphas, PARAMS.xi, space, sched, model,
+                       exact=True, sweep=sweep)
+    p1_exact, _, flags = per_point_reference(state, alphas, space, sweep, model)
+    assert np.abs(scan.p1_exact - p1_exact).max() < 1e-12
+    assert list(scan.flags) == flags
+
+
+def test_readout_refuses_a_sweep_from_zero_detuning():
+    # no label is defined at delta = 0, where the oscillation's up ramp
+    # starts
+    space = TwoModeSpace(FockDim(8), FockDim(4))
+    sched = rc_ramp(0.0, PARKING, protocols.TAU_FAST)
+    sweep = sweep_unitaries(space, PARAMS.xi, sched, sector_ks=[2])
+    with pytest.raises(ValueError, match="undefined at delta = 0"):
+        protocols._SectorReadout.of(sweep)
+    with pytest.raises(ValueError, match="undefined at delta = 0"):
+        adiabatic_parity(fock_state(space.radial, 2), PARAMS.xi, space, sched,
+                         MeasurementModel(), sweep=sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -754,7 +796,8 @@ def test_pruned_sweep_reads_as_the_full_sweep(dr, da, guard, seed, n_levels,
     guard = min(guard, da - 2)
     space = TwoModeSpace(FockDim(dr, guard), FockDim(da, guard))
     state = random_radial_state(space.radial, min(n_levels, dr), seed)
-    # a rising ramp starts below zero detuning and marches two start columns
+    # a rising ramp starts below zero detuning and marches the highest start
+    # eigenvector
     sched = rc_ramp(PARKING, -PARKING, 15e-6) if falling else rc_ramp(
         -PARKING, PARKING, 15e-6)
     alphas = phase_space_grid(extent, 3) if extent > 0 else np.array([0j])
