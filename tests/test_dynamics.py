@@ -237,6 +237,8 @@ def test_rc_ramp_profile_points():
     (-math.inf, -1.0, 1e-3),
     (1.0, math.inf, 1e-3),
     (1.0, -1.0, math.nan),
+    (1.0, math.nan, 1e-3),
+    (1.0, -1.0, math.inf),
     (rc_ramp, 1.0, -1.0, math.nan),
 ])
 def test_ramp_rejects_non_finite_values(values):
