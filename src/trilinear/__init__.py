@@ -49,14 +49,12 @@ from .dynamics import (
 )
 from .protocols import (
     MeasurementModel,
-    ParityResult,
     SpectrumBranch,
     WignerScan,
-    adiabatic_parity,
     avoided_crossing_spectrum,
+    axial_distribution,
     measurement_channel,
     oscillation_experiment,
-    parity_estimate,
     phase_space_grid,
     radial_cut,
     slow_sweep,

@@ -33,14 +33,15 @@ from .config import (
     parse_config,
     parse_descriptor,
 )
-from .dynamics import default_step
+from .dynamics import default_step, sweep_unitaries
 from .errors import NumericalContractError, StepPolicyError
 from .fock import FockDim, TwoModeSpace
 from .protocols import (
+    AMPLITUDE_FLOOR,
     STREAMS,
     MeasurementModel,
-    adiabatic_parity,
     avoided_crossing_spectrum,
+    axial_distribution,
     oscillation_experiment,
     phase_space_grid,
     slow_sweep,
@@ -136,30 +137,39 @@ def run_crossing(cfg: RunConfig, out: Path) -> None:
 
 
 def run_parity(cfg: RunConfig, out: Path) -> None:
+    # the parity is the Wigner scan at the origin, <P> = (pi/2) W(0); its
+    # sweep also covers the odd populated sectors, which the axial
+    # distribution reads
     p = mode_params(YB171, cfg.to_trap())
     space = cfg.to_space()
     state = build_radial_state(parse_descriptor(cfg.state), space.radial)
-    res = adiabatic_parity(
-        state, p.xi, space, slow_sweep(cfg.parking, cfg.simulation.tau_slow_s),
-        _model(cfg), step=cfg.simulation.step_s,
-    )
+    schedule = slow_sweep(cfg.parking, cfg.simulation.tau_slow_s)
+    model = _model(cfg)
+    sweep = sweep_unitaries(
+        space, p.xi, schedule, cfg.simulation.step_s,
+        sector_ks=np.flatnonzero(np.abs(state.amplitudes) > AMPLITUDE_FLOOR))
+    scan = wigner_scan(state, [0j], p.xi, space, schedule, model, sweep=sweep)
+    axial = axial_distribution(state, sweep)
+    p1, p1_hat = scan.p1_exact[0], scan.p1_sampled[0]
+    parity_exact = 1.0 - 2.0 * p1 / model.eta
+    # the scan's W figures times pi/2 are parity figures
+    stderr, bias = math.pi / 2 * scan.stderr[0], math.pi / 2 * scan.readout_bias[0]
     keys = ["state", "p_phonon", "p1_exact", "p1_sampled", "parity_exact",
             "parity_sampled", "stderr", "readout_bias", "flags"]
-    keys += [f"axial_p{n}" for n in range(res.axial_distribution.size)]
+    keys += [f"axial_p{n}" for n in range(axial.size)]
     values = [
         cfg.state,
-        *format_column([res.p_phonon, res.exact.p1, res.sampled.p1,
-                        res.exact.parity, res.sampled.parity,
-                        res.sampled.stderr, res.readout_bias]),
-        ";".join(res.flags),
-        *format_column(res.axial_distribution),
+        *format_column([p1 / model.eta, p1, p1_hat, parity_exact,
+                        scan.parity[0], stderr, bias]),
+        scan.flags[0],
+        *format_column(axial),
     ]
     write_csv(out / "parity.csv", ["key", "value"], [keys, values],
               provenance(cfg, "parity"))
-    parity = res.exact.parity if cfg.exact else res.sampled.parity
+    parity = parity_exact if cfg.exact else scan.parity[0]
     print(f"parity = {parity:.6g}")
-    print(f"max_readout_bias = {abs(res.readout_bias):.3g}")
-    _print_sweep_steps(res.sweep_dts)
+    print(f"max_readout_bias = {abs(bias):.3g}")
+    _print_sweep_steps(scan.sweep_dts)
 
 
 def run_wigner(cfg: RunConfig, out: Path) -> None:
@@ -274,8 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
         s = sub.add_parser(name, help=f"run the {name} experiment")
         s.add_argument("--config", type=Path, help="YAML run configuration")
         s.add_argument("--out", type=Path, help="output directory")
-        s.add_argument("--seed", type=int, help="override the RNG seed")
-        s.add_argument("--shots", type=int, help="override the shot count")
+        # integers read in _apply_overrides, so a bad value is a config error
+        s.add_argument("--seed", help="override the RNG seed")
+        s.add_argument("--shots", help="override the shot count")
         s.add_argument("--exact", action="store_true",
                        help="infinite-shot mode (exact probabilities)")
         s.add_argument("--dims", help="override truncation dims, e.g. 40x20")
@@ -291,15 +302,19 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
         )
     updates = {"experiment": args.command}
     m_updates = {}
-    if args.seed is not None:
-        m_updates["seed"] = args.seed
-    if args.shots is not None:
-        m_updates["shots"] = args.shots
+    for name in ("seed", "shots"):
+        text = getattr(args, name)
+        if text is not None:
+            try:
+                m_updates[name] = int(text)
+            except ValueError:
+                raise ConfigValueError(f"measurement.{name}",
+                                       f"expected an integer, got {text!r}") from None
     if m_updates:
         updates["measurement"] = dataclasses.replace(cfg.measurement, **m_updates)
     if args.exact:
         updates["exact"] = True
-    if args.dims:
+    if args.dims is not None:
         try:
             r, a = (int(tok) for tok in str(args.dims).lower().split("x"))
         except ValueError:

@@ -354,6 +354,8 @@ def validate_config(cfg: RunConfig) -> None:
         if rows > MAX_ROWS:
             raise ConfigValueError(
                 path, f"would write more than MAX_ROWS = {MAX_ROWS} rows")
+    if cfg.experiment != "converge":
+        return  # only the converge run reads the converge section
     c = cfg.converge
     dims = list(c.radial_dims)
     if not dims or any(d < 4 for d in dims) or dims != sorted(set(dims)):

@@ -93,7 +93,8 @@ class MeasurementModel:
 STREAMS = {
     "oscillate": "per-hold streams via SeedSequence(seed, hold_index, 0 for "
                  "radial or 1 for axial)",
-    "parity": "one stream via SeedSequence(seed)",
+    "parity": "one stream via SeedSequence(seed, 0), the scan's point 0; "
+              "equal to SeedSequence(seed) below 2^96",
     "wigner": "per-point streams via SeedSequence(seed, point_index)",
 }
 
@@ -126,26 +127,6 @@ def measurement_channel(p_phonon, model: MeasurementModel,
          for idx, x in zip(np.ndindex(p.shape), p1.ravel().tolist())),
         dtype=float, count=p.size).reshape(p.shape)
     return p1, p1_hat, np.sqrt(np.maximum(p1_hat * (1.0 - p1_hat), 0.0) / shots)
-
-
-def parity_estimate(p1: float, eta: float) -> float:
-    """<P> = 1 - 2 p1 / eta, unclamped."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    return 1.0 - 2.0 * p1 / eta
-
-
-@dataclass(frozen=True)
-class ParityResult:
-    p1: float
-    parity: float
-    shots: int
-    stderr: float
-    eta: float
-
-    def __post_init__(self):
-        if abs(self.parity - parity_estimate(self.p1, self.eta)) > 1e-12:
-            raise ValueError("parity inconsistent with 1 - 2 p1 / eta")
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +275,6 @@ def _check_sweep(sweep: SweepResult, space: TwoModeSpace, xi: float,
                                ("step", sweep.step, step)):
         if asked is not None and built != asked:
             raise ValueError(f"the sweep was built for another {name}")
-
-
-def _flags(leak: bool, wigner_bias: float) -> tuple[str, ...]:
-    return (("leak",) if leak else ()) + (
-        ("diabatic",) if abs(wigner_bias) > READOUT_BIAS_TOLERANCE else ())
 
 
 # ---------------------------------------------------------------------------
@@ -482,77 +458,27 @@ def spectrum_to_csv(spec: SpectrumBranch, path, comments=()) -> None:
 
 
 # ---------------------------------------------------------------------------
-# adiabatic parity measurement
-
-
-@dataclass(frozen=True)
-class AdiabaticParityResult:
-    exact: ParityResult
-    sampled: ParityResult
-    p_phonon: float
-    axial_distribution: np.ndarray
-    # exact parity minus the ideal sum_n (-1)^n |psi_n|^2: the sweep's error
-    readout_bias: float
-    flags: tuple[str, ...]
-    sweep_dts: np.ndarray  # the step durations of the sweep's grid
+# adiabatic parity measurement: the Wigner scan's undisplaced point,
+# <P> = (pi / 2) W(0)
 
 
 def slow_sweep(parking: float = PARKING_DETUNING,
                tau_rc: float = TAU_SLOW) -> RampSchedule:
-    """The parity-measurement ramp: +parking -> -parking, adiabatic RC."""
+    """The ramp of the displaced-parity readout, which parity and Wigner
+    runs share: +parking -> -parking, adiabatic RC. It carries even radial
+    Fock components to the empty radial mode and odd ones to one radial
+    phonon."""
     return rc_ramp(parking, -parking, tau_rc)
 
 
-def adiabatic_parity(state_r: StateVector, xi: float, space: TwoModeSpace,
-                     schedule: RampSchedule, model: MeasurementModel,
-                     step: float | None = None,
-                     sweep: SweepResult | None = None,
-                     stream: tuple[int, ...] = ()) -> AdiabaticParityResult:
-    """Sweep the detuning through the crossing and read the radial mode.
-
-    Even initial Fock components end with the radial mode empty, odd ones
-    with a single radial phonon, so P(n_r >= 1) through the mapping channel
-    estimates the parity. The final axial distribution (which carries n/2)
-    is returned as an extra diagnostic. readout_bias is the exact parity's
-    departure from the ideal sum_n (-1)^n |psi_n|^2, known in closed form
-    because the readout is per sector (`_SectorReadout.read`); a bias of
-    the Wigner value (2 / pi) <P> beyond READOUT_BIAS_TOLERANCE raises the
-    'diabatic' flag. It is reported, not fatal.
-    """
-    if not isinstance(state_r.basis, FockDim) or state_r.basis != space.radial:
+def axial_distribution(state_r: StateVector, sweep: SweepResult) -> np.ndarray:
+    """Final axial-label distribution of a radial state after the sweep,
+    which carries n // 2 from |n>; every populated sector, odd ones
+    included, must be swept."""
+    if state_r.basis != sweep.space.radial:
         raise ValueError("state must live on the radial mode of the space")
-    if sweep is None:
-        populated = sorted(
-            int(k) for k in np.nonzero(np.abs(state_r.amplitudes) > AMPLITUDE_FLOOR)[0]
-        )
-        sweep = sweep_unitaries(space, xi, schedule, step, sector_ks=populated)
-    else:
-        _check_sweep(sweep, space, xi, schedule, step)
     readout = _SectorReadout.of(sweep)
-    amplitudes = state_r.amplitudes[None, :]
-    # the axial distribution needs every populated sector swept
-    axial = readout.axial_distribution(amplitudes)
-    p_phonon, leak, bias = readout.read(amplitudes)
-    p_phonon = float(p_phonon[0])
-    parity_bias = 2.0 * float(bias[0])
-    p1, p1_hat, stderr = map(float, measurement_channel(p_phonon, model, stream=stream))
-    exact = ParityResult(
-        p1=p1, parity=parity_estimate(p1, model.eta), shots=0, stderr=0.0,
-        eta=model.eta,
-    )
-    sampled = ParityResult(
-        p1=p1_hat, parity=parity_estimate(p1_hat, model.eta),
-        shots=model.shots, stderr=2 * stderr / model.eta, eta=model.eta,
-    )
-    return AdiabaticParityResult(
-        exact=exact,
-        sampled=sampled,
-        p_phonon=p_phonon,
-        axial_distribution=axial[0],
-        readout_bias=parity_bias,
-        flags=_flags(leak[0], 2.0 / math.pi * parity_bias),
-        sweep_dts=sweep.dts,
-    )
+    return readout.axial_distribution(state_r.amplitudes[None, :])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -639,10 +565,13 @@ def wigner_scan(state_r: StateVector, alphas, xi: float, space: TwoModeSpace,
     the readout acts on each K sector separately, a point needs only its
     displaced radial populations: the grid is displaced and read out in
     blocks of points, with the figures of each sector computed once per
-    sweep, and gives at each point what adiabatic_parity gives for the
-    displaced state, readout_bias included. Per-point randomness is
-    drawn from the stream (seed, point index), so the scan is deterministic;
-    an exact scan draws nothing.
+    sweep. Per-point randomness is drawn from the stream (seed, point
+    index), so the scan is deterministic; an exact scan draws nothing.
+
+    The parity measurement is the one-point scan at alpha = 0, <P> =
+    (pi / 2) W(0). Its draw comes from the stream (seed, 0), which numpy's
+    SeedSequence, padding its entropy with zeros to four 32-bit words,
+    makes the stream (seed) for every seed below 2^96.
     """
     alphas = np.asarray(alphas, complex).ravel()
     dim_r = state_r.basis

@@ -65,21 +65,24 @@ def crossing_rows(spec):
                             spec.branches[:, 1] / two_pi])
 
 
-def parity_rows(state, res):
+def parity_rows(state, scan, axial):
+    """The parity table from the one-point scan at the origin: parity cells
+    are 1 - 2 p1 / eta, the error and the bias the scan's W figures times
+    pi / 2."""
+    eta = scan.eta
+    p1 = scan.p1_exact[0]
     rows = [
         ("state", state),
-        ("p_phonon", res.p_phonon),
-        ("p1_exact", res.exact.p1),
-        ("p1_sampled", res.sampled.p1),
-        ("parity_exact", res.exact.parity),
-        ("parity_sampled", res.sampled.parity),
-        ("stderr", res.sampled.stderr),
-        ("readout_bias", res.readout_bias),
-        ("flags", ";".join(res.flags)),
+        ("p_phonon", p1 / eta),
+        ("p1_exact", p1),
+        ("p1_sampled", scan.p1_sampled[0]),
+        ("parity_exact", 1.0 - 2.0 * p1 / eta),
+        ("parity_sampled", scan.parity[0]),
+        ("stderr", np.pi / 2 * scan.stderr[0]),
+        ("readout_bias", np.pi / 2 * scan.readout_bias[0]),
+        ("flags", scan.flags[0]),
     ]
-    return rows + [
-        (f"axial_p{n}", prob) for n, prob in enumerate(res.axial_distribution)
-    ]
+    return rows + [(f"axial_p{n}", prob) for n, prob in enumerate(axial)]
 
 
 def modes_table(p, parking_hz):

@@ -18,8 +18,8 @@ from trilinear import (
     RotatingFrameHamiltonian,
     StateVector,
     TwoModeSpace,
-    adiabatic_parity,
     avoided_crossing_spectrum,
+    axial_distribution,
     cat_state,
     coherent_state,
     fock_state,
@@ -123,11 +123,14 @@ def test_criterion_4_adiabatic_parity(space40, sweep40):
     worst_parity_err = 0.0
     worst_axial = 1.0
     for n in range(7):
-        res = adiabatic_parity(fock_state(space40.radial, n), PARAMS.xi,
-                               space40, slow_sweep(), model, sweep=sweep40)
+        # the parity is the exact Wigner scan at the origin
+        state = fock_state(space40.radial, n)
+        scan = wigner_scan(state, [0.0], PARAMS.xi, space40, slow_sweep(),
+                           model, exact=True, sweep=sweep40)
         worst_parity_err = max(worst_parity_err,
-                               abs(res.exact.parity - (-1.0) ** n))
-        worst_axial = min(worst_axial, float(res.axial_distribution[n // 2]))
+                               abs(scan.parity[0] - (-1.0) ** n))
+        worst_axial = min(worst_axial,
+                          float(axial_distribution(state, sweep40)[n // 2]))
 
     # diabatic control: the fast (20 us) ramp over the same detuning range
     # leaves the two-phonon state's populations essentially unchanged
@@ -190,10 +193,9 @@ def test_criterion_6_negativity_with_shot_noise(space40):
     reps = 200
     for rep in range(reps):
         model = MeasurementModel(eta=0.86, shots=500, seed=rep)
-        res = adiabatic_parity(state, PARAMS.xi, space40, schedule, model,
-                               sweep=sweep)
-        w0 = (2 / math.pi) * res.sampled.parity
-        negatives += w0 < 0
+        scan = wigner_scan(state, [0.0], PARAMS.xi, space40, schedule, model,
+                           sweep=sweep)
+        negatives += scan.wigner[0] < 0
     ok = negatives >= math.ceil(0.99 * reps)
     report(6, ok, f"W(0) < 0 for fock(1) in {negatives}/{reps} seeded "
                   f"repetitions at eta = 0.86, 500 shots (need >= 99%)")

@@ -170,7 +170,8 @@ def test_wigner_deterministic_rerun(tmp_path, capsys):
     ("wigner", "per-point streams via SeedSequence(seed, point_index)"),
     ("oscillate", "per-hold streams via SeedSequence(seed, hold_index, 0 for "
                   "radial or 1 for axial)"),
-    ("parity", "one stream via SeedSequence(seed)"),
+    ("parity", "one stream via SeedSequence(seed, 0), the scan's point 0; "
+               "equal to SeedSequence(seed) below 2^96"),
     ("crossing", "no shots drawn"),
 ])
 def test_provenance_names_the_random_streams(tmp_path, capsys, command, streams):
@@ -203,7 +204,7 @@ def test_provenance_names_the_random_streams(tmp_path, capsys, command, streams)
                 assert float(row[f"{col}_sampled"]) == drawn(p1, i, sub)
     elif command == "parity":
         values = {row["key"]: row["value"] for row in body}
-        assert float(values["p1_sampled"]) == drawn(float(values["p1_exact"]))
+        assert float(values["p1_sampled"]) == drawn(float(values["p1_exact"]), 0)
 
 
 def test_wigner_reports_flagged_points(tmp_path, capsys):
@@ -348,6 +349,28 @@ def test_negative_seed_exit_code(tmp_path, capsys, source):
     code, _, err = run(args, capsys)
     assert code == 2
     assert "path=measurement.seed" in err
+
+
+def test_seed_flag_that_is_not_an_integer_exit_code(tmp_path, capsys):
+    # refused on one config-error line, not argparse's three
+    code, _, err = run(["parity", "--dims", "8x4", "--seed", "x", "--out",
+                        str(tmp_path)], capsys)
+    assert_refused(code, err, "measurement.seed")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_shots_flag_that_is_not_an_integer_exit_code(tmp_path, capsys):
+    code, _, err = run(["parity", "--dims", "8x4", "--shots", "x", "--out",
+                        str(tmp_path)], capsys)
+    assert_refused(code, err, "measurement.shots")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_empty_dims_flag_exit_code(tmp_path, capsys):
+    # an empty value is refused, not read as no flag at all
+    code, _, err = run(["modes", "--dims=", "--out", str(tmp_path)], capsys)
+    assert_refused(code, err, "dims")
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_unknown_key_exit_code(tmp_path, capsys):
@@ -516,8 +539,10 @@ def test_frequency_whose_angular_value_overflows_exit_code(tmp_path, capsys,
 ], ids=["radial_dim", "axial_dim", "dims_flag", "converge_radial_dims"])
 def test_dims_past_max_levels_exit_code(tmp_path, capsys, source, path):
     # refused in validation, before any space of that size is built; the
-    # modes run would build none either way
-    args = ["modes", "--out", str(tmp_path)]
+    # modes run would build none either way, and only converge reads the
+    # converge section
+    command = "converge" if path.startswith("converge") else "modes"
+    args = [command, "--out", str(tmp_path)]
     if source.startswith("--dims"):
         args += source.split()
     else:
@@ -789,8 +814,9 @@ def test_converge_of_one_phonon_fits_the_radial_levels(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["modes", "converge"])
 def test_bad_converge_list_entry_exit_code(tmp_path, capsys, command, key,
                                            entries):
-    # every subcommand validates the converge section, entry by entry with
-    # the rule of a scalar field of the entry's type
+    # every subcommand parses the converge section, entry by entry with
+    # the rule of a scalar field of the entry's type; only converge checks
+    # the values
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(yaml.safe_dump({"converge": {key: entries}}))
     code, _, err = run([command, "--config", str(cfg), "--out", str(tmp_path)],
@@ -815,6 +841,19 @@ def test_converge_dims_too_small_for_the_guard_band_exit_code(tmp_path, capsys,
     assert code == 2
     assert "path=converge.radial_dims" in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_converge_section_is_checked_by_converge_alone(tmp_path, capsys):
+    # guard band 9 fits the configured 40x20 but not converge's 20x10
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("simulation: {guard_band: 9}\n")
+    code, _, _ = run(["modes", "--config", str(cfg), "--out", str(tmp_path)],
+                     capsys)
+    assert code == 0
+    code, _, err = run(["converge", "--config", str(cfg), "--out",
+                        str(tmp_path / "converge")], capsys)
+    assert_refused(code, err, "converge.radial_dims")
+    assert "cannot hold guard band 9" in err
 
 
 @pytest.mark.parametrize("command, path", [

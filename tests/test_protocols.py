@@ -13,8 +13,8 @@ from trilinear import (
     StateVector,
     TruncationLeakWarning,
     TwoModeSpace,
-    adiabatic_parity,
     avoided_crossing_spectrum,
+    axial_distribution,
     block_decompose,
     cat_state,
     coherent_state,
@@ -23,7 +23,6 @@ from trilinear import (
     measurement_channel,
     mode_params,
     oscillation_experiment,
-    parity_estimate,
     radial_cut,
     rc_ramp,
     slow_sweep,
@@ -41,7 +40,6 @@ from trilinear.fock import (
 )
 from trilinear.protocols import (
     READOUT_BIAS_TOLERANCE,
-    ParityResult,
     normal_mode_populations,
     phase_space_grid,
     spectrum_to_csv,
@@ -192,28 +190,45 @@ def test_channel_is_deterministic_per_seed_and_stream():
     assert a != c
 
 
-def test_parity_estimate_endpoints():
-    assert parity_estimate(0.0, 0.86) == 1.0
-    assert parity_estimate(0.86, 0.86) == pytest.approx(-1.0, abs=1e-15)
-    assert parity_estimate(0.5, 0.86) == pytest.approx(-0.16279069767, abs=1e-10)
+def origin_scan(state, space, schedule, model, exact=True, sweep=None):
+    """The parity measurement: the one-point scan at alpha = 0, whose
+    parity column is <P> = (pi / 2) W(0)."""
+    return wigner_scan(state, [0.0], PARAMS.xi, space, schedule, model,
+                       exact=exact, sweep=sweep)
+
+
+def two_level_state(dim, p_one):
+    """sqrt(1 - p_one) |0> + sqrt(p_one) |1>: the sweep reads sector K = 0
+    exactly and K = 1 holds no radial-label-0 state, so p_phonon = p_one."""
+    amp = np.zeros(dim.dim, complex)
+    amp[:2] = math.sqrt(1.0 - p_one), math.sqrt(p_one)
+    return StateVector(amp, dim)
+
+
+def test_parity_estimate_endpoints(space, schedule, sweep):
+    # <P> = 1 - 2 p1 / eta, unclamped: p1 = 0, eta and 0.5 at eta = 0.86
+    model = MeasurementModel(eta=0.86)
+    parity = [origin_scan(two_level_state(space.radial, p_one), space,
+                          schedule, model, sweep=sweep).parity[0]
+              for p_one in (0.0, 1.0, 0.5 / 0.86)]
+    assert parity[0] == pytest.approx(1.0, abs=1e-15)
+    assert parity[1] == pytest.approx(-1.0, abs=1e-15)
+    assert parity[2] == pytest.approx(-0.16279069767, abs=1e-10)
 
 
 @given(st.floats(0.5, 1.0), st.floats(0.0, 1.0))
-def test_eta_correction_is_exact_inverse(eta, p_phonon):
-    assert parity_estimate(eta * p_phonon, eta) == pytest.approx(
-        1 - 2 * p_phonon, abs=1e-12
-    )
+def test_eta_correction_is_exact_inverse(space, schedule, sweep, eta, p_phonon):
+    scan = origin_scan(two_level_state(space.radial, p_phonon), space,
+                       schedule, MeasurementModel(eta=eta), sweep=sweep)
+    assert scan.parity[0] == pytest.approx(1 - 2 * p_phonon, abs=1e-12)
 
 
-def test_eta_correction_independent_of_eta_through_protocol():
-    p_phonon = 0.3120
-    values = [parity_estimate(eta * p_phonon, eta) for eta in (0.7, 0.86, 1.0)]
+def test_eta_correction_independent_of_eta_through_protocol(space, schedule,
+                                                            sweep):
+    state = two_level_state(space.radial, 0.3120)
+    values = [origin_scan(state, space, schedule, MeasurementModel(eta=eta),
+                          sweep=sweep).parity[0] for eta in (0.7, 0.86, 1.0)]
     assert max(values) - min(values) < 1e-12
-
-
-def test_parity_result_consistency_enforced():
-    with pytest.raises(ValueError):
-        ParityResult(p1=0.2, parity=0.9, shots=100, stderr=0.01, eta=0.86)
 
 
 def test_model_validation():
@@ -456,19 +471,19 @@ def test_spectrum_csv_schema(tmp_path):
 
 
 def test_even_fock_maps_to_axial_half(space, schedule, sweep):
-    model = MeasurementModel(eta=1.0, shots=200, seed=5)
-    res = adiabatic_parity(fock_state(space.radial, 2), PARAMS.xi, space,
-                           schedule, model, sweep=sweep)
-    assert res.exact.parity == pytest.approx(1.0, abs=0.02)
-    assert res.axial_distribution[1] >= 0.99
+    state = fock_state(space.radial, 2)
+    scan = origin_scan(state, space, schedule, MeasurementModel(eta=1.0),
+                       sweep=sweep)
+    assert scan.parity[0] == pytest.approx(1.0, abs=0.02)
+    assert axial_distribution(state, sweep)[1] >= 0.99
 
 
 def test_odd_fock_maps_to_single_radial_phonon(space, schedule, sweep):
-    model = MeasurementModel(eta=1.0, shots=200, seed=5)
-    res = adiabatic_parity(fock_state(space.radial, 3), PARAMS.xi, space,
-                           schedule, model, sweep=sweep)
-    assert res.exact.parity == pytest.approx(-1.0, abs=0.02)
-    assert res.axial_distribution[1] >= 0.99
+    state = fock_state(space.radial, 3)
+    scan = origin_scan(state, space, schedule, MeasurementModel(eta=1.0),
+                       sweep=sweep)
+    assert scan.parity[0] == pytest.approx(-1.0, abs=0.02)
+    assert axial_distribution(state, sweep)[1] >= 0.99
 
 
 def test_coherent_parity_is_gaussian_in_amplitude(space, schedule, sweep):
@@ -480,29 +495,32 @@ def test_coherent_parity_is_gaussian_in_amplitude(space, schedule, sweep):
         )
         oracle = float(np.sum((-1.0) ** np.arange(40) * poisson))
         assert oracle == pytest.approx(math.exp(-2 * alpha**2), abs=1e-12)
-        res = adiabatic_parity(coherent_state(space.radial, alpha), PARAMS.xi,
-                               space, schedule, model, sweep=sweep)
-        assert res.exact.parity == pytest.approx(oracle, abs=0.01)
+        scan = origin_scan(coherent_state(space.radial, alpha), space,
+                           schedule, model, sweep=sweep)
+        assert scan.parity[0] == pytest.approx(oracle, abs=0.01)
 
 
 def test_parity_eta_correction_through_channel(space, schedule, sweep):
-    res = adiabatic_parity(fock_state(space.radial, 1), PARAMS.xi, space,
-                           schedule, MeasurementModel(eta=0.86, shots=200, seed=5),
-                           sweep=sweep)
-    assert res.exact.p1 == pytest.approx(0.86 * res.p_phonon, abs=1e-12)
-    assert res.exact.parity == pytest.approx(-1.0, abs=1e-9)
+    # |1> reads p_phonon = 1 exactly: no label of sector K = 1 has radial
+    # label 0
+    scan = origin_scan(fock_state(space.radial, 1), space, schedule,
+                       MeasurementModel(eta=0.86, shots=200, seed=5),
+                       sweep=sweep)
+    assert scan.p1_exact[0] == pytest.approx(0.86, abs=1e-12)
+    assert scan.parity[0] == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_fast_ramp_flags_the_two_phonon_state_diabatic():
     # the 20 us ramp leaves |2> nearly where it started, so its parity reads
     # close to -1 instead of +1; the bias says by how much
     small = TwoModeSpace(FockDim(10), FockDim(5))
-    res = adiabatic_parity(fock_state(small.radial, 2), PARAMS.xi, small,
-                           rc_ramp(PARKING, -PARKING, 20e-6),
-                           MeasurementModel(eta=1.0, seed=5))
-    assert res.flags == ("diabatic",)
-    assert res.readout_bias == pytest.approx(res.exact.parity - 1.0, abs=1e-12)
-    assert res.readout_bias < -1.9
+    scan = origin_scan(fock_state(small.radial, 2), small,
+                       rc_ramp(PARKING, -PARKING, 20e-6),
+                       MeasurementModel(eta=1.0, seed=5))
+    assert scan.flags == ("diabatic",)
+    parity_bias = math.pi / 2 * scan.readout_bias[0]
+    assert parity_bias == pytest.approx(scan.parity[0] - 1.0, abs=1e-12)
+    assert parity_bias < -1.9
 
 
 def test_normal_mode_embedding_reduces_to_bare_at_weak_coupling():
@@ -543,15 +561,16 @@ def test_rising_sweep_reads_as_the_per_state_reference(dims):
     states = ([fock_state(space.radial, n) for n in range(4)]
               + [coherent_state(space.radial, 1.0)])
     for state in states:
-        res = adiabatic_parity(state, PARAMS.xi, space, sched, model, sweep=sweep)
+        scan = origin_scan(state, space, sched, model, sweep=sweep)
         final = apply_sweep(sweep, normal_mode_embedding(state, space, sweep))
         pops = normal_mode_populations(final, sweep).reshape(
             space.radial.dim, space.axial.dim)
-        assert abs(res.p_phonon - (1.0 - pops[0].sum())) < 1e-12
-        assert np.abs(res.axial_distribution - pops.sum(axis=0)).max() < 1e-12
+        assert abs(scan.p1_exact[0] - 0.86 * (1.0 - pops[0].sum())) < 1e-12
+        assert np.abs(axial_distribution(state, sweep)
+                      - pops.sum(axis=0)).max() < 1e-12
         levels = np.abs(state.amplitudes) ** 2
         ideal = float(np.sum((-1.0) ** np.arange(levels.size) * levels))
-        assert res.exact.parity == pytest.approx(ideal, abs=0.02)
+        assert scan.parity[0] == pytest.approx(ideal, abs=0.02)
     state = coherent_state(space.radial, 1.0)
     alphas = phase_space_grid(1.5, 5)
     scan = wigner_scan(state, alphas, PARAMS.xi, space, sched, model,
@@ -569,9 +588,11 @@ def test_readout_refuses_a_sweep_from_zero_detuning():
     sweep = sweep_unitaries(space, PARAMS.xi, sched, sector_ks=[2])
     with pytest.raises(ValueError, match="undefined at delta = 0"):
         protocols._SectorReadout.of(sweep)
+    state = fock_state(space.radial, 2)
     with pytest.raises(ValueError, match="undefined at delta = 0"):
-        adiabatic_parity(fock_state(space.radial, 2), PARAMS.xi, space, sched,
-                         MeasurementModel(), sweep=sweep)
+        origin_scan(state, space, sched, MeasurementModel(), sweep=sweep)
+    with pytest.raises(ValueError, match="undefined at delta = 0"):
+        axial_distribution(state, sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -659,16 +680,14 @@ def test_sampled_wigner_stderr_matches_binomial(space, schedule, sweep):
     # the predicted binomial error within 15%
     shots = 400
     state = fock_state(space.radial, 1)
-    base = adiabatic_parity(state, PARAMS.xi, space, schedule,
-                            MeasurementModel(eta=0.86, shots=shots, seed=0),
-                            sweep=sweep)
-    p1 = base.exact.p1
+    p1 = origin_scan(state, space, schedule,
+                     MeasurementModel(eta=0.86, shots=shots, seed=0),
+                     sweep=sweep).p1_exact[0]
     values = []
     for rep in range(200):
         model = MeasurementModel(eta=0.86, shots=shots, seed=1000 + rep)
-        res = adiabatic_parity(state, PARAMS.xi, space, schedule, model,
-                               sweep=sweep)
-        values.append(TWO_OVER_PI * res.sampled.parity)
+        values.append(origin_scan(state, space, schedule, model, exact=False,
+                                  sweep=sweep).wigner[0])
     empirical = float(np.std(values, ddof=1))
     predicted = TWO_OVER_PI * 2 * math.sqrt(p1 * (1 - p1) / shots) / 0.86
     assert empirical == pytest.approx(predicted, rel=0.15)
@@ -685,18 +704,22 @@ def test_scan_stderr_column_is_the_wigner_error(space, schedule, sweep):
     assert scan.stderr.min() > 0
 
 
-def test_adiabatic_parity_equals_first_scan_point(space, schedule, sweep):
-    model = MeasurementModel(eta=0.86, shots=500, seed=11)
+def test_one_point_scan_draws_from_the_parity_stream(space, schedule, sweep):
+    # the parity run's sampled cells are the scan's point 0, drawn from
+    # SeedSequence(seed, 0); numpy pads the entropy with zeros to four
+    # 32-bit words, so below 2^96 that is SeedSequence(seed), the stream of
+    # measurement_channel's 0-d draw
     state = coherent_state(space.radial, 0.9)
-    res = adiabatic_parity(state, PARAMS.xi, space, schedule, model,
-                           sweep=sweep, stream=(0,))
-    scan = wigner_scan(state, [0.0, 0.7], PARAMS.xi, space, schedule, model,
-                       sweep=sweep)
-    assert res.exact.p1 == pytest.approx(scan.p1_exact[0], abs=1e-14)
-    assert res.sampled.p1 == scan.p1_sampled[0]
-    assert TWO_OVER_PI * res.sampled.stderr == pytest.approx(scan.stderr[0],
-                                                             abs=1e-15)
-    assert ";".join(res.flags) == scan.flags[0]
+    for seed in (0, 11, 2**64, 2**96 - 1):
+        model = MeasurementModel(eta=0.86, shots=500, seed=seed)
+        scan = origin_scan(state, space, schedule, model, exact=False,
+                           sweep=sweep)
+        p1, p1_hat, _ = measurement_channel(scan.p1_exact[0] / 0.86, model)
+        assert p1 == scan.p1_exact[0]
+        assert p1_hat.ndim == 0
+        assert scan.p1_sampled[0] == p1_hat
+    model = MeasurementModel(seed=2**96)
+    assert model.rng(0).bit_generator.state != model.rng().bit_generator.state
 
 
 def test_scan_reads_evolved_columns_without_unitaries():
@@ -706,8 +729,7 @@ def test_scan_reads_evolved_columns_without_unitaries():
     model = MeasurementModel(seed=3)
     wigner_scan(coherent_state(small.radial, 0.5), phase_space_grid(1.0, 5),
                 PARAMS.xi, small, sched, model, sweep=sweep)
-    adiabatic_parity(fock_state(small.radial, 2), PARAMS.xi, small, sched,
-                     model, sweep=sweep)
+    axial_distribution(fock_state(small.radial, 2), sweep)
     assert "unitaries" not in vars(sweep)
 
 
@@ -775,12 +797,10 @@ def test_partial_sweep_rejects_uncovered_sectors():
     with pytest.raises(ValueError, match="does not cover the populated K = 4"):
         wigner_scan(fock_state(small.radial, 1), [0.0, 1.0], PARAMS.xi, small,
                     sched, model, sweep=partial)
-    # the axial distribution of adiabatic_parity reads every populated
-    # sector, K = 3 included
+    # the axial distribution reads every populated sector, K = 3 included
     for n in (3, 4):
         with pytest.raises(ValueError, match=f"does not cover the populated K = {n}"):
-            adiabatic_parity(fock_state(small.radial, n), PARAMS.xi, small,
-                             sched, model, sweep=partial)
+            axial_distribution(fock_state(small.radial, n), partial)
 
 
 @given(st.integers(4, 12), st.integers(3, 6), st.integers(0, 2),
@@ -860,7 +880,7 @@ def per_point_reference(state, alphas, space, sweep, model):
         p1, p1_hat, _ = scalar_channel(p_phonon, model, stream=(i,))
         leak = (guard_leak(disp, dim) >= GUARD_LEAK_THRESHOLD
                 or guard_leak(final.amplitudes, space) >= GUARD_LEAK_THRESHOLD)
-        w_point = TWO_OVER_PI * parity_estimate(p1, model.eta)
+        w_point = TWO_OVER_PI * (1.0 - 2.0 * p1 / model.eta)
         diabatic = abs(w_point - leaky_oracle(state, alpha)) > READOUT_BIAS_TOLERANCE
         p1_exact.append(p1)
         p1_sampled.append(p1_hat)
@@ -953,7 +973,9 @@ def test_scan_flags_follow_the_leak_and_diabatic_masks():
         assert np.array_equal(scan.diabatic,
                               np.abs(scan.readout_bias) > READOUT_BIAS_TOLERANCE)
         assert scan.flags == tuple(
-            ";".join(protocols._flags(lk, b))
+            ";".join(name for name, on in
+                     (("leak", lk), ("diabatic", abs(b) > READOUT_BIAS_TOLERANCE))
+                     if on)
             for lk, b in zip(scan.leak.tolist(), scan.readout_bias.tolist()))
         seen |= set(scan.flags)
     assert seen == {"", "leak", "diabatic", "leak;diabatic"}
@@ -982,9 +1004,8 @@ def test_wigner_negativity_with_shot_noise(space, schedule, sweep):
     negatives = 0
     for rep in range(50):
         model = MeasurementModel(eta=0.86, shots=500, seed=rep)
-        res = adiabatic_parity(state, PARAMS.xi, space, schedule, model,
-                               sweep=sweep)
-        negatives += res.sampled.parity < 0
+        negatives += origin_scan(state, space, schedule, model, exact=False,
+                                 sweep=sweep).wigner[0] < 0
     assert negatives == 50
 
 
@@ -992,8 +1013,6 @@ def test_wigner_negativity_with_shot_noise(space, schedule, sweep):
 SWEEP_USERS = {
     "wigner_scan": lambda state, xi, space, sched, model, step, sweep: wigner_scan(
         state, [0.0], xi, space, sched, model, exact=True, step=step, sweep=sweep),
-    "adiabatic_parity": lambda state, xi, space, sched, model, step, sweep:
-        adiabatic_parity(state, xi, space, sched, model, step=step, sweep=sweep),
     "radial_cut": lambda state, xi, space, sched, model, step, sweep: radial_cut(
         state, [0.5], xi, space, sched, model, step=step, sweep=sweep),
 }

@@ -192,10 +192,11 @@ def test_oscillation_table_bytes(tmp_path, monkeypatch, capsys):
 
 
 def test_parity_table_bytes(tmp_path, monkeypatch, capsys):
-    results = capture(monkeypatch, "adiabatic_parity")
+    scans = capture(monkeypatch, "wigner_scan")
+    axial = capture(monkeypatch, "axial_distribution")
     out = run_cli(tmp_path, ["parity", "--dims", "8x4", "--seed", "5"])
     ref.write_rows(tmp_path / "ref.csv", ["key", "value"],
-                   ref.parity_rows(RunConfig().state, results[0]))
+                   ref.parity_rows(RunConfig().state, scans[0], axial[0]))
     assert data_bytes(out / "parity.csv") == data_bytes(tmp_path / "ref.csv")
 
 
