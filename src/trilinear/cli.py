@@ -13,9 +13,9 @@ policy, or a sweep that breaks its norm contract).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
+import re
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -26,12 +26,14 @@ from . import __version__
 from .config import (
     ConfigError,
     ConfigIOError,
+    ConfigParseError,
     ConfigValueError,
     RunConfig,
+    build_config,
     build_radial_state,
     config_hash,
-    parse_config,
     parse_descriptor,
+    read_yaml,
 )
 from .dynamics import default_step, sweep_unitaries
 from .errors import NumericalContractError, StepPolicyError
@@ -283,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in RUNNERS:
         s = sub.add_parser(name, help=f"run the {name} experiment")
         s.add_argument("--config", type=Path, help="YAML run configuration")
-        s.add_argument("--out", type=Path, help="output directory")
-        # integers read in _apply_overrides, so a bad value is a config error
+        # values read in _run_config, so a bad one is a config error
+        s.add_argument("--out", help="output directory")
         s.add_argument("--seed", help="override the RNG seed")
         s.add_argument("--shots", help="override the shot count")
         s.add_argument("--exact", action="store_true",
@@ -293,53 +295,51 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if cfg.experiment is not None and cfg.experiment != args.command:
-        raise ConfigValueError(
-            "experiment",
-            f"config names {cfg.experiment!r} but the {args.command!r} "
-            "subcommand was invoked",
-        )
-    updates = {"experiment": args.command}
-    m_updates = {}
-    for name in ("seed", "shots"):
-        text = getattr(args, name)
-        if text is not None:
-            try:
-                m_updates[name] = int(text)
-            except ValueError:
-                raise ConfigValueError(f"measurement.{name}",
-                                       f"expected an integer, got {text!r}") from None
-    if m_updates:
-        updates["measurement"] = dataclasses.replace(cfg.measurement, **m_updates)
-    if args.exact:
-        updates["exact"] = True
-    if args.dims is not None:
-        try:
-            r, a = (int(tok) for tok in str(args.dims).lower().split("x"))
-        except ValueError:
-            raise ConfigValueError(
-                "dims", f"expected RxA (e.g. 40x20), got {args.dims!r}"
-            ) from None
-        updates["simulation"] = dataclasses.replace(
-            cfg.simulation, radial_dim=r, axial_dim=a
-        )
-    if args.out is not None:
-        updates["output"] = str(args.out)
-    cfg = dataclasses.replace(cfg, **updates)
-    from .config import validate_config
-
-    validate_config(cfg)
-    return cfg
-
-
-def _read_config(path: Path) -> RunConfig:
-    """The configuration in the UTF-8 file at `path`."""
+def _read_config(path: Path):
+    """The value that the UTF-8 YAML file at `path` holds, {} if none."""
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigIOError(str(path), str(e)) from None
-    return parse_config(text)
+    data = read_yaml(text)
+    return {} if data is None else data
+
+
+def _run_config(args) -> RunConfig:
+    """The config file's mapping with each given flag written into it as
+    the entry it stands for, built and validated once. A flag's text reads
+    as the same text at its path in a config file does."""
+    texts = {"measurement.seed": args.seed, "measurement.shots": args.shots}
+    if args.dims is not None:
+        dims = re.split("[xX]", args.dims)
+        if len(dims) != 2 or not all(d.strip() for d in dims):
+            raise ConfigValueError("dims", f"expected RxA (e.g. 40x20), got {args.dims!r}")
+        texts.update(zip(("simulation.radial_dim", "simulation.axial_dim"), dims))
+    values = {}
+    for path, text in texts.items():
+        try:
+            if text is not None:
+                values[path] = read_yaml(text)
+        except ConfigParseError as e:
+            raise ConfigParseError(path, e.message) from None
+    data = {} if args.config is None else _read_config(args.config)
+    if not isinstance(data, dict):
+        return build_config(data)  # refused: not a mapping
+    named = data.get("experiment")
+    if named is not None and named != args.command:
+        raise ConfigValueError("experiment", f"config names {named!r} but the "
+                               f"{args.command!r} subcommand was invoked")
+    data["experiment"] = args.command
+    for path, value in values.items():
+        section, key = path.split(".")
+        entries = {} if data.get(section) is None else data[section]
+        if isinstance(entries, dict):  # any other section is refused in the build
+            data[section] = {**entries, key: value}
+    if args.exact:
+        data["exact"] = True
+    if args.out is not None:
+        data["output"] = args.out
+    return build_config(data)
 
 
 def _output_dir(path: Path) -> Path:
@@ -354,8 +354,7 @@ def _output_dir(path: Path) -> Path:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig() if args.config is None else _read_config(args.config)
-        cfg = _apply_overrides(cfg, args)
+        cfg = _run_config(args)
         RUNNERS[args.command](cfg, _output_dir(Path(cfg.output)))
     except ConfigError as e:
         print(e, file=sys.stderr)

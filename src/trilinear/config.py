@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Any
 
 import yaml
@@ -200,19 +200,14 @@ def _coerce_scalar(value: Any, base: str, path: str):
             raise ConfigValueError(path, f"expected an integer, got {value!r}")
         return value
     if base == "float":
-        if isinstance(value, str):
-            # YAML 1.1 floats require a signed exponent; accept plain "0.99e6"
-            try:
-                return float(value)
-            except ValueError:
-                raise ConfigValueError(
-                    path, f"expected a number, got {value!r}"
-                ) from None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        # YAML 1.1 floats require a signed exponent; accept plain "0.99e6"
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
             raise ConfigValueError(path, f"expected a number, got {value!r}")
         try:
             return float(value)
-        except OverflowError:
+        except ValueError:  # a string that is not a number
+            raise ConfigValueError(path, f"expected a number, got {value!r}") from None
+        except OverflowError:  # an integer
             raise ConfigValueError(path, "integer outside the float range") from None
     if base == "str":
         if not isinstance(value, str):
@@ -221,7 +216,10 @@ def _coerce_scalar(value: Any, base: str, path: str):
     raise ConfigValueError(path, f"unsupported value {value!r}")
 
 
-def _section_from_dict(cls, data: Any, path: str):
+def _build(cls, data: Any, path: str):
+    """The `cls` dataclass that a mapping of its field names holds, each
+    section built in turn and each other value coerced to its field's type;
+    null is every default. `path` is the mapping's own, "" at the top."""
     if data is None:
         return cls()
     if not isinstance(data, dict):
@@ -229,16 +227,19 @@ def _section_from_dict(cls, data: Any, path: str):
     known = {f.name: f for f in fields(cls)}
     kwargs = {}
     for key, value in data.items():
+        where = f"{path}.{key}" if path else key
         if key not in known:
-            raise UnknownKeyError(f"{path}.{key}", "unknown key")
-        kwargs[key] = _coerce(value, known[key], f"{path}.{key}")
+            raise UnknownKeyError(where, "unknown key")
+        section = known[key].default_factory
+        kwargs[key] = (_build(section, value, where) if is_dataclass(section)
+                       else _coerce(value, known[key], where))
     return cls(**kwargs)
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a YAML run configuration."""
+def read_yaml(text: str) -> Any:
+    """The value that PyYAML's safe loader builds from `text`."""
     try:
-        data = yaml.safe_load(text)
+        return yaml.safe_load(text)
     except yaml.MarkedYAMLError as e:
         mark = e.problem_mark
         where = f"line {mark.line + 1}, column {mark.column + 1}" if mark else "?"
@@ -248,23 +249,21 @@ def parse_config(text: str) -> RunConfig:
         # exist, an integer of more digits than int() converts, `!!int 1.5`,
         # `!!timestamp x` or nesting past the interpreter's stack
         raise ConfigParseError("?", str(e)) from e
-    if data is None:
-        data = {}
-    if not isinstance(data, dict):
-        raise ConfigParseError("top-level", "configuration must be a mapping")
 
-    kwargs: dict[str, Any] = {}
-    top_fields = {f.name: f for f in fields(RunConfig)}
-    for key, value in data.items():
-        if key not in top_fields:
-            raise UnknownKeyError(key, "unknown key")
-        if key in SECTIONS:
-            kwargs[key] = _section_from_dict(SECTIONS[key], value, key)
-        else:
-            kwargs[key] = _coerce(value, top_fields[key], key)
-    cfg = RunConfig(**kwargs)
+
+def build_config(data: Any) -> RunConfig:
+    """The validated RunConfig that a configuration mapping, as read from
+    YAML, holds; None is every default."""
+    if data is not None and not isinstance(data, dict):
+        raise ConfigParseError("top-level", "configuration must be a mapping")
+    cfg = _build(RunConfig, data, "")
     validate_config(cfg)
     return cfg
+
+
+def parse_config(text: str) -> RunConfig:
+    """Parse and validate a YAML run configuration."""
+    return build_config(read_yaml(text))
 
 
 def _check_finite(cfg: RunConfig) -> None:
@@ -354,8 +353,8 @@ def validate_config(cfg: RunConfig) -> None:
         if rows > MAX_ROWS:
             raise ConfigValueError(
                 path, f"would write more than MAX_ROWS = {MAX_ROWS} rows")
-    if cfg.experiment != "converge":
-        return  # only the converge run reads the converge section
+    if cfg.experiment not in (None, "converge"):
+        return  # of the runs, only converge reads the converge section
     c = cfg.converge
     dims = list(c.radial_dims)
     if not dims or any(d < 4 for d in dims) or dims != sorted(set(dims)):
@@ -396,9 +395,7 @@ def serialize_config(cfg: RunConfig) -> str:
 def config_hash(cfg: RunConfig) -> str:
     """Hash of everything that determines the data rows. The output path is
     excluded: the same run written elsewhere is the same run."""
-    import dataclasses
-
-    normalized = dataclasses.replace(cfg, output="")
+    normalized = replace(cfg, output="")
     return hashlib.sha256(serialize_config(normalized).encode()).hexdigest()
 
 

@@ -373,6 +373,87 @@ def test_empty_dims_flag_exit_code(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def flag_and_file_runs(tmp_path, capsys, command, flags, text):
+    """The exit code, stderr, and each table's config hash and data rows, of
+    a run given `flags` and of one given a config file holding `text`."""
+    file = tmp_path / "file.yaml"
+    file.write_text(text, encoding="utf-8")
+    results = []
+    for name, args in (("flag", flags), ("file", ["--config", str(file)])):
+        out = tmp_path / name
+        code, _, err = run([command, *args, "--out", str(out)], capsys)
+        results.append((code, err, {
+            table.name: ([l for l in table.read_text().splitlines()
+                          if l.startswith("# config-sha256:")], read_data_rows(table))
+            for table in out.glob("*.csv")}))
+    return results
+
+
+SMALL_DIMS = "simulation: {radial_dim: 8, axial_dim: 4}\n"
+
+
+@pytest.mark.parametrize("flags, text, path", [
+    (["--dims", "8x4", "--seed", "0x10"], SMALL_DIMS + "measurement: {seed: 0x10}\n",
+     None),
+    (["--dims", "8x4", "--seed", "\u0663"],
+     SMALL_DIMS + "measurement: {seed: \u0663}\n", "measurement.seed"),
+    (["--dims", "\uff18x4"], "simulation: {radial_dim: \uff18, axial_dim: 4}\n",
+     "simulation.radial_dim"),
+], ids=["seed-hex", "seed-arabic-indic-digit", "dims-fullwidth-digit"])
+def test_flag_reads_as_the_same_text_in_the_config_file(tmp_path, capsys, flags,
+                                                        text, path):
+    # each flag was once read through int(): hex was refused and digits
+    # other than ASCII accepted, the other way round from the config file
+    flag, file = flag_and_file_runs(tmp_path, capsys, "parity", flags, text)
+    assert flag == file
+    if path is None:
+        assert flag[0] == 0 and flag[2]["parity.csv"][1]
+        assert "\n# seed: 16 " in (tmp_path / "flag" / "parity.csv").read_text()
+    else:
+        assert_refused(flag[0], flag[1], path)
+
+
+@pytest.mark.parametrize("section, flags, text", [
+    ("measurement: null\n", ["--seed", "3"], "measurement:\n  seed: 3\n"),
+    ("simulation: null\n", ["--dims", "8x4"],
+     "simulation:\n  radial_dim: 8\n  axial_dim: 4\n"),
+    ("measurement: 5\n", ["--seed", "3"], "measurement: 5\n"),
+    ("simulation: [8, 4]\n", ["--dims", "8x4"], "simulation: [8, 4]\n"),
+], ids=["null-measurement", "null-simulation", "scalar-measurement",
+        "list-simulation"])
+def test_flag_beside_a_section_that_is_not_a_mapping(tmp_path, capsys, section,
+                                                     flags, text):
+    # a null section holds every default, so the flag's entry is all it
+    # holds; any other section that is not a mapping is refused as if no
+    # flag were given
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(section)
+    flag, file = flag_and_file_runs(tmp_path, capsys, "modes",
+                                    ["--config", str(cfg), *flags], text)
+    assert flag == file
+    if "null" in section:
+        assert flag[0] == 0 and flag[2]["modes.csv"][0]
+    else:
+        assert_refused(flag[0], flag[1], section.split(":")[0])
+        assert "expected a mapping" in flag[1]
+
+
+def test_one_run_validates_its_config_once(tmp_path, capsys):
+    # the flags are entries of the file's mapping, which is built and
+    # validated once
+    from trilinear import config
+
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(SMALL_WIGNER)
+    with mock.patch.object(config, "validate_config",
+                           wraps=config.validate_config) as validate:
+        code, _, _ = run(["wigner", "--config", str(cfg), "--seed", "3",
+                          "--shots", "20", "--dims", "8x4", "--exact", "--out",
+                          str(tmp_path)], capsys)
+    assert code == 0
+    assert validate.call_count == 1
+
+
 def test_unknown_key_exit_code(tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text("blasters: 3\n")
@@ -954,7 +1035,8 @@ def test_run_loads_no_scipy(tmp_path, command):
 # values no field should accept or, where one does, should run: signed
 # zeros, subnormals, the float range's ends, integers past every bound and
 # past the float range, NaN and infinity spelled as numbers and as
-# strings, values of the wrong type, and YAML that PyYAML cannot build
+# strings, digits other than ASCII, values of the wrong type, and YAML
+# that PyYAML cannot build
 # (each RAW_YAML key stands for its text, written into the file as it is;
 # nesting past the stack takes a second to refuse, so only
 # test_yaml_that_cannot_be_built_exit_code tries it)
@@ -964,12 +1046,23 @@ RAW_YAML = {"RAWDIGITS": "1" + "0" * 5000, "RAWDATE": "2001-13-45",
 HOSTILE_SCALARS = [0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
                    -1e308, 10 ** 12, 2 ** 63, -2 ** 63 - 1, 10 ** 400,
                    10 ** 4000, math.nan, math.inf, -math.inf, "nan", "NaN",
-                   "-inf", "1e999", "", "abc", "0x10", "a\nb", True, None,
-                   {"a": 1}, [], *RAW_YAML]
+                   "-inf", "1e999", "", "abc", "0x10", "\u0663", "\uff18", "a\nb",
+                   True, None, {"a": 1}, [], *RAW_YAML]
 HOSTILE = st.sampled_from(HOSTILE_SCALARS) | st.lists(
     st.sampled_from(HOSTILE_SCALARS), min_size=1, max_size=3)
 # keys that name no field
 ODD_KEYS = st.sampled_from(["a\nb", "", 5, None, "grid.points", "ü"])
+# each hostile value as the text of a flag, a RAW_YAML key as its raw text
+HOSTILE_TEXT = st.sampled_from(HOSTILE_SCALARS).map(
+    lambda v: RAW_YAML.get(v, v) if isinstance(v, str) else str(v))
+# the flags that take a value, each with the config paths its text stands
+# for and valid texts for them
+FUZZ_FLAGS = {
+    "--seed": {"measurement.seed": ["0", "7", "0x10"]},
+    "--shots": {"measurement.shots": ["1", "50"]},
+    "--dims": {"simulation.radial_dim": ["4", "8", "12"],
+               "simulation.axial_dim": ["3", "4", "6"]},
+}
 
 # valid values of every config field, and some odd ones, each small enough
 # to run in a fraction of a second: dims <= 12, grid points <= 9, holds <=
@@ -1083,24 +1176,70 @@ def test_config_fuzzer_exits_typed(command, data):
         target[data.draw(ODD_KEYS, label="odd key")] = 1
     if data.draw(st.booleans(), label="experiment names the command"):
         config.setdefault("experiment", command)
+    # each flag absent, valid or hostile text: --dims joins two with an "x"
+    flags, entries = [], {}
+    for flag, texts in FUZZ_FLAGS.items():
+        if data.draw(st.booleans(), label=f"{flag} given"):
+            parts = [data.draw(st.sampled_from(valid) | HOSTILE_TEXT, label=path)
+                     for path, valid in texts.items()]
+            # `--seed=-5e-324`: argparse takes a separate "-5e-324" for an option
+            flags.append(f"{flag}={'x'.join(parts)}")
+            entries.update(zip(texts, parts))
+
+    def readable(text):
+        try:
+            yaml.safe_load(text)
+        except (yaml.YAMLError, ValueError, AttributeError, RecursionError):
+            return False
+        return True
+
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "taken").write_text("")
         # every output path lies in the run's own directory
         output = config.setdefault("output", "out")
         if isinstance(output, str):
             config["output"] = os.path.join(tmp, output)
-        text = yaml.safe_dump(config)
-        for key, raw in RAW_YAML.items():
-            text = text.replace(key, raw)
-        (Path(tmp) / "cfg.yaml").write_text(text, encoding="utf-8")
-        out, err = io.StringIO(), io.StringIO()
-        with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
-              mock.patch.object(dynamics, "_worker_count", lambda: 1)):
-            code = main([command, "--config", os.path.join(tmp, "cfg.yaml"),
-                         "--exact"])
+
+        def config_text(config):
+            # in the dict's order, in which a flag's new entry comes last
+            text = yaml.safe_dump(config, sort_keys=False)
+            for key, raw in RAW_YAML.items():
+                text = text.replace(key, raw)
+            return text
+
+        def run_config(config, flags):
+            (Path(tmp) / "cfg.yaml").write_text(config_text(config), encoding="utf-8")
+            out, err = io.StringIO(), io.StringIO()
+            with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+                  mock.patch.object(dynamics, "_worker_count", lambda: 1)):
+                code = main([command, "--config", os.path.join(tmp, "cfg.yaml"),
+                             "--exact", *flags])
+            tables = {t: read_data_rows(t) for t in Path(tmp).rglob("*.csv")}
+            return code, out.getvalue(), err.getvalue(), tables
+
+        code, out, err, tables = run_config(config, flags)
         event(f"exit {code}")
-        assert code in (0, 2, 3), err.getvalue()
-        assert len(err.getvalue().splitlines()) == (code != 0), err.getvalue()
-        assert "Traceback" not in err.getvalue()
+        assert code in (0, 2, 3), err
+        assert len(err.splitlines()) == (code != 0), err
+        assert "Traceback" not in err
         if code == 0:
             assert exact_cells_are_finite(Path(tmp))
+        # a flag's text reads as the same text in the file: an --dims that
+        # is not two texts joined by one "x" is refused at dims, a text that
+        # YAML cannot build at the flag's path, and any other flags run as
+        # the file holding what YAML reads from each text would
+        dims = [text for path, text in entries.items() if path.startswith("simulation.")]
+        unreadable = [path for path, text in entries.items() if not readable(text)]
+        if dims and not all(text.strip() and "x" not in text.lower() for text in dims):
+            event("flag: malformed --dims")
+            assert code == 2 and "path=dims:" in err, err
+        elif unreadable:
+            event("flag: text YAML cannot build")
+            assert code == 2 and f"kind=parse path={unreadable[0]}:" in err, err
+        elif flags:
+            event("flag: compared with the file")
+            # YAML that cannot be built is refused before a flag is written in
+            if readable(config_text(config)):
+                for path, text in entries.items():
+                    put(path, yaml.safe_load(text))
+            assert run_config(config, []) == (code, out, err, tables)

@@ -1,8 +1,11 @@
 """Run-configuration parsing, validation, canonical serialization."""
 
 import dataclasses
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -148,6 +151,30 @@ def test_wrong_types_rejected():
         parse_config("state: 17\n")
     with pytest.raises(ConfigValueError):
         parse_config("trap: 3\n")
+
+
+@pytest.mark.parametrize("key", ["radial_dims", "step_fractions"])
+def test_converge_section_is_checked_when_no_experiment_is_named(key):
+    # an empty list reached convergence_report, which raised IndexError;
+    # the runs that do not read the section still leave it unchecked
+    text = f"converge:\n  {key}: []\n"
+    with pytest.raises(ConfigValueError) as err:
+        parse_config(text)
+    assert err.value.path == f"converge.{key}"
+    assert getattr(parse_config("experiment: modes\n" + text).converge, key) == ()
+
+
+def test_benchmark_workload_configs_are_accepted(monkeypatch):
+    # perfbench builds each workload's config outside the CLI, with no
+    # experiment named, so the converge section is checked there too
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
+    spec.loader.exec_module(workloads)
+    assert len(workloads.WORKLOADS) == 3
+    for workload in workloads.WORKLOADS.values():
+        assert isinstance(workloads.load_config(workload.config), RunConfig)
 
 
 def test_trap_hierarchy_validated():
