@@ -75,10 +75,9 @@ def main() -> None:
     print("== adiabatic parity, fock 0..6 ==")
     # each parity is the exact Wigner scan at the origin, <P> = (pi/2) W(0);
     # the seven are drawn together, value n from the stream (seed, n)
-    schedule = slow_sweep()
-    sweep = sweep_unitaries(space, params.xi, schedule, sector_ks=range(13))
-    scans = [wigner_scan(fock_state(space.radial, n), [0j], params.xi, space,
-                         schedule, model, exact=True, sweep=sweep)
+    sweep = sweep_unitaries(space, params.xi, slow_sweep(), sector_ks=range(13))
+    scans = [wigner_scan(fock_state(space.radial, n), [0j], sweep, model,
+                         exact=True)
              for n in range(7)]
     p_phonon = np.array([s.p1_exact[0] for s in scans]) / model.eta
     p1, p1_hat, stderr = measurement_channel(p_phonon, model)

@@ -55,10 +55,9 @@ def main() -> None:
 
     params = mode_params()
     model = MeasurementModel(eta=0.86, shots=args.shots, seed=args.seed)
-    schedule = slow_sweep()
     print(f"building the sweep propagator on {space.radial.dim} x "
           f"{space.axial.dim} ...")
-    sweep = sweep_unitaries(space, params.xi, schedule,
+    sweep = sweep_unitaries(space, params.xi, slow_sweep(),
                             sector_ks=range(space.radial.dim))
 
     alpha = 1.73
@@ -71,15 +70,13 @@ def main() -> None:
         "cat_quarter": cat_state(space.radial, alpha, math.pi / 2, -1),
     }
     for name, state in gallery.items():
-        scan = wigner_scan(state, grid, params.xi, space, schedule, model,
-                           exact=args.exact, sweep=sweep)
+        scan = wigner_scan(state, grid, sweep, model, exact=args.exact)
         scan.to_csv(args.out / f"wigner_{name}.csv")
         print(f"  {name}: W(0) = {scan.wigner[np.argmin(np.abs(grid))]:+.4f}, "
               f"{int(np.sum(scan.wigner < 0))} negative points")
 
     for n in (1, 2, 5):
-        cut = radial_cut(fock_state(space.radial, n), radii, params.xi, space,
-                         schedule, model, sweep=sweep)
+        cut = radial_cut(fock_state(space.radial, n), radii, sweep, model)
         closed = [fock_wigner_closed_form(n, r) for r in radii]
         write_csv(args.out / f"fock{n}_radial_cut.csv",
                   ["r", "wigner", "closed_form"], [radii, cut, closed])

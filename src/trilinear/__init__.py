@@ -57,6 +57,7 @@ from .protocols import (
     oscillation_experiment,
     phase_space_grid,
     radial_cut,
+    scan_sweep,
     slow_sweep,
     wigner_scan,
     wigner_sweep_needed,

@@ -46,6 +46,7 @@ from .protocols import (
     axial_distribution,
     oscillation_experiment,
     phase_space_grid,
+    scan_sweep,
     slow_sweep,
     spectrum_to_csv,
     wigner_scan,
@@ -150,7 +151,7 @@ def run_parity(cfg: RunConfig, out: Path) -> None:
     sweep = sweep_unitaries(
         space, p.xi, schedule, cfg.simulation.step_s,
         sector_ks=np.flatnonzero(np.abs(state.amplitudes) > AMPLITUDE_FLOOR))
-    scan = wigner_scan(state, [0j], p.xi, space, schedule, model, sweep=sweep)
+    scan = wigner_scan(state, [0j], sweep, model)
     axial = axial_distribution(state, sweep)
     p1, p1_hat = scan.p1_exact[0], scan.p1_sampled[0]
     parity_exact = 1.0 - 2.0 * p1 / model.eta
@@ -171,7 +172,7 @@ def run_parity(cfg: RunConfig, out: Path) -> None:
     parity = parity_exact if cfg.exact else scan.parity[0]
     print(f"parity = {parity:.6g}")
     print(f"max_readout_bias = {abs(bias):.3g}")
-    _print_sweep_steps(scan.sweep_dts)
+    _print_sweep_steps(sweep.dts)
 
 
 def run_wigner(cfg: RunConfig, out: Path) -> None:
@@ -179,10 +180,10 @@ def run_wigner(cfg: RunConfig, out: Path) -> None:
     space = cfg.to_space()
     state = build_radial_state(parse_descriptor(cfg.state), space.radial)
     grid = phase_space_grid(cfg.grid.extent, cfg.grid.points)
-    scan = wigner_scan(
-        state, grid, p.xi, space, slow_sweep(cfg.parking, cfg.simulation.tau_slow_s),
-        _model(cfg), exact=cfg.exact, step=cfg.simulation.step_s,
-    )
+    sweep = scan_sweep(state, grid, p.xi, space,
+                       slow_sweep(cfg.parking, cfg.simulation.tau_slow_s),
+                       cfg.simulation.step_s)
+    scan = wigner_scan(state, grid, sweep, _model(cfg), exact=cfg.exact)
     scan.to_csv(out / "wigner.csv", provenance(cfg, "wigner"))
     origin = int(np.argmin(np.abs(scan.alphas)))
     print(f"wigner_at_origin = {scan.wigner[origin]:.6g}")
@@ -190,7 +191,7 @@ def run_wigner(cfg: RunConfig, out: Path) -> None:
     print(f"flagged_points = leak {int(scan.leak.sum())}, "
           f"diabatic {int(scan.diabatic.sum())} of {scan.alphas.size}")
     print(f"max_readout_bias = {np.abs(scan.readout_bias).max():.3g}")
-    _print_sweep_steps(scan.sweep_dts)
+    _print_sweep_steps(sweep.dts)
     # odd sectors without a guard-band state read out exactly unswept
     print("sweep_sectors = {} of {}".format(*scan.sweep_sectors))
 
@@ -246,9 +247,8 @@ def convergence_report(cfg: RunConfig) -> list[tuple]:
     @functools.cache
     def wigner_origin(space: TwoModeSpace, step: float) -> float:
         state = build_radial_state(spec, space.radial)
-        scan = wigner_scan(state, np.array([0j]), p.xi, space, schedule, model,
-                           exact=True, step=step)
-        return float(scan.wigner[0])
+        sweep = scan_sweep(state, [0j], p.xi, space, schedule, step)
+        return float(wigner_scan(state, [0j], sweep, model, exact=True).wigner[0])
 
     # the configured space first: a state it cannot hold is refused before
     # the truncation sweep runs
@@ -276,6 +276,13 @@ RUNNERS = {
 }
 
 
+# the flags that take a value, with their help; _run_config reads each
+# value, so a bad one is a config error
+VALUE_FLAGS = {"--config": "YAML run configuration", "--out": "output directory",
+               "--seed": "override the RNG seed", "--shots": "override the shot count",
+               "--dims": "override truncation dims, e.g. 40x20"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trilinear",
@@ -284,23 +291,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in RUNNERS:
         s = sub.add_parser(name, help=f"run the {name} experiment")
-        s.add_argument("--config", type=Path, help="YAML run configuration")
-        # values read in _run_config, so a bad one is a config error
-        s.add_argument("--out", help="output directory")
-        s.add_argument("--seed", help="override the RNG seed")
-        s.add_argument("--shots", help="override the shot count")
+        for flag, text in VALUE_FLAGS.items():
+            s.add_argument(flag, help=text)
         s.add_argument("--exact", action="store_true",
                        help="infinite-shot mode (exact probabilities)")
-        s.add_argument("--dims", help="override truncation dims, e.g. 40x20")
     return parser
 
 
-def _read_config(path: Path):
+def _read_config(path: str):
     """The value that the UTF-8 YAML file at `path` holds, {} if none."""
     try:
-        text = path.read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
-        raise ConfigIOError(str(path), str(e)) from None
+        raise ConfigIOError(path, str(e)) from None
     data = read_yaml(text)
     return {} if data is None else data
 
@@ -352,6 +355,11 @@ def _output_dir(path: Path) -> Path:
 
 
 def main(argv=None) -> int:
+    # `--seed -1e3` as `--seed=-1e3`, else argparse takes -1e3 for an option
+    rest, argv = iter(sys.argv[1:] if argv is None else argv), []
+    for arg in rest:
+        value = next(rest, None) if arg in VALUE_FLAGS else None
+        argv.append(arg if value is None else f"{arg}={value}")
     args = build_parser().parse_args(argv)
     try:
         cfg = _run_config(args)

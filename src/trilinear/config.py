@@ -200,8 +200,10 @@ def _coerce_scalar(value: Any, base: str, path: str):
             raise ConfigValueError(path, f"expected an integer, got {value!r}")
         return value
     if base == "float":
-        # YAML 1.1 floats require a signed exponent; accept plain "0.99e6"
-        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        # YAML 1.1 floats require a signed exponent; accept plain "0.99e6",
+        # in ASCII digits as int fields are: float() reads other scripts' too
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)) or (
+                isinstance(value, str) and not value.isascii()):
             raise ConfigValueError(path, f"expected a number, got {value!r}")
         try:
             return float(value)
@@ -433,9 +435,11 @@ def _parse_angle(token: str, path: str) -> float:
 
 def parse_descriptor(text: str) -> StateSpec:
     """fock:n | coherent:alpha | cat:alpha:phi:sign."""
-    parts = [p for p in str(text).split(":")]
-    kind = parts[0].strip().lower()
     path = "state"
+    if not str(text).isascii():  # int() and float() read other digits too
+        raise ConfigValueError(path, f"state descriptor is not ASCII: {text!r}")
+    parts = str(text).split(":")
+    kind = parts[0].strip().lower()
     if kind == "fock" and len(parts) == 2:
         try:
             n = int(parts[1])

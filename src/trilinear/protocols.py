@@ -248,33 +248,22 @@ class _SectorReadout:
 
     def read(self, amplitudes: np.ndarray) -> tuple[np.ndarray, ...]:
         """Readout of each row of radial amplitudes: (p_phonon, leak, bias),
-        one entry per input row. bias is sum_k |psi_k|^2 (radial0[k] -
-        [k even]), the exact error of the readout's P(radial label 0)
-        against the ideal parity map: the parity it reads is off by
-        2 bias, W by (4 / pi) bias. A populated level outside `known`
-        is an error."""
+        one entry per input row, and per level k whether some row populates
+        it. bias is sum_k |psi_k|^2 (radial0[k] - [k even]), the exact error
+        of the readout's P(radial label 0) against the ideal parity map: the
+        parity it reads is off by 2 bias, W by (4 / pi) bias. A populated
+        level outside `known` is an error."""
         w = self._weights(amplitudes, self.known)
         p_phonon = np.clip(1.0 - w @ self.radial0, 0.0, 1.0)
         leak = (w @ self.guard).max(axis=1) >= GUARD_LEAK_THRESHOLD
         even = np.arange(self.radial0.size) % 2 == 0
-        return p_phonon, leak, w @ (self.radial0 - even)
+        # w is 0 exactly where |psi_k| <= AMPLITUDE_FLOOR
+        return p_phonon, leak, w @ (self.radial0 - even), (w > 0).any(axis=0)
 
     def axial_distribution(self, amplitudes: np.ndarray) -> np.ndarray:
         """Final axial-label distribution of each row of radial amplitudes;
         every populated sector must be swept."""
         return self._weights(amplitudes, self.swept) @ self.axial
-
-
-def _check_sweep(sweep: SweepResult, space: TwoModeSpace, xi: float,
-                 schedule: RampSchedule, step: float | None) -> None:
-    """ValueError unless a sweep passed in was built for this space,
-    coupling and ramp, and for `step` when one is given."""
-    for name, built, asked in (("space", sweep.space, space),
-                               ("coupling", sweep.xi, xi),
-                               ("ramp", sweep.schedule, schedule),
-                               ("step", sweep.step, step)):
-        if asked is not None and built != asked:
-            raise ValueError(f"the sweep was built for another {name}")
 
 
 # ---------------------------------------------------------------------------
@@ -497,19 +486,16 @@ class WignerScan:
     stderr: np.ndarray
     flags: tuple[str, ...]
     eta: float  # the model's detection efficiency, which sets the bound on W
-    # the step durations of the sweep's grid
-    sweep_dts: np.ndarray | None = field(default=None, compare=False)
     # per point, the error of the exact W against the ideal displaced
-    # parity (2/pi) <P> that the sweep's readout makes (`_SectorReadout.
-    # read`)
-    readout_bias: np.ndarray | None = field(default=None, compare=False)
+    # parity (2/pi) <P> that the readout makes (`_SectorReadout.read`)
+    readout_bias: np.ndarray = field(compare=False)
     # per point, the masks behind the 'leak' and 'diabatic' flags
-    leak: np.ndarray | None = field(default=None, compare=False)
-    diabatic: np.ndarray | None = field(default=None, compare=False)
+    leak: np.ndarray = field(compare=False)
+    diabatic: np.ndarray = field(compare=False)
     # (swept, populated): of the K sectors some displaced grid state
     # populates, how many the readout took from the sweep's march; the
     # others it reads exactly without one (`wigner_sweep_needed`)
-    sweep_sectors: tuple[int, int] | None = field(default=None, compare=False)
+    sweep_sectors: tuple[int, int] = field(compare=False)
 
     def __post_init__(self):
         bound = (2 / math.pi) * (1 + 2 * (1 - self.eta) / self.eta) + 1e-9
@@ -549,24 +535,35 @@ def _displaced_blocks(state_r: StateVector, alphas: np.ndarray):
                                        -alphas[lo:lo + block], dim_r)
 
 
-def wigner_scan(state_r: StateVector, alphas, xi: float, space: TwoModeSpace,
-                schedule: RampSchedule, model: MeasurementModel,
-                exact: bool = False, step: float | None = None,
-                sweep: SweepResult | None = None) -> WignerScan:
+def scan_sweep(state_r: StateVector, alphas, xi: float, space: TwoModeSpace,
+               schedule: RampSchedule, step: float | None = None) -> SweepResult:
+    """The sweep a Wigner scan of `state_r` on `alphas` needs: of the K
+    sectors that some displaced grid state populates above AMPLITUDE_FLOOR,
+    those whose readout depends on the sweep (`wigner_sweep_needed`)."""
+    alphas = np.asarray(alphas, complex).ravel()
+    if state_r.basis != space.radial:
+        raise ValueError("state must live on the radial mode of the space")
+    populated = np.zeros(space.radial.dim, dtype=bool)
+    for _, disp in _displaced_blocks(state_r, alphas):
+        populated |= (np.abs(disp) > AMPLITUDE_FLOOR).any(axis=0)
+    return sweep_unitaries(
+        space, xi, schedule, step,
+        sector_ks=np.flatnonzero(populated & wigner_sweep_needed(space)))
+
+
+def wigner_scan(state_r: StateVector, alphas, sweep: SweepResult,
+                model: MeasurementModel, exact: bool = False) -> WignerScan:
     """Displace, sweep, map, estimate: W(alpha) = (2/pi) <P>.
 
-    The sweep is computed once and shared across grid points (and across
-    scans when passed in, built for the same space, coupling, ramp and
-    step). Without one, the scan sweeps only the K sectors that some
-    displaced grid state populates above AMPLITUDE_FLOOR and whose readout
-    depends on the sweep (`wigner_sweep_needed`): an odd sector with no
-    guard-band state reads radial0 = 0 and guard = 0 exactly, swept or
-    not, so a sweep passed in may lack it too. Because
-    the readout acts on each K sector separately, a point needs only its
-    displaced radial populations: the grid is displaced and read out in
-    blocks of points, with the figures of each sector computed once per
-    sweep. Per-point randomness is drawn from the stream (seed, point
-    index), so the scan is deterministic; an exact scan draws nothing.
+    The sweep fixes the space, coupling, ramp and step, and is shared
+    across grid points and scans. It must cover every populated sector
+    whose readout depends on it; `scan_sweep` builds the least such sweep.
+    Because the readout acts on each K sector separately, a point needs
+    only its displaced radial populations: the grid is displaced and read
+    out in one pass of blocks of points, with the figures of each sector
+    computed once per sweep. Per-point randomness is drawn from the stream
+    (seed, point index), so the scan is deterministic; an exact scan draws
+    nothing.
 
     The parity measurement is the one-point scan at alpha = 0, <P> =
     (pi / 2) W(0). Its draw comes from the stream (seed, 0), which numpy's
@@ -575,26 +572,19 @@ def wigner_scan(state_r: StateVector, alphas, xi: float, space: TwoModeSpace,
     """
     alphas = np.asarray(alphas, complex).ravel()
     dim_r = state_r.basis
-    if not isinstance(dim_r, FockDim) or dim_r != space.radial:
+    if dim_r != sweep.space.radial:
         raise ValueError("state must live on the radial mode of the space")
-    if sweep is not None:
-        _check_sweep(sweep, space, xi, schedule, step)
-    populated = np.zeros(dim_r.dim, dtype=bool)
-    for _, disp in _displaced_blocks(state_r, alphas):
-        populated |= (np.abs(disp) > AMPLITUDE_FLOOR).any(axis=0)
-    if sweep is None:
-        sweep = sweep_unitaries(
-            space, xi, schedule, step,
-            sector_ks=np.flatnonzero(populated & wigner_sweep_needed(space)))
     readout = _SectorReadout.of(sweep)
 
     n = alphas.size
     p_phonon = np.empty(n)
     leak = np.empty(n, dtype=bool)
     bias = np.empty(n)
+    populated = np.zeros(dim_r.dim, dtype=bool)
     for lo, disp in _displaced_blocks(state_r, alphas):
         span = slice(lo, lo + disp.shape[0])
-        p_phonon[span], leak[span], bias[span] = readout.read(disp)
+        p_phonon[span], leak[span], bias[span], block = readout.read(disp)
+        populated |= block
         disp_leak = (np.abs(disp[:, dim_r.top_physical + 1:]) ** 2).sum(axis=1)
         leak[span] |= disp_leak >= GUARD_LEAK_THRESHOLD
     bias *= 4.0 / math.pi
@@ -614,7 +604,6 @@ def wigner_scan(state_r: StateVector, alphas, xi: float, space: TwoModeSpace,
         stderr=2.0 / math.pi * 2.0 * stderr / model.eta,
         flags=tuple(flags.tolist()),
         eta=model.eta,
-        sweep_dts=sweep.dts,
         readout_bias=bias,
         leak=leak,
         diabatic=diabatic,
@@ -623,16 +612,13 @@ def wigner_scan(state_r: StateVector, alphas, xi: float, space: TwoModeSpace,
     )
 
 
-def radial_cut(state_r: StateVector, radii, xi: float, space: TwoModeSpace,
-               schedule: RampSchedule, model: MeasurementModel,
-               step: float | None = None,
-               sweep: SweepResult | None = None) -> np.ndarray:
+def radial_cut(state_r: StateVector, radii, sweep: SweepResult,
+               model: MeasurementModel) -> np.ndarray:
     """Phase-averaged exact W(|alpha|) on the given radii (8 points per
     circle; states with rotation-symmetric W make this a consistency
     average rather than new information)."""
     radii = np.asarray(radii, float)
     phases = np.exp(2j * np.pi * np.arange(8) / 8)
     alphas = (radii[:, None] * phases[None, :]).ravel()
-    scan = wigner_scan(state_r, alphas, xi, space, schedule, model,
-                       exact=True, step=step, sweep=sweep)
+    scan = wigner_scan(state_r, alphas, sweep, model, exact=True)
     return scan.wigner.reshape(radii.size, 8).mean(axis=1)

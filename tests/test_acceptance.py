@@ -125,8 +125,7 @@ def test_criterion_4_adiabatic_parity(space40, sweep40):
     for n in range(7):
         # the parity is the exact Wigner scan at the origin
         state = fock_state(space40.radial, n)
-        scan = wigner_scan(state, [0.0], PARAMS.xi, space40, slow_sweep(),
-                           model, exact=True, sweep=sweep40)
+        scan = wigner_scan(state, [0.0], sweep40, model, exact=True)
         worst_parity_err = max(worst_parity_err,
                                abs(scan.parity[0] - (-1.0) ** n))
         worst_axial = min(worst_axial,
@@ -149,7 +148,6 @@ def test_criterion_4_adiabatic_parity(space40, sweep40):
 
 def test_criterion_5_wigner_oracle_equivalence(space80, sweep80):
     model = MeasurementModel(eta=1.0, shots=100, seed=5)
-    schedule = slow_sweep()
     grid = phase_space_grid(extent=3.0, points=41)
     dim = space80.radial
 
@@ -163,8 +161,7 @@ def test_criterion_5_wigner_oracle_equivalence(space80, sweep80):
     details = []
     worst = 0.0
     for name, state in states.items():
-        scan = wigner_scan(state, grid, PARAMS.xi, space80, schedule, model,
-                           exact=True, sweep=sweep80)
+        scan = wigner_scan(state, grid, sweep80, model, exact=True)
         oracle = pinned_grid_wigner(state, grid)
         dev = float(np.abs(scan.wigner - oracle).max())
         details.append(f"{name}: {dev:.4f}")
@@ -172,8 +169,7 @@ def test_criterion_5_wigner_oracle_equivalence(space80, sweep80):
 
     radii = np.linspace(0, 3, 61)
     for n in (1, 2, 5):
-        cut = radial_cut(fock_state(dim, n), radii, PARAMS.xi, space80,
-                         schedule, model, sweep=sweep80)
+        cut = radial_cut(fock_state(dim, n), radii, sweep80, model)
         closed = np.array([fock_wigner_closed_form(n, r) for r in radii])
         dev = float(np.abs(cut - closed).max())
         details.append(f"fock({n}) cut: {dev:.4f}")
@@ -193,8 +189,7 @@ def test_criterion_6_negativity_with_shot_noise(space40):
     reps = 200
     for rep in range(reps):
         model = MeasurementModel(eta=0.86, shots=500, seed=rep)
-        scan = wigner_scan(state, [0.0], PARAMS.xi, space40, schedule, model,
-                           sweep=sweep)
+        scan = wigner_scan(state, [0.0], sweep, model)
         negatives += scan.wigner[0] < 0
     ok = negatives >= math.ceil(0.99 * reps)
     report(6, ok, f"W(0) < 0 for fock(1) in {negatives}/{reps} seeded "

@@ -373,6 +373,38 @@ def test_empty_dims_flag_exit_code(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command, flags, path, message", [
+    ("modes", ["--seed", "-1e3"], "measurement.seed", "expected an integer"),
+    ("modes", ["--seed", "-inf"], "measurement.seed", "expected an integer"),
+    ("modes", ["--dims", "-1x4"], "simulation", "need radial_dim >= 4"),
+    ("parity", ["--dims", "8x4", "--seed", "-1e3"], "measurement.seed",
+     "expected an integer"),
+    ("parity", ["--dims", "8x4", "--seed", "-5"], "measurement.seed",
+     "seed must be >= 0"),
+], ids=["seed-negative-exponent", "seed-negative-infinity", "dims-negative",
+        "parity-seed-negative-exponent", "seed-negative-integer"])
+def test_flag_value_that_starts_with_a_dash_exit_code(tmp_path, capsys, command,
+                                                      flags, path, message):
+    # argparse took such a value for an option and exited with its usage
+    # lines; it is the flag's value, read as `--flag=V` reads it
+    code, _, err = run([command, *flags, "--out", str(tmp_path)], capsys)
+    assert_refused(code, err, path)
+    assert message in err
+    joined = [f"{flag}={value}" for flag, value in zip(flags[::2], flags[1::2])]
+    assert run([command, *joined, "--out", str(tmp_path)], capsys) == (code, "", err)
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_config_and_out_values_that_start_with_a_dash(tmp_path, capsys,
+                                                      monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "-cfg.yaml").write_text("measurement: {seed: 7}\n")
+    code, _, err = run(["modes", "--config", "-cfg.yaml", "--out", "-out"],
+                       capsys)
+    assert code == 0, err
+    assert "\n# seed: 7 " in (tmp_path / "-out" / "modes.csv").read_text()
+
+
 def flag_and_file_runs(tmp_path, capsys, command, flags, text):
     """The exit code, stderr, and each table's config hash and data rows, of
     a run given `flags` and of one given a config file holding `text`."""
@@ -790,7 +822,7 @@ def test_converge_report(tmp_path, capsys):
 def test_converge_values_are_the_wigner_scan_at_each_setting(tmp_path, capsys):
     from trilinear.config import parse_config
     from trilinear.fock import FockDim, TwoModeSpace, fock_state
-    from trilinear.protocols import MeasurementModel, wigner_scan
+    from trilinear.protocols import MeasurementModel, scan_sweep, wigner_scan
 
     (tmp_path / "cfg.yaml").write_text(CONVERGE_10x5)
     code, out, _ = run(["converge", "--config", str(tmp_path / "cfg.yaml"),
@@ -804,9 +836,9 @@ def test_converge_values_are_the_wigner_scan_at_each_setting(tmp_path, capsys):
     model = MeasurementModel(eta=m.eta, shots=m.shots, seed=m.seed)
 
     def w0(space, step):
-        return float(wigner_scan(fock_state(space.radial, 2), np.array([0j]),
-                                 xi, space, sched, model, exact=True,
-                                 step=step).wigner[0])
+        state = fock_state(space.radial, 2)
+        sweep = scan_sweep(state, [0j], xi, space, sched, step)
+        return float(wigner_scan(state, [0j], sweep, model, exact=True).wigner[0])
 
     rows = converge_stdout_rows(out)
     assert [r[:3] for r in rows] == [
@@ -827,13 +859,13 @@ def test_converge_scans_each_setting_once(tmp_path, capsys, monkeypatch):
     from trilinear import cli
     from trilinear.config import RunConfig
     from trilinear.fock import FockDim, TwoModeSpace, fock_state
-    from trilinear.protocols import MeasurementModel, slow_sweep
+    from trilinear.protocols import MeasurementModel, scan_sweep, slow_sweep
 
     scan, settings = cli.wigner_scan, []
 
-    def counted(state, alphas, xi, space, schedule, model, **kwargs):
-        settings.append((space, kwargs["step"]))
-        return scan(state, alphas, xi, space, schedule, model, **kwargs)
+    def counted(state, alphas, sweep, model, **kwargs):
+        settings.append((sweep.space, sweep.step))
+        return scan(state, alphas, sweep, model, **kwargs)
 
     monkeypatch.setattr(cli, "wigner_scan", counted)
     code, out, _ = run(["converge", "--out", str(tmp_path)], capsys)
@@ -850,8 +882,9 @@ def test_converge_scans_each_setting_once(tmp_path, capsys, monkeypatch):
 
     def w0(radial, step):
         space = TwoModeSpace(FockDim(radial, 2), FockDim(radial // 2, 2))
-        return float(scan(fock_state(space.radial, 2), np.array([0j]), xi,
-                          space, sched, model, exact=True, step=step).wigner[0])
+        state = fock_state(space.radial, 2)
+        sweep = scan_sweep(state, [0j], xi, space, sched, step)
+        return float(scan(state, [0j], sweep, model, exact=True).wigner[0])
 
     assert [(r[0], r[1], float(r[3])) for r in converge_stdout_rows(out)] == [
         *(("truncation", f"{r}x{r // 2}", w0(r, None)) for r in (20, 30, 40)),
@@ -1182,8 +1215,10 @@ def test_config_fuzzer_exits_typed(command, data):
         if data.draw(st.booleans(), label=f"{flag} given"):
             parts = [data.draw(st.sampled_from(valid) | HOSTILE_TEXT, label=path)
                      for path, valid in texts.items()]
-            # `--seed=-5e-324`: argparse takes a separate "-5e-324" for an option
-            flags.append(f"{flag}={'x'.join(parts)}")
+            # as two arguments, `--seed -5e-324`, or as one, `--seed=-5e-324`
+            text = "x".join(parts)
+            flags += ([flag, text] if data.draw(st.booleans(), label=f"{flag} apart")
+                      else [f"{flag}={text}"])
             entries.update(zip(texts, parts))
 
     def readable(text):

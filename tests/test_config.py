@@ -153,6 +153,22 @@ def test_wrong_types_rejected():
         parse_config("trap: 3\n")
 
 
+@pytest.mark.parametrize("text, ascii_text, path", [
+    ('simulation: {parking_hz: "\u0663\u0665e3"}\n',
+     'simulation: {parking_hz: "35e3"}\ntrap: {omega_x_hz: 0.99e6}\n',
+     "simulation.parking_hz"),
+    ('converge: {step_fractions: ["\u0660.\u0665"]}\n',
+     'converge: {step_fractions: ["0.5"]}\n', "converge.step_fractions"),
+], ids=["parking-arabic-indic-digits", "step-fraction-arabic-indic-digits"])
+def test_number_with_digits_other_than_ascii_rejected(text, ascii_text, path):
+    # float() reads them, so they read as 35 kHz and 0.5, where int fields
+    # refuse the same digits; the ASCII text is still a number
+    with pytest.raises(ConfigValueError, match="expected a number") as err:
+        parse_config(text)
+    assert err.value.path == path
+    assert parse_config(ascii_text) == parse_config(ascii_text.replace('"', ""))
+
+
 @pytest.mark.parametrize("key", ["radial_dims", "step_fractions"])
 def test_converge_section_is_checked_when_no_experiment_is_named(key):
     # an empty list reached convergence_report, which raised IndexError;
@@ -263,6 +279,21 @@ def test_descriptor_product():
 def test_bad_descriptors_rejected(bad):
     with pytest.raises(ConfigValueError):
         parse_descriptor(bad)
+
+
+@pytest.mark.parametrize("text, ascii_text", [
+    ("fock:\u0663", "fock:3"),
+    ("coherent:\u0661.\u0660", "coherent:1.0"),
+    ("cat:\u0661:pi/\u0662:plus", "cat:1:pi/2:plus"),
+], ids=["fock-arabic-indic-digit", "coherent-arabic-indic-digits",
+        "cat-arabic-indic-digits"])
+def test_descriptor_with_digits_other_than_ascii_rejected(text, ascii_text):
+    # int(), float() and complex() read them, so each parsed as its ASCII
+    # spelling
+    with pytest.raises(ConfigValueError, match="not ASCII") as err:
+        parse_config(f'state: "{text}"\n')
+    assert err.value.path == "state"
+    assert parse_config(f'state: "{ascii_text}"\n').state == ascii_text
 
 
 def test_build_radial_state_kinds():

@@ -463,8 +463,7 @@ def test_graded_grid_halves_the_uniform_steps_at_lower_error():
         w = []
         for s in (step, step / 2):
             sweep = sweep_unitaries(space, XI, sched, s)
-            w.append(wigner_scan(state, alphas, XI, space, sched, model,
-                                 exact=True, sweep=sweep).wigner)
+            w.append(wigner_scan(state, alphas, sweep, model, exact=True).wigner)
         return np.abs(w[0] - w[1]).max(), sweep.dts.size
 
     graded, graded_steps = halving(default_step(XI, sched))

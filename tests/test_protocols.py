@@ -25,6 +25,7 @@ from trilinear import (
     oscillation_experiment,
     radial_cut,
     rc_ramp,
+    scan_sweep,
     slow_sweep,
     sweep_unitaries,
     wigner_oracle,
@@ -149,14 +150,13 @@ def test_exact_scan_draws_nothing(monkeypatch):
 
     monkeypatch.setattr(MeasurementModel, "rng", draw)
     space = TwoModeSpace(FockDim(8), FockDim(4))
-    scan = wigner_scan(fock_state(space.radial, 1), phase_space_grid(1.0, 5),
-                       PARAMS.xi, space, slow_sweep(), MeasurementModel(seed=3),
-                       exact=True)
+    state, grid = fock_state(space.radial, 1), phase_space_grid(1.0, 5)
+    sweep = scan_sweep(state, grid, PARAMS.xi, space, slow_sweep())
+    scan = wigner_scan(state, grid, sweep, MeasurementModel(seed=3), exact=True)
     assert np.array_equal(scan.p1_sampled, scan.p1_exact)
     assert np.all(scan.stderr == 0.0)
     with pytest.raises(AssertionError, match="drew"):
-        wigner_scan(fock_state(space.radial, 1), [0.0], PARAMS.xi, space,
-                    slow_sweep(), MeasurementModel(seed=3))
+        wigner_scan(state, [0.0], sweep, MeasurementModel(seed=3))
 
 
 def test_channel_full_phonon_at_paper_efficiency():
@@ -192,9 +192,11 @@ def test_channel_is_deterministic_per_seed_and_stream():
 
 def origin_scan(state, space, schedule, model, exact=True, sweep=None):
     """The parity measurement: the one-point scan at alpha = 0, whose
-    parity column is <P> = (pi / 2) W(0)."""
-    return wigner_scan(state, [0.0], PARAMS.xi, space, schedule, model,
-                       exact=exact, sweep=sweep)
+    parity column is <P> = (pi / 2) W(0), on `sweep` or else on the sweep
+    that `scan_sweep` builds for it."""
+    if sweep is None:
+        sweep = scan_sweep(state, [0.0], PARAMS.xi, space, schedule)
+    return wigner_scan(state, [0.0], sweep, model, exact=exact)
 
 
 def two_level_state(dim, p_one):
@@ -573,8 +575,7 @@ def test_rising_sweep_reads_as_the_per_state_reference(dims):
         assert scan.parity[0] == pytest.approx(ideal, abs=0.02)
     state = coherent_state(space.radial, 1.0)
     alphas = phase_space_grid(1.5, 5)
-    scan = wigner_scan(state, alphas, PARAMS.xi, space, sched, model,
-                       exact=True, sweep=sweep)
+    scan = wigner_scan(state, alphas, sweep, model, exact=True)
     p1_exact, _, flags = per_point_reference(state, alphas, space, sweep, model)
     assert np.abs(scan.p1_exact - p1_exact).max() < 1e-12
     assert list(scan.flags) == flags
@@ -601,8 +602,8 @@ def test_readout_refuses_a_sweep_from_zero_detuning():
 
 def test_wigner_scan_vacuum(space, schedule, sweep):
     model = MeasurementModel(eta=1.0, shots=200, seed=5)
-    scan = wigner_scan(fock_state(space.radial, 0), [0.0, 2.0], PARAMS.xi,
-                       space, schedule, model, exact=True, sweep=sweep)
+    scan = wigner_scan(fock_state(space.radial, 0), [0.0, 2.0], sweep, model,
+                       exact=True)
     assert scan.wigner[0] == pytest.approx(TWO_OVER_PI, abs=5e-3)
     # large-displacement value (2/pi) e^{-8} = 2.136e-4, i.e. ~0 within the
     # protocol's diabatic floor
@@ -614,8 +615,7 @@ def test_wigner_scan_matches_oracle_on_small_grid(space, schedule, sweep):
     axis = np.linspace(-1.2, 1.2, 5)
     grid = (axis[:, None] + 1j * axis[None, :]).ravel()
     state = coherent_state(space.radial, 0.87)
-    scan = wigner_scan(state, grid, PARAMS.xi, space, schedule, model,
-                       exact=True, sweep=sweep)
+    scan = wigner_scan(state, grid, sweep, model, exact=True)
     oracle = np.array([wigner_oracle(state, a) for a in grid])
     assert np.abs(scan.wigner - oracle).max() < 0.01
 
@@ -629,8 +629,9 @@ def test_slower_ramp_tightens_oracle_agreement(space):
     devs = {}
     for tau in (2e-3, 4e-3):
         sched = rc_ramp(PARKING, -PARKING, tau)
-        scan = wigner_scan(state, grid, PARAMS.xi, space, sched, model,
-                           exact=True)
+        scan = wigner_scan(state, grid,
+                           scan_sweep(state, grid, PARAMS.xi, space, sched),
+                           model, exact=True)
         devs[tau] = np.abs(scan.wigner - oracle).max()
     assert devs[4e-3] < devs[2e-3] < 0.01
 
@@ -641,8 +642,7 @@ def test_even_cat_fringes_match_three_gaussian_form(space, schedule, sweep):
     state = cat_state(space.radial, alpha, math.pi, +1)
     period = math.pi / (2 * alpha)
     ys = np.linspace(0, 2 * period, 9)
-    scan = wigner_scan(state, 1j * ys, PARAMS.xi, space, schedule, model,
-                       exact=True, sweep=sweep)
+    scan = wigner_scan(state, 1j * ys, sweep, model, exact=True)
     closed = np.array([cat_wigner_closed_form(1j * y, alpha, +1) for y in ys])
     assert np.abs(scan.wigner - closed).max() < 0.01
     assert scan.wigner[0] == pytest.approx(TWO_OVER_PI, abs=0.01)
@@ -656,8 +656,7 @@ def test_even_cat_fringes_match_three_gaussian_form(space, schedule, sweep):
 def test_fock_radial_cut_matches_closed_form(space, schedule, sweep):
     model = MeasurementModel(eta=1.0, shots=200, seed=5)
     radii = np.array([0.0, 0.5, 1.0, 1.5])
-    cut = radial_cut(fock_state(space.radial, 1), radii, PARAMS.xi, space,
-                     schedule, model, sweep=sweep)
+    cut = radial_cut(fock_state(space.radial, 1), radii, sweep, model)
     closed = np.array([fock_wigner_closed_form(1, r) for r in radii])
     assert np.abs(cut - closed).max() < 0.01
 
@@ -666,12 +665,11 @@ def test_scan_determinism_and_seed_sensitivity(space, schedule, sweep):
     model = MeasurementModel(eta=0.86, shots=300, seed=123)
     grid = phase_space_grid(extent=1.0, points=3)
     state = fock_state(space.radial, 1)
-    one = wigner_scan(state, grid, PARAMS.xi, space, schedule, model, sweep=sweep)
-    again = wigner_scan(state, grid, PARAMS.xi, space, schedule, model, sweep=sweep)
+    one = wigner_scan(state, grid, sweep, model)
+    again = wigner_scan(state, grid, sweep, model)
     assert np.array_equal(one.p1_sampled, again.p1_sampled)
-    other_seed = wigner_scan(state, grid, PARAMS.xi, space, schedule,
-                             MeasurementModel(eta=0.86, shots=300, seed=124),
-                             sweep=sweep)
+    other_seed = wigner_scan(state, grid, sweep,
+                             MeasurementModel(eta=0.86, shots=300, seed=124))
     assert not np.array_equal(one.p1_sampled, other_seed.p1_sampled)
 
 
@@ -696,8 +694,8 @@ def test_sampled_wigner_stderr_matches_binomial(space, schedule, sweep):
 def test_scan_stderr_column_is_the_wigner_error(space, schedule, sweep):
     # W = (2/pi) (1 - 2 p1 / eta), so its error is (2/pi) 2 sigma(p1) / eta
     model = MeasurementModel(eta=0.86, shots=500, seed=7)
-    scan = wigner_scan(fock_state(space.radial, 1), [0.0, 0.5, 1.0j], PARAMS.xi,
-                       space, schedule, model, sweep=sweep)
+    scan = wigner_scan(fock_state(space.radial, 1), [0.0, 0.5, 1.0j], sweep,
+                       model)
     p = scan.p1_sampled
     predicted = TWO_OVER_PI * 2 * np.sqrt(p * (1 - p) / 500) / 0.86
     assert np.abs(scan.stderr - predicted).max() < 1e-15
@@ -728,7 +726,7 @@ def test_scan_reads_evolved_columns_without_unitaries():
     sweep = sweep_unitaries(small, PARAMS.xi, sched, sector_ks=range(10))
     model = MeasurementModel(seed=3)
     wigner_scan(coherent_state(small.radial, 0.5), phase_space_grid(1.0, 5),
-                PARAMS.xi, small, sched, model, sweep=sweep)
+                sweep, model)
     axial_distribution(fock_state(small.radial, 2), sweep)
     assert "unitaries" not in vars(sweep)
 
@@ -748,7 +746,7 @@ def populated_sectors(state, alphas):
     return np.flatnonzero((np.abs(disp) > protocols.AMPLITUDE_FLOOR).any(axis=0))
 
 
-def test_scan_without_sweep_covers_only_populated_sectors(monkeypatch):
+def test_scan_sweep_covers_only_populated_sectors(monkeypatch):
     small = TwoModeSpace(FockDim(16), FockDim(8))
     sched = rc_ramp(PARKING, -PARKING, 200e-6)
     model = MeasurementModel(seed=3)
@@ -761,15 +759,17 @@ def test_scan_without_sweep_covers_only_populated_sectors(monkeypatch):
         return sweep_unitaries(*args, **kwargs)
 
     monkeypatch.setattr(protocols, "sweep_unitaries", recording)
-    scan = wigner_scan(state, grid, PARAMS.xi, small, sched, model, exact=True)
+    sweep = scan_sweep(state, grid, PARAMS.xi, small, sched)
     populated = populated_sectors(state, grid)
     assert swept == [readout_rule(small, populated)]
+    assert sorted(sweep.endpoint_bases) == swept[0]
+    assert (sweep.space, sweep.xi, sweep.schedule) == (small, PARAMS.xi, sched)
     assert len(populated) < small.radial.dim
     assert 0 < len(swept[0]) < len(populated)
+    scan = wigner_scan(state, grid, sweep, model, exact=True)
     assert scan.sweep_sectors == (len(swept[0]), len(populated))
     full = sweep_unitaries(small, PARAMS.xi, sched, sector_ks=range(16))
-    ref = wigner_scan(state, grid, PARAMS.xi, small, sched, model, exact=True,
-                      sweep=full)
+    ref = wigner_scan(state, grid, full, model, exact=True)
     assert np.array_equal(scan.p1_exact, ref.p1_exact)
     assert np.array_equal(scan.readout_bias, ref.readout_bias)
     assert scan.flags == ref.flags
@@ -787,16 +787,14 @@ def test_partial_sweep_rejects_uncovered_sectors():
     amp = np.zeros(10, complex)
     amp[[1, 3]] = 1 / math.sqrt(2)
     state = StateVector(amp, small.radial)
-    scans = [wigner_scan(state, [0.0], PARAMS.xi, small, sched, model,
-                         sweep=sw) for sw in (partial, full)]
+    scans = [wigner_scan(state, [0.0], sw, model) for sw in (partial, full)]
     for name in ("p1_exact", "p1_sampled", "readout_bias"):
         assert np.array_equal(getattr(scans[0], name), getattr(scans[1], name))
     assert scans[0].flags == scans[1].flags
     assert scans[0].sweep_sectors == (1, 2)
     # the displaced point populates the even K = 4, which needs the sweep
     with pytest.raises(ValueError, match="does not cover the populated K = 4"):
-        wigner_scan(fock_state(small.radial, 1), [0.0, 1.0], PARAMS.xi, small,
-                    sched, model, sweep=partial)
+        wigner_scan(fock_state(small.radial, 1), [0.0, 1.0], partial, model)
     # the axial distribution reads every populated sector, K = 3 included
     for n in (3, 4):
         with pytest.raises(ValueError, match=f"does not cover the populated K = {n}"):
@@ -825,11 +823,11 @@ def test_pruned_sweep_reads_as_the_full_sweep(dr, da, guard, seed, n_levels,
     populated = populated_sectors(state, alphas)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationLeakWarning)
-        pruned = wigner_scan(state, alphas, PARAMS.xi, space, sched, model,
-                             exact=exact)
+        pruned = wigner_scan(
+            state, alphas, scan_sweep(state, alphas, PARAMS.xi, space, sched),
+            model, exact=exact)
         full = sweep_unitaries(space, PARAMS.xi, sched, sector_ks=populated)
-        ref = wigner_scan(state, alphas, PARAMS.xi, space, sched, model,
-                          exact=exact, sweep=full)
+        ref = wigner_scan(state, alphas, full, model, exact=exact)
     for name in ("p1_exact", "p1_sampled", "readout_bias"):
         assert np.array_equal(getattr(pruned, name), getattr(ref, name))
     assert pruned.flags == ref.flags
@@ -840,9 +838,12 @@ def test_pruned_sweep_reads_as_the_full_sweep(dr, da, guard, seed, n_levels,
 
 def test_scan_of_an_odd_fock_state_at_the_origin_sweeps_nothing():
     space = TwoModeSpace(FockDim(12), FockDim(6))
-    scan = wigner_scan(fock_state(space.radial, 1), [0.0], PARAMS.xi, space,
-                       rc_ramp(PARKING, -PARKING, 15e-6),
-                       MeasurementModel(eta=0.86), exact=True)
+    state = fock_state(space.radial, 1)
+    sweep = scan_sweep(state, [0.0], PARAMS.xi, space,
+                       rc_ramp(PARKING, -PARKING, 15e-6))
+    assert sweep.endpoint_bases == {}
+    scan = wigner_scan(state, [0.0], sweep, MeasurementModel(eta=0.86),
+                       exact=True)
     assert scan.sweep_sectors == (0, 1)
     assert scan.wigner[0] == -TWO_OVER_PI
     assert scan.readout_bias[0] == 0.0
@@ -914,8 +915,7 @@ def test_scan_matches_per_point_composition(dr, da, seed, n_levels, extent, tau,
     alphas = phase_space_grid(extent, 5)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(protocols, "BLOCK_BYTES", budget)
-        scan = wigner_scan(state, alphas, PARAMS.xi, space, sched, model,
-                           sweep=sweep)
+        scan = wigner_scan(state, alphas, sweep, model)
     p1_exact, p1_sampled, flags = per_point_reference(state, alphas, space,
                                                       sweep, model)
     assert np.abs(scan.p1_exact - p1_exact).max() < 1e-12
@@ -937,9 +937,8 @@ def test_readout_bias_is_the_error_against_the_oracle(dr, da, seed, n_levels,
     sched = rc_ramp(PARKING, -PARKING, tau)
     sweep = sweep_unitaries(space, PARAMS.xi, sched, sector_ks=range(dr))
     alphas = phase_space_grid(extent, 5)
-    scan = wigner_scan(state, alphas, PARAMS.xi, space, sched,
-                       MeasurementModel(eta=0.86, seed=seed), exact=True,
-                       sweep=sweep)
+    scan = wigner_scan(state, alphas, sweep,
+                       MeasurementModel(eta=0.86, seed=seed), exact=True)
     oracle = np.array([leaky_oracle(state, a) for a in alphas])
     assert np.abs(scan.readout_bias - (scan.wigner - oracle)).max() < 1e-12
     radial0 = protocols._SectorReadout.of(sweep).radial0
@@ -948,8 +947,7 @@ def test_readout_bias_is_the_error_against_the_oracle(dr, da, seed, n_levels,
 
 def test_scan_csv_schema(space, schedule, sweep, tmp_path):
     model = MeasurementModel(eta=0.86, shots=300, seed=123)
-    scan = wigner_scan(fock_state(space.radial, 0), [0.0, 1.0], PARAMS.xi,
-                       space, schedule, model, sweep=sweep)
+    scan = wigner_scan(fock_state(space.radial, 0), [0.0, 1.0], sweep, model)
     path = tmp_path / "wig.csv"
     scan.to_csv(path, comments=["hello"])
     lines = path.read_text().splitlines()
@@ -966,9 +964,11 @@ def test_scan_flags_follow_the_leak_and_diabatic_masks():
     fast = rc_ramp(PARKING, -PARKING, 20e-6)
     model = MeasurementModel(eta=1.0, seed=5)
     seen = set()
-    for state, ramp in ((0, slow_sweep()), (0, fast), (2, fast)):
-        scan = wigner_scan(fock_state(small.radial, state),
-                           phase_space_grid(2.5, 7), PARAMS.xi, small, ramp,
+    grid = phase_space_grid(2.5, 7)
+    for n, ramp in ((0, slow_sweep()), (0, fast), (2, fast)):
+        state = fock_state(small.radial, n)
+        scan = wigner_scan(state, grid,
+                           scan_sweep(state, grid, PARAMS.xi, small, ramp),
                            model, exact=True)
         assert np.array_equal(scan.diabatic,
                               np.abs(scan.readout_bias) > READOUT_BIAS_TOLERANCE)
@@ -995,6 +995,10 @@ def test_scan_bound_validation():
             stderr=np.zeros(n),
             flags=("",),
             eta=0.86,
+            readout_bias=np.zeros(n),
+            leak=np.zeros(n, bool),
+            diabatic=np.zeros(n, bool),
+            sweep_sectors=(0, 1),
         )
 
 
@@ -1009,33 +1013,29 @@ def test_wigner_negativity_with_shot_noise(space, schedule, sweep):
     assert negatives == 50
 
 
-# a sweep passed in must have been built for the arguments it is used with
-SWEEP_USERS = {
-    "wigner_scan": lambda state, xi, space, sched, model, step, sweep: wigner_scan(
-        state, [0.0], xi, space, sched, model, exact=True, step=step, sweep=sweep),
-    "radial_cut": lambda state, xi, space, sched, model, step, sweep: radial_cut(
-        state, [0.5], xi, space, sched, model, step=step, sweep=sweep),
-}
-
-
-@pytest.mark.parametrize("user", sorted(SWEEP_USERS))
-def test_a_sweep_built_for_other_arguments_is_refused(user):
-    space = TwoModeSpace(FockDim(8), FockDim(4))
+def test_a_scan_displaces_its_grid_once(monkeypatch):
+    # a scan on a shared sweep displaces each block of points once; a scan
+    # on the sweep `scan_sweep` builds displaces the grid twice in all
+    space = TwoModeSpace(FockDim(12), FockDim(6))
     sched = rc_ramp(PARKING, -PARKING, 100e-6)
-    sweep = sweep_unitaries(space, PARAMS.xi, sched, sector_ks=range(8))
-    state = fock_state(space.radial, 2)
+    state = coherent_state(space.radial, 0.5)
+    grid = phase_space_grid(1.0, 5)
     model = MeasurementModel(eta=0.86, seed=3)
-    call = SWEEP_USERS[user]
-    # its own arguments, with or without the step
-    for step in (None, sweep.step):
-        call(state, PARAMS.xi, space, sched, model, step, sweep)
-    others = {
-        "space": (PARAMS.xi, TwoModeSpace(FockDim(8), FockDim(5)), sched,
-                  sweep.step),
-        "coupling": (10 * PARAMS.xi, space, sched, None),
-        "ramp": (PARAMS.xi, space, rc_ramp(PARKING, -PARKING, 50e-6), None),
-        "step": (PARAMS.xi, space, sched, sweep.step / 2),
-    }
-    for name, (xi, other_space, other_sched, step) in others.items():
-        with pytest.raises(ValueError, match=f"built for another {name}$"):
-            call(state, xi, other_space, other_sched, model, step, sweep)
+    sweep = sweep_unitaries(space, PARAMS.xi, sched, sector_ks=range(12))
+    calls = []
+
+    def counted(amplitudes, alphas, dim):
+        calls.append(len(alphas))
+        return displaced_amplitudes(amplitudes, alphas, dim)
+
+    monkeypatch.setattr(protocols, "BLOCK_BYTES", 64 * 12 * 7)
+    monkeypatch.setattr(protocols, "displaced_amplitudes", counted)
+    blocks = [7, 7, 7, 4]
+    wigner_scan(state, grid, sweep, model)
+    assert calls == blocks
+    radial_cut(state, [0.0, 0.5, 1.0], sweep, model)
+    assert calls == blocks + [7, 7, 7, 3]
+    calls.clear()
+    wigner_scan(state, grid, scan_sweep(state, grid, PARAMS.xi, space, sched),
+                model)
+    assert calls == 2 * blocks
