@@ -347,8 +347,8 @@ def test_negative_seed_exit_code(tmp_path, capsys, source):
     else:
         args += ["--seed", "-5"]
     code, _, err = run(args, capsys)
-    assert code == 2
-    assert "path=measurement.seed" in err
+    assert_refused(code, err, "measurement.seed")
+    assert "seed must be >= 0" in err
 
 
 def test_seed_flag_that_is_not_an_integer_exit_code(tmp_path, capsys):
@@ -379,10 +379,8 @@ def test_empty_dims_flag_exit_code(tmp_path, capsys):
     ("modes", ["--dims", "-1x4"], "simulation", "need radial_dim >= 4"),
     ("parity", ["--dims", "8x4", "--seed", "-1e3"], "measurement.seed",
      "expected an integer"),
-    ("parity", ["--dims", "8x4", "--seed", "-5"], "measurement.seed",
-     "seed must be >= 0"),
 ], ids=["seed-negative-exponent", "seed-negative-infinity", "dims-negative",
-        "parity-seed-negative-exponent", "seed-negative-integer"])
+        "parity-seed-negative-exponent"])
 def test_flag_value_that_starts_with_a_dash_exit_code(tmp_path, capsys, command,
                                                       flags, path, message):
     # argparse took such a value for an option and exited with its usage
